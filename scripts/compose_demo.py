@@ -9,7 +9,7 @@ initial state and print the ranked table plus the per-round trace.
 import sys
 
 from mdpcompose.composer import ComposerConfig, compose, policy_table_json
-from mdpcompose.embedding import TrainConfig, build_vocabulary, train
+from mdpcompose.embedding import DESK_SCALE, TrainConfig, build_vocabulary, train
 from mdpcompose.sample_corpus import corpus_graphs, mini_corpus
 from mdpcompose.simulation import SimState, initial_features
 from mdpcompose.space import space_from_table
@@ -20,11 +20,7 @@ def main() -> int:
     graphs = corpus_graphs(corpus)
     graph_list = [graphs[s.activity_name] for s in corpus.scripts]
     vocab = build_vocabulary(graph_list)
-    table = train(
-        graph_list,
-        vocab,
-        TrainConfig(iterations=200, epochs_per_iteration=5, batch_size=256, rng_seed=7),
-    )
+    table = train(graph_list, vocab, TrainConfig(**DESK_SCALE, rng_seed=7))
     space = space_from_table(vocab, table)
 
     graph = graphs["Watch_TV_49"]

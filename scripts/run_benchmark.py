@@ -12,15 +12,14 @@ few seconds; --full-scale switches to the full budget (1000 x 15, batch
 """
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
 
-from mdpcompose.bench import ENSEMBLE, mean_commit_radius, run_benchmark
+from mdpcompose.bench import ENSEMBLE, mean_commit_radius, radius_rows, run_benchmark
 from mdpcompose.composer import ComposerConfig
 from mdpcompose.dqn import DqnConfig
-from mdpcompose.embedding import TrainConfig, build_vocabulary, export_tsv, train
+from mdpcompose.embedding import DESK_SCALE, TrainConfig, build_vocabulary, export_tsv, train
 from mdpcompose.sample_corpus import corpus_graphs, mini_corpus
 from mdpcompose.space import space_from_table
 
@@ -30,7 +29,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output directory for CSVs")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--caps", default="1,10", help="DQN episode caps")
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--full-scale", action="store_true",
                         help="full training budget: 1000x15 iterations, batch 1024")
     args = parser.parse_args(argv)
@@ -45,11 +43,7 @@ def main(argv=None) -> int:
     print(f"corpus: {len(corpus.scripts)} activities, lengths "
           f"{sorted(len(s.steps) for s in corpus.scripts)}")
 
-    if args.full_scale:
-        cfg = TrainConfig(rng_seed=args.seed)
-    else:
-        cfg = TrainConfig(iterations=200, epochs_per_iteration=5, batch_size=256,
-                          rng_seed=args.seed)
+    cfg = TrainConfig(rng_seed=args.seed, **({} if args.full_scale else DESK_SCALE))
     vocab = build_vocabulary(graph_list)
     started = time.time()
     table = train(graph_list, vocab, cfg)
@@ -63,7 +57,6 @@ def main(argv=None) -> int:
     metrics = run_benchmark(
         graphs, space, activities, caps, seed=args.seed, out_dir=out,
         composer_cfg=ComposerConfig(), dqn_cfg=DqnConfig(),
-        max_workers=args.workers,
     )
     print(f"benchmark finished in {time.time() - started:.1f}s; CSVs in {out}")
 
@@ -77,11 +70,7 @@ def main(argv=None) -> int:
         print(f"DQN cap {cap:>3}: {wins}/{len(rows)} learned"
               + (f" (lengths {lengths})" if lengths else ""))
 
-    with open(out / "radius_density.csv", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader, None)
-        radii = [(r[0], int(r[1]), float(r[2])) for r in reader]
-    mean_radius = mean_commit_radius(radii)
+    mean_radius = mean_commit_radius(radius_rows(metrics))
     if mean_radius is not None:
         print(f"mean commit radius over the corpus: {mean_radius:.3f}")
     return 0

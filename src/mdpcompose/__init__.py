@@ -1,5 +1,5 @@
 """Activity knowledge graphs, entity embeddings and on-demand policy
-composition by parallel agent ensembles, with a DQN training baseline."""
+composition by agent ensembles, with a DQN training baseline."""
 
 from .composer import ComposerConfig, PolicyTable, compose, policy_table_json
 from .embedding import TrainConfig, build_vocabulary, export_tsv, train

@@ -1,9 +1,11 @@
 """Evaluation harness: composer versus DQN over a corpus of activities.
 
-Every (activity, method, episode cap) cell runs independently in a worker
-pool with a seed derived from the cell identity, so results are identical
-for any pool size. Metrics land in one row per cell and are projected into
-the CSV files consumed by the analysis plots.
+Every (activity, method, episode cap) cell runs independently with a seed
+derived from the cell identity, so results do not depend on the order in
+which cells run. Cells run one after another: composition and DQN training
+are pure Python and small numpy calls, so under the GIL a thread pool would
+add overhead and no parallelism. Metrics land in one row per cell and are
+projected into the CSV files consumed by the analysis plots.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -48,6 +49,7 @@ class RunMetrics:
     cumulative_reward: float
     success: bool
     sequence_length: int
+    commit_radii: tuple[float, ...] = ()  # ENSEMBLE only: radius of each commit
 
 
 def stratified_sample(corpus: VhCorpus, per_category: int, seed: int) -> list[VhScript]:
@@ -86,7 +88,7 @@ def _run_ensemble_cell(graph, space, activity_name, composer_cfg):
         _table, trace = compose(
             graph, space, _initial_state(graph, activity_name), composer_cfg
         )
-        metrics = RunMetrics(
+        return RunMetrics(
             activity_name=activity_name,
             method=ENSEMBLE,
             episode_cap=1,
@@ -96,11 +98,11 @@ def _run_ensemble_cell(graph, space, activity_name, composer_cfg):
             cumulative_reward=trace.cumulative_reward,
             success=True,
             sequence_length=sequence_length,
+            commit_radii=tuple(trace.commit_radii),
         )
-        return metrics, trace.commit_radii
     except (CompositionFailureError, UnknownSituationError) as exc:
         log.warning("composition failed for %s: %s", activity_name, exc)
-        metrics = RunMetrics(
+        return RunMetrics(
             activity_name=activity_name,
             method=ENSEMBLE,
             episode_cap=1,
@@ -111,7 +113,6 @@ def _run_ensemble_cell(graph, space, activity_name, composer_cfg):
             success=False,
             sequence_length=sequence_length,
         )
-        return metrics, []
 
 
 def _run_dqn_cell(graph, activity_name, cap, dqn_cfg):
@@ -139,49 +140,33 @@ def run_benchmark(
     out_dir,
     composer_cfg: ComposerConfig | None = None,
     dqn_cfg: DqnConfig | None = None,
-    max_workers: int | None = None,
 ) -> list[RunMetrics]:
     """One ENSEMBLE row per activity plus one DQN row per (activity, cap);
     writes the CSV files and returns all rows."""
     composer_cfg = composer_cfg or ComposerConfig()
     dqn_cfg = dqn_cfg or DqnConfig()
 
-    jobs = []
-    for name in activities:
-        jobs.append((name, ENSEMBLE, 0))
-        for cap in caps:
-            jobs.append((name, DQN, cap))
-
-    def run_cell(job):
-        name, method, cap = job
+    def run_cell(job) -> RunMetrics:
+        method, name, cap = job
         graph = graphs[name]
         if method == ENSEMBLE:
-            return job, _run_ensemble_cell(graph, space, name, composer_cfg)
+            return _run_ensemble_cell(graph, space, name, composer_cfg)
         cell_cfg = replace(
             dqn_cfg,
             episode_cap=cap,
             rng_seed=_cell_seed(seed, name, method, cap),
         )
-        return job, _run_dqn_cell(graph, name, cap, cell_cfg)
+        return _run_dqn_cell(graph, name, cap, cell_cfg)
 
-    results: dict = {}
-    with ThreadPoolExecutor(max_workers=max_workers or 4) as pool:
-        for job, outcome in pool.map(run_cell, jobs):
-            results[job] = outcome
-
-    metrics: list[RunMetrics] = []
-    radii_rows: list[tuple[str, int, float]] = []
-    for job in sorted(results, key=lambda j: (j[1], j[0], j[2])):
-        outcome = results[job]
-        if job[1] == ENSEMBLE:
-            row, commit_radii = outcome
-            metrics.append(row)
-            for k, radius in enumerate(commit_radii):
-                radii_rows.append((row.activity_name, k, radius))
-        else:
-            metrics.append(outcome)
-
-    write_csv_files(metrics, radii_rows, out_dir)
+    jobs = []
+    for name in activities:
+        jobs.append((ENSEMBLE, name, 0))
+        jobs.extend((DQN, name, cap) for cap in caps)
+    # cells run in the caller's order; rows are sorted by method, activity
+    # and cap, so the CSVs do not depend on that order
+    results = dict(zip(jobs, map(run_cell, jobs)))
+    metrics = [results[job] for job in sorted(results)]
+    write_csv_files(metrics, out_dir)
     return metrics
 
 
@@ -193,7 +178,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv_files(metrics: list[RunMetrics], radii_rows, out_dir) -> dict[str, Path]:
+def write_csv_files(metrics: list[RunMetrics], out_dir) -> dict[str, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     projections = {
@@ -224,10 +209,19 @@ def write_csv_files(metrics: list[RunMetrics], radii_rows, out_dir) -> dict[str,
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADERS["radius_density.csv"])
-        for activity, k, radius in radii_rows:
+        for activity, k, radius in radius_rows(metrics):
             writer.writerow([activity, str(k), repr(radius)])
     written["radius_density.csv"] = path
     return written
+
+
+def radius_rows(metrics: list[RunMetrics]) -> list[tuple[str, int, float]]:
+    """(activity, commit index, radius) for every commit of every row."""
+    return [
+        (m.activity_name, k, radius)
+        for m in metrics
+        for k, radius in enumerate(m.commit_radii)
+    ]
 
 
 def mean_commit_radius(radii_rows) -> float | None:

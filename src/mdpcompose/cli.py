@@ -14,9 +14,9 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import mean_commit_radius, run_benchmark
+from .bench import mean_commit_radius, radius_rows, run_benchmark
 from .composer import ComposerConfig, compose, policy_table_json
-from .embedding import TrainConfig, build_vocabulary, export_tsv, train
+from .embedding import DESK_SCALE, TrainConfig, build_vocabulary, export_tsv, train
 from .errors import (
     CompositionFailureError,
     GraphValidationError,
@@ -34,9 +34,6 @@ from .turtle_io import write_turtle
 from .vhome import load_corpus, script_to_kg
 
 log = logging.getLogger(__name__)
-
-FULL_SCALE = dict(iterations=1000, epochs_per_iteration=15, batch_size=1024)
-DESK_SCALE = dict(iterations=200, epochs_per_iteration=5, batch_size=256)
 
 
 def _embedding_paths(prefix: str) -> tuple[Path, Path]:
@@ -80,7 +77,7 @@ def _cmd_train(args) -> int:
     if args.config:
         cfg = TrainConfig.from_file(args.config)
     else:
-        scale = FULL_SCALE if args.full_scale else DESK_SCALE
+        scale = {} if args.full_scale else DESK_SCALE
         cfg = TrainConfig(dimension=args.dim, rng_seed=args.seed, **scale)
     if args.iterations is not None:
         cfg.iterations = args.iterations
@@ -126,25 +123,8 @@ def _cmd_bench(args) -> int:
     space = _load_space(args.embeddings)
     caps = [int(c) for c in args.caps.split(",") if c.strip()]
     activities = sorted(index)
-    metrics = run_benchmark(
-        index,
-        space,
-        activities,
-        caps,
-        seed=args.seed,
-        out_dir=args.out,
-        max_workers=args.workers,
-    )
-    radii = []
-    with_density = Path(args.out) / "radius_density.csv"
-    if with_density.exists():
-        import csv as _csv
-
-        with open(with_density, newline="", encoding="utf-8") as handle:
-            reader = _csv.reader(handle)
-            next(reader, None)
-            radii = [(r[0], int(r[1]), float(r[2])) for r in reader]
-    mean_radius = mean_commit_radius(radii)
+    metrics = run_benchmark(index, space, activities, caps, seed=args.seed, out_dir=args.out)
+    mean_radius = mean_commit_radius(radius_rows(metrics))
     successes = sum(1 for m in metrics if m.success)
     print(f"wrote {len(metrics)} rows to {args.out} ({successes} successful cells)")
     if mean_radius is not None:
@@ -205,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--caps", default="1,10,100")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("serve", help="serve the policy composition endpoint")

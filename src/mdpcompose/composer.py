@@ -1,29 +1,24 @@
-"""On-demand policy composition by ensembles of parallel agents.
+"""On-demand policy composition by ensembles of agents.
 
 Starting from a recognized state, each round finds the actions whose
 embeddings lie within the current search radius, spawns one agent per
 candidate (each with its own simulation closure over a snapshot of the
-current state), runs them concurrently, and keeps the reward-maximising
-outcome. When no candidate improves the reward the radius grows by a fixed
-step; a commit resets it. The loop ends at a goal state and returns the
-ranked policy table together with a trace of every round.
+current state), and keeps the reward-maximising outcome. The agents of a
+round run one after another in candidate order: an agent step is pure
+Python, so under the GIL threads would add overhead and no parallelism.
+When no candidate improves the reward the radius grows by a fixed step; a
+commit resets it. The loop ends at a goal state and returns the ranked
+policy table together with a trace of every round.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import CompositionFailureError
 from .kg import KnowledgeGraph
-from .simulation import (
-    UNKNOWN_STATE,
-    SimConfig,
-    SimState,
-    make_simulation,
-    recognize_state,
-)
+from .simulation import SimConfig, SimState, make_simulation, start_state, wrong_step
 from .space import EmbeddingSpace
 
 
@@ -33,7 +28,6 @@ class ComposerConfig:
     radius_step: float = 0.25
     radius_cap: float = 2.0  # the maximum cosine distance
     step_budget: int | None = None  # rounds per episode; default 50 x states
-    max_workers: int | None = None
 
     def __post_init__(self):
         if not (0 < self.max_distance <= self.radius_cap):
@@ -111,15 +105,11 @@ def select_best(results: list[AgentResult]) -> AgentResult:
 
 
 def _run_agent(graph, current: SimState, sim_cfg, action: str, distance: float) -> AgentResult:
-    snapshot = current.clone()
     if graph.find(action) is None:
         # action known to the embedding space but absent from this activity
         # graph: penalized exactly like a transition-less action
-        snapshot.reward -= sim_cfg.reward_increment
-        snapshot.step_index += 1
-        return AgentResult(action, distance, snapshot)
-    closure = make_simulation(graph, snapshot, sim_cfg)
-    return AgentResult(action, distance, closure(action))
+        return AgentResult(action, distance, wrong_step(current.clone(), sim_cfg))
+    return AgentResult(action, distance, make_simulation(graph, current, sim_cfg)(action))
 
 
 def compose(
@@ -138,15 +128,7 @@ def compose(
     cfg = cfg or ComposerConfig()
     sim_cfg = sim_cfg or SimConfig()
 
-    if initial_state.state_label == UNKNOWN_STATE or initial_state.state_label not in graph:
-        current = recognize_state(graph, initial_state.feature_values)
-        current.reward = initial_state.reward
-    else:
-        make_simulation(graph, initial_state, sim_cfg)  # rejects contradictions
-        current = initial_state.clone()
-        entity = graph.get(current.state_label)
-        current.is_goal = bool(entity.is_goal)
-        current.is_final = bool(entity.is_final_state)
+    current, _scope = start_state(graph, initial_state)
 
     budget = cfg.step_budget if cfg.step_budget is not None else 50 * max(
         1, len(graph.states)
@@ -157,55 +139,49 @@ def compose(
     alternatives: dict[tuple[str, ...], tuple[tuple[float, ...], float]] = {}
     radius = cfg.max_distance
 
-    with ThreadPoolExecutor(max_workers=cfg.max_workers or 8) as pool:
-        while not current.is_goal:
-            if trace.steps >= budget:
-                raise CompositionFailureError(
-                    f"step budget {budget} exhausted before reaching a goal"
-                )
-            trace.steps += 1
-            candidates = space.find_closest_actions(current.state_label, radius)
-            round_record = TraceRound(
-                radius=radius, candidates=candidates, results=[], chosen=None, committed=False
+    while not current.is_goal:
+        if trace.steps >= budget:
+            raise CompositionFailureError(
+                f"step budget {budget} exhausted before reaching a goal"
             )
-            trace.rounds.append(round_record)
+        trace.steps += 1
+        candidates = space.find_closest_actions(current.state_label, radius)
+        round_record = TraceRound(
+            radius=radius, candidates=candidates, results=[], chosen=None, committed=False
+        )
+        trace.rounds.append(round_record)
 
-            results: list[AgentResult] = []
-            if candidates:
-                futures = [
-                    pool.submit(_run_agent, graph, current, sim_cfg, action, distance)
-                    for action, distance in candidates
-                ]
-                results = [f.result() for f in futures]
-                trace.agent_steps += len(results)
-                trace.wrong_decisions += sum(
-                    1 for r in results if r.state.reward < current.reward
+        results = [
+            _run_agent(graph, current, sim_cfg, action, distance)
+            for action, distance in candidates
+        ]
+        trace.agent_steps += len(results)
+        trace.wrong_decisions += sum(1 for r in results if r.state.reward < current.reward)
+        round_record.results = [(r.action, r.state.reward) for r in results]
+
+        best = select_best(results) if results else None
+        if best is None or best.state.reward <= current.reward:
+            radius += cfg.radius_step
+            if radius > cfg.radius_cap + 1e-12:
+                raise CompositionFailureError(
+                    f"no reward-improving action within radius cap "
+                    f"{cfg.radius_cap} from state {current.state_label!r}"
                 )
-                round_record.results = [(r.action, r.state.reward) for r in results]
+            continue
 
-            best = select_best(results) if results else None
-            if best is None or best.state.reward <= current.reward:
-                radius += cfg.radius_step
-                if radius > cfg.radius_cap + 1e-12:
-                    raise CompositionFailureError(
-                        f"no reward-improving action within radius cap "
-                        f"{cfg.radius_cap} from state {current.state_label!r}"
-                    )
-                continue
+        for result in results:
+            if result is not best and result.state.is_goal:
+                actions = tuple(committed_actions) + (result.action,)
+                rewards = tuple(committed_rewards) + (result.state.reward,)
+                alternatives.setdefault(actions, (rewards, sum(rewards)))
 
-            for result in results:
-                if result is not best and result.state.is_goal:
-                    actions = tuple(committed_actions) + (result.action,)
-                    rewards = tuple(committed_rewards) + (result.state.reward,)
-                    alternatives.setdefault(actions, (rewards, sum(rewards)))
-
-            round_record.chosen = best.action
-            round_record.committed = True
-            trace.commit_radii.append(radius)
-            committed_actions.append(best.action)
-            committed_rewards.append(best.state.reward)
-            current = best.state
-            radius = cfg.max_distance
+        round_record.chosen = best.action
+        round_record.committed = True
+        trace.commit_radii.append(radius)
+        committed_actions.append(best.action)
+        committed_rewards.append(best.state.reward)
+        current = best.state
+        radius = cfg.max_distance
 
     trace.cumulative_reward = sum(committed_rewards)
 

@@ -98,6 +98,11 @@ class TrainSample:
     label: int
 
 
+# The training budget that finishes in seconds on a desk machine; the
+# TrainConfig defaults are the full budget (1000 x 15, batch 1024).
+DESK_SCALE = dict(iterations=200, epochs_per_iteration=5, batch_size=256)
+
+
 @dataclass
 class TrainConfig:
     dimension: int = 50

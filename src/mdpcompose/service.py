@@ -6,6 +6,9 @@ POST /policies with either {"featureValues": {...}} or {"stateName": "..."}
 the radius cap are rejected with 422; malformed bodies get 400. GET /health
 reports readiness. Shared graphs and embeddings are read-only; every
 request composes with fresh closures, so requests never interleave state.
+Each request is composed on its own handler thread, whose ensemble agents
+run one after another: agent steps are pure Python, so under the GIL more
+threads per request would add overhead and no parallelism.
 """
 
 from __future__ import annotations
@@ -95,6 +98,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                raise ValueError("negative Content-Length")
             body = json.loads(self.rfile.read(length) or b"")
         except (ValueError, json.JSONDecodeError):
             self._send_json(400, {"reason": "malformed request body"})

@@ -6,6 +6,8 @@ matching transition for (current state label, action), applies the action's
 effects, re-derives the state label and updates the running reward
 (+increment for a matched transition, -increment otherwise). Closures are
 single-owner; any number of them can read the same frozen graph.
+``start_state`` validates a starting state and ``wrong_step`` charges the
+penalty for a step that makes no transition; the composer uses both.
 """
 
 from __future__ import annotations
@@ -163,28 +165,15 @@ def _relabel(graph, target: State, features, scope: Activity | None) -> str:
     return UNKNOWN_STATE
 
 
-def evaluate_equation(equation, features, parameters) -> float:
-    """Evaluate an equation's expression with features and parameter values."""
-    from .rules import parse_equation
+def start_state(graph: KnowledgeGraph, initial: SimState) -> tuple[SimState, Activity | None]:
+    """The validated starting state and the activity that scopes its steps.
 
-    bindings = dict(features)
-    for pname, pvalue in parameters.items():
-        if pname in bindings:
-            raise EvaluationError(f"symbol {pname!r} is both a feature and a parameter")
-        bindings[pname] = pvalue
-    expression = equation.expression if hasattr(equation, "expression") else equation
-    return parse_equation(expression).evaluate(bindings)
-
-
-def make_simulation(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None = None):
-    """Create a simulation closure over (graph, state snapshot).
-
-    The initial state must carry a recognizable label: either one already
-    set (and consistent with its feature values) or one derivable from the
-    features. The returned callable takes an action name and returns the
-    updated state snapshot.
+    The state is a copy of ``initial``: an unset or unknown label is
+    recognized from the features, and the goal and final flags come from
+    the graph. Raises UnknownSituationError when no state matches, when the
+    features contradict the given label, or when they do not cover the
+    owning activity's features.
     """
-    cfg = cfg or SimConfig()
     if initial.state_label == UNKNOWN_STATE or initial.state_label not in graph:
         state = recognize_state(graph, initial.feature_values)
         state.reward = initial.reward
@@ -210,6 +199,26 @@ def make_simulation(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | N
                 f"initial features do not cover activity {scope.name!r}: "
                 f"missing {missing}"
             )
+    return state, scope
+
+
+def wrong_step(state: SimState, cfg: SimConfig) -> SimState:
+    """Charge a step that makes no transition: the label stays and the
+    reward drops by one increment. Mutates and returns ``state``."""
+    state.reward -= cfg.reward_increment
+    state.step_index += 1
+    return state
+
+
+def make_simulation(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None = None):
+    """Create a simulation closure over (graph, state snapshot).
+
+    The initial state must pass ``start_state``. The returned callable takes
+    an action name and returns the updated state snapshot.
+    """
+    cfg = cfg or SimConfig()
+    state, scope = start_state(graph, initial)
+    if scope is not None:
         scope_states = set(scope.states)
         scope_actions = set(scope.actions)
     else:
@@ -238,34 +247,33 @@ def make_simulation(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | N
                 for t in matching
                 if t.next_state in scope_states and t.action in scope_actions
             ]
-        if matching:
-            if cfg.stochastic:
-                ordered = sorted(matching, key=lambda t: t.next_state)
-                draw = rng.random()
-                cumulative = 0.0
-                chosen = ordered[-1]
-                for t in ordered:
-                    cumulative += t.probability
-                    if draw < cumulative:
-                        chosen = t
-                        break
-            else:
-                chosen = min(matching, key=lambda t: (-t.probability, t.next_state))
-            target = graph.get(chosen.next_state)
-            for effect_name in entity.effects:
-                _apply_effect(graph, graph.get(effect_name), state.feature_values)
-            state.state_label = _relabel(graph, target, state.feature_values, scope)
-            matched = graph.find(state.state_label)
-            if scope is None or not scope.is_sequential:
-                gained = matched.reward if isinstance(matched, State) else 0.0
-                state.reward += gained
-            else:
-                state.reward += cfg.reward_increment
-            if isinstance(matched, State):
-                state.is_goal = bool(matched.is_goal)
-                state.is_final = bool(matched.is_final_state)
+        if not matching:
+            return wrong_step(state, cfg).clone()
+        if cfg.stochastic:
+            ordered = sorted(matching, key=lambda t: t.next_state)
+            draw = rng.random()
+            cumulative = 0.0
+            chosen = ordered[-1]
+            for t in ordered:
+                cumulative += t.probability
+                if draw < cumulative:
+                    chosen = t
+                    break
         else:
-            state.reward -= cfg.reward_increment
+            chosen = min(matching, key=lambda t: (-t.probability, t.next_state))
+        target = graph.get(chosen.next_state)
+        for effect_name in entity.effects:
+            _apply_effect(graph, graph.get(effect_name), state.feature_values)
+        state.state_label = _relabel(graph, target, state.feature_values, scope)
+        matched = graph.find(state.state_label)
+        if scope is None or not scope.is_sequential:
+            gained = matched.reward if isinstance(matched, State) else 0.0
+            state.reward += gained
+        else:
+            state.reward += cfg.reward_increment
+        if isinstance(matched, State):
+            state.is_goal = bool(matched.is_goal)
+            state.is_final = bool(matched.is_final_state)
         state.step_index += 1
         return state.clone()
 

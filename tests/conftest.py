@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mdpcompose.embedding import TrainConfig, build_vocabulary, train
+from mdpcompose.embedding import DESK_SCALE, TrainConfig, build_vocabulary, train
 from mdpcompose.kg import (
     Action,
     Activity,
@@ -297,9 +297,7 @@ property:hasImpactType "ON"^^xsd:string;
 property:hasObservationFeature entity:IsTurnTo_television_1 .
 """
 
-DESK_TRAIN = dict(
-    dimension=50, iterations=200, epochs_per_iteration=5, batch_size=256, rng_seed=7
-)
+DESK_TRAIN = dict(dimension=50, **DESK_SCALE, rng_seed=7)
 
 
 @pytest.fixture(scope="session")

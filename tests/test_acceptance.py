@@ -59,7 +59,7 @@ def bench_run(graphs, desk_space, tmp_path_factory):
     corpus = mini_corpus()
     activities = [s.activity_name for s in corpus.scripts]
     metrics = run_benchmark(
-        graphs, desk_space, activities, caps=[1], seed=42, out_dir=out, max_workers=4
+        graphs, desk_space, activities, caps=[1], seed=42, out_dir=out
     )
     return metrics, out
 
@@ -451,15 +451,12 @@ def test_criterion_9_service_fidelity(graph_list, graphs, desk_space):
 def test_criterion_10_benchmark_determinism(corpus, graphs, desk_space, tmp_path):
     activities = [s.activity_name for s in corpus.scripts]
     outputs = []
-    for workers in (1, 4):
-        out = tmp_path / f"pool_{workers}"
-        run_benchmark(
-            graphs, desk_space, activities, caps=[1], seed=42, out_dir=out,
-            max_workers=workers,
-        )
+    for label, order in (("forward", activities), ("reversed", activities[::-1])):
+        out = tmp_path / label
+        run_benchmark(graphs, desk_space, order, caps=[1], seed=42, out_dir=out)
         outputs.append(out)
     for filename in CSV_HEADERS:
         a = (outputs[0] / filename).read_bytes()
         b = (outputs[1] / filename).read_bytes()
         assert a == b, filename
-    report(10, "two full benchmark runs byte-identical across worker-pool sizes 1 and 4")
+    report(10, "two full benchmark runs byte-identical with the activity list forward and reversed")

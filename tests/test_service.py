@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -78,6 +79,21 @@ def test_malformed_body_rejected_400(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         _post_raw(server, "/policies", b"{this is not json")
     assert err.value.code == 400
+
+
+def test_negative_content_length_rejected_400(server):
+    port = server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(
+            b"POST /policies HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Content-Length: -1\r\n\r\n"
+        )
+        response = b""
+        while chunk := sock.recv(4096):  # the server closes after replying
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[1] == b"400"
+    assert body == b'{"reason":"malformed request body"}'
 
 
 def test_state_name_request(server, corpus):

@@ -322,10 +322,54 @@ def test_label_reconciliation_via_pinned_values():
     assert state.feature_values["Pos"] == 1.0
 
 
-def test_evaluate_equation_helper():
-    from mdpcompose.simulation import evaluate_equation
+def _compute_graph():
+    g = KnowledgeGraph()
+    for name, hi in (("Done", 1.0), ("x", 10.0), ("y", 100.0)):
+        g.add(
+            ObservationFeature(
+                name=name, range_start=0.0, range_end=hi,
+                feature_type=FeatureType.NUMERICAL, unit="",
+            )
+        )
+    for name, expr, initial in (("Start", "Done == 0", True), ("End", "Done == 1", False)):
+        g.add(
+            State(
+                name=name, is_initial_state=initial, is_final_state=not initial,
+                is_goal=not initial, reward=0.0, expression=expr,
+                observation_features=["Done", "x", "y"],
+            )
+        )
+    g.add(Parameter(name="Scale", parameter_name="a", value=2.0))
+    g.add(Equation(name="E", expression="a * x", parameters=["Scale"]))
+    g.add(
+        Effect(
+            name="Compute", target_features=["y"],
+            impact_type=ImpactType.COMPUTE, equation="E",
+        )
+    )
+    g.add(Effect(name="Finish", target_features=["Done"], impact_type=ImpactType.ON))
+    g.add(Transition(name="T", previous_state="Start", next_state="End", action="Go", probability=1.0))
+    g.add(Action(name="Go", effects=["Compute", "Finish"], transitions=["T"]))
+    g.add(
+        Activity(
+            name="Calc", is_sequential=True, number_of_actors=1,
+            communication_type=CommunicationType.ASYNCHRONOUS,
+            states=["Start", "End"], actions=["Go"],
+            observation_features=["Done", "x", "y"],
+        )
+    )
+    g.validate()
+    return g
 
-    eq = Equation(name="E", expression="a * x", parameters=[])
-    assert evaluate_equation(eq, {"x": 3.0}, {"a": 2.0}) == 6.0
+
+def test_compute_effect_binds_parameters():
+    g = _compute_graph()
+    features = {"Done": 0.0, "x": 3.0, "y": 0.0}
+    state = make_simulation(g, SimState(feature_values=features, state_label="Start"))("Go")
+    assert state.feature_values["y"] == 6.0  # a * x with the parameter a = 2
+    # a symbol bound both as a feature and as a parameter is ambiguous
+    clash = make_simulation(
+        g, SimState(feature_values={**features, "a": 1.0}, state_label="Start")
+    )
     with pytest.raises(EvaluationError):
-        evaluate_equation(eq, {"x": 3.0, "a": 1.0}, {"a": 2.0})
+        clash("Go")
