@@ -6,6 +6,12 @@ replay; each environment step performs one minibatch temporal-difference
 update toward r + gamma * max_a' Q(s', a') (plain r on terminal moves).
 The per-step reward signal is the change of the simulation's running
 reward, so correct moves yield +0.25 and wrong ones -0.25.
+
+A minibatch draws its rows from only the activity's few states, so each TD
+update computes one hidden-activation table per state, tanh(w1 + b1), and
+both the forward pass and the bootstrap targets read their rows from it.
+Greedy evaluation stops at the sequence length: success means reaching the
+final state in exactly that many steps, so a longer walk cannot succeed.
 """
 
 from __future__ import annotations
@@ -74,9 +80,17 @@ class QNetwork:
         hidden = np.tanh(self.w1[state_idx] + self.b1)
         return hidden @ self.w2 + self.b2
 
-    def q_batch(self, state_indices: np.ndarray) -> np.ndarray:
-        hidden = np.tanh(self.w1[state_indices] + self.b1)
-        return hidden @ self.w2 + self.b2
+    def hidden_table(self) -> np.ndarray:
+        """Hidden activations of every state, one row per state index."""
+        return np.tanh(self.w1 + self.b1)
+
+    def q_batch(self, state_indices: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
+        """Q-values of a batch of states; ``hidden`` is a precomputed
+        hidden_table(). The product runs on the gathered batch rows, not
+        per state, because a matmul's rounding depends on its shape."""
+        if hidden is None:
+            hidden = self.hidden_table()
+        return hidden[state_indices] @ self.w2 + self.b2
 
     def parameters(self):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -109,11 +123,11 @@ class ReplayBuffer:
         return rng.integers(0, self.size, size=count)
 
 
-def td_targets(net: QNetwork, batch, gamma: float) -> np.ndarray:
+def td_targets(net: QNetwork, batch, gamma: float, hidden: np.ndarray | None = None) -> np.ndarray:
     """Bootstrapped targets r + gamma * max_a' Q(s', a'), r alone on
-    terminal moves."""
+    terminal moves. ``hidden`` is a precomputed net.hidden_table()."""
     _s, _a, r, s_next, terminal = batch
-    q_next = net.q_batch(s_next)
+    q_next = net.q_batch(s_next, hidden)
     return r + gamma * (1.0 - terminal) * q_next.max(axis=1)
 
 
@@ -127,27 +141,31 @@ def td_loss_and_grads(net: QNetwork, batch, gamma: float, targets=None):
     """
     s, a, r, s_next, terminal = batch
     n = len(s)
+    rows = np.arange(n)
 
+    hidden = net.hidden_table()
     if targets is None:
-        targets = td_targets(net, batch, gamma)
+        targets = td_targets(net, batch, gamma, hidden)
 
-    x = np.zeros((n, len(net.states)))
-    x[np.arange(n), s] = 1.0
-    z1 = x @ net.w1 + net.b1
-    h = np.tanh(z1)
+    h = hidden[s]
     q = h @ net.w2 + net.b2
-    taken = q[np.arange(n), a]
+    taken = q[rows, a]
     errors = taken - targets
     loss = float((errors**2).mean())
 
+    coeff = 2.0 * errors / n
     dq = np.zeros_like(q)
-    dq[np.arange(n), a] = 2.0 * errors / n
+    dq[rows, a] = coeff
     grads = {
         "w2": h.T @ dq,
         "b2": dq.sum(axis=0),
     }
-    dh = dq @ net.w2.T
+    # dq has one nonzero per row, so dq @ w2.T is that entry times a row of w2.T
+    dh = coeff[:, None] * net.w2.T[a]
     dz1 = dh * (1.0 - h**2)
+    # a matmul, not a row scatter: a scatter would sum the rows in another order
+    x = np.zeros((n, len(net.states)))
+    x[rows, s] = 1.0
     grads["w1"] = x.T @ dz1
     grads["b1"] = dz1.sum(axis=0)
     return loss, grads
@@ -251,12 +269,14 @@ def evaluate_greedy(
     _activity, _states, actions = _activity_layout(graph, activity_name)
     sequence_length = len(actions)
     max_steps = cfg.max_steps_per_episode or 50 * max(1, sequence_length)
+    # steps only grow, so a walk not final after sequence_length steps fails
+    limit = min(max_steps, sequence_length)
 
     start = _episode_start(graph, activity_name)
     closure = make_simulation(graph, start, SimConfig())
     current = start
     steps = 0
-    while not current.is_final and steps < max_steps:
+    while not current.is_final and steps < limit:
         s_idx = net.state_index.get(current.state_label)
         if s_idx is None:
             return False

@@ -6,7 +6,9 @@ co-occur (an activity links the entity, or an action directly produced the
 state) and 0 otherwise; the model scores a pair with the sigmoid of the dot
 product of the two rows and is optimized with Adam on binary cross-entropy.
 Batches are balanced, half positive and half negative, with pair relations
-drawn round-robin.
+drawn round-robin. The positive pair pools, their sets and the per-concept
+index lists do not change during training, so a training run builds them
+once (``pair_pools``) and every batch draws from them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +99,34 @@ class TrainSample:
     right_index: int
     pair_type: PairType
     label: int
+
+
+class Batch(NamedTuple):
+    """A batch of samples as aligned arrays of entity indices and labels."""
+
+    left: np.ndarray
+    right: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def of(cls, samples) -> "Batch":
+        return cls(
+            np.array([s.left_index for s in samples], dtype=np.int64),
+            np.array([s.right_index for s in samples], dtype=np.int64),
+            np.array([s.label for s in samples], dtype=np.float64),
+        )
+
+
+@dataclass(frozen=True)
+class PairPools:
+    """What batches are drawn from: the sorted positive pairs, their sets,
+    the left and right candidates of each relation, and the relations
+    that have positive pairs, in rotation order."""
+
+    positives: dict[PairType, list[tuple[int, int]]]
+    positive_sets: dict[PairType, set[tuple[int, int]]]
+    candidates: dict[PairType, tuple[list[int], list[int]]]
+    active: tuple[PairType, ...]
 
 
 # The training budget that finishes in seconds on a desk machine; the
@@ -184,38 +215,48 @@ def positive_pairs(graphs: list[KnowledgeGraph], vocab: Vocabulary) -> dict:
     return {pt: sorted(pool) for pt, pool in pools.items()}
 
 
-def generate_batch(graphs, vocab: Vocabulary, cfg: TrainConfig, rng) -> list[TrainSample]:
-    """Assemble one balanced batch: cfg.batch_size samples, half label 1."""
-    pools = positive_pairs(graphs, vocab)
-    half = cfg.batch_size // 2
-
-    active = [pt for pt in _PAIR_ROTATION if pools[pt]]
+def pair_pools(graphs, vocab: Vocabulary) -> PairPools:
+    """The loop-invariant inputs of generate_batch; relations without
+    positive pairs are skipped with a warning."""
+    positives = positive_pairs(graphs, vocab)
     for pt in _PAIR_ROTATION:
-        if not pools[pt]:
+        if not positives[pt]:
             log.warning("relation %s has no positive pairs; skipped", pt.value)
+    active = tuple(pt for pt in _PAIR_ROTATION if positives[pt])
     if not active:
         raise ValueError("no relation has positive pairs")
+    return PairPools(
+        positives=positives,
+        positive_sets={pt: set(pool) for pt, pool in positives.items()},
+        candidates={
+            pt: (vocab.indices_of(ca), vocab.indices_of(cb))
+            for pt, (ca, cb) in _PAIR_CONCEPTS.items()
+        },
+        active=active,
+    )
 
-    samples: list[TrainSample] = []
+
+def generate_batch(pools: PairPools, cfg: TrainConfig, rng) -> Batch:
+    """Assemble one balanced batch: cfg.batch_size samples, the first half
+    positive (label 1) and the second half negative (label 0)."""
+    half = cfg.batch_size // 2
+    left: list[int] = []
+    right: list[int] = []
+    active = pools.active
     for k in range(half):
-        pt = active[k % len(active)]
-        pool = pools[pt]
-        left, right = pool[int(rng.integers(len(pool)))]
-        samples.append(TrainSample(left, right, pt, 1))
+        pool = pools.positives[active[k % len(active)]]
+        pair = pool[int(rng.integers(len(pool)))]
+        left.append(pair[0])
+        right.append(pair[1])
 
-    positive_sets = {pt: set(pools[pt]) for pt in _PAIR_ROTATION}
-    concept_indices = {
-        pt: (vocab.indices_of(ca), vocab.indices_of(cb))
-        for pt, (ca, cb) in _PAIR_CONCEPTS.items()
-    }
-    negatives: list[TrainSample] = []
     usable = list(active)
     k = 0
-    while len(negatives) < half:
+    while len(left) < 2 * half:
         if not usable:
             raise ValueError("cannot draw negative pairs for any relation")
         pt = usable[k % len(usable)]
-        lefts, rights = concept_indices[pt]
+        lefts, rights = pools.candidates[pt]
+        positives = pools.positive_sets[pt]
         found = None
         if lefts and rights:
             for _attempt in range(NEGATIVE_RETRY_CAP):
@@ -223,7 +264,7 @@ def generate_batch(graphs, vocab: Vocabulary, cfg: TrainConfig, rng) -> list[Tra
                     lefts[int(rng.integers(len(lefts)))],
                     rights[int(rng.integers(len(rights)))],
                 )
-                if pair not in positive_sets[pt]:
+                if pair not in positives:
                     found = pair
                     break
         if found is None:
@@ -234,9 +275,12 @@ def generate_batch(graphs, vocab: Vocabulary, cfg: TrainConfig, rng) -> list[Tra
             )
             usable.remove(pt)
             continue
-        negatives.append(TrainSample(found[0], found[1], pt, 0))
+        left.append(found[0])
+        right.append(found[1])
         k += 1
-    return samples + negatives
+    labels = np.zeros(2 * half)
+    labels[:half] = 1.0
+    return Batch(np.array(left, dtype=np.int64), np.array(right, dtype=np.int64), labels)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -257,21 +301,15 @@ def forward(table: EmbeddingTable, sample: TrainSample) -> float:
     return ez / (1.0 + ez)
 
 
-def _batch_arrays(samples):
-    left = np.array([s.left_index for s in samples], dtype=np.int64)
-    right = np.array([s.right_index for s in samples], dtype=np.int64)
-    labels = np.array([s.label for s in samples], dtype=np.float64)
-    return left, right, labels
-
-
-def batch_loss_and_grad(matrix: np.ndarray, samples):
+def batch_loss_and_grad(matrix: np.ndarray, batch):
     """Mean binary cross-entropy over a batch and its gradient table.
 
-    For one sample with p = sigmoid(l . r):
+    ``batch`` is a Batch or a sequence of TrainSample. For one sample with
+    p = sigmoid(l . r):
         dL/dl = (p - y) * r,  dL/dr = (p - y) * l
     averaged over the batch.
     """
-    left, right, labels = _batch_arrays(samples)
+    left, right, labels = batch if isinstance(batch, Batch) else Batch.of(batch)
     lvec = matrix[left]
     rvec = matrix[right]
     z = np.einsum("ij,ij->i", lvec, rvec)
@@ -280,11 +318,15 @@ def batch_loss_and_grad(matrix: np.ndarray, samples):
     losses = -(labels * np.log(p + eps) + (1.0 - labels) * np.log(1.0 - p + eps))
     loss = float(losses.mean())
 
-    coeff = (p - labels)[:, None] / len(samples)
-    grad = np.zeros_like(matrix)
-    np.add.at(grad, left, coeff * rvec)
-    np.add.at(grad, right, coeff * lvec)
-    return loss, grad
+    coeff = (p - labels)[:, None] / len(labels)
+    # One scatter over flattened (row, column) cells. All left-side terms
+    # come before all right-side ones, sample by sample, so each cell sums
+    # its terms in the same order as two sequential np.add.at calls would.
+    rows, dim = matrix.shape
+    cells = np.concatenate([left, right])[:, None] * dim + np.arange(dim)
+    terms = np.concatenate([coeff * rvec, coeff * lvec])
+    grad = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=rows * dim)
+    return loss, grad.reshape(rows, dim)
 
 
 def initialize_table(vocab: Vocabulary, cfg: TrainConfig, rng) -> EmbeddingTable:
@@ -305,12 +347,13 @@ def train(graphs, vocab: Vocabulary, cfg: TrainConfig | None = None) -> Embeddin
     v = np.zeros_like(table.matrix)
     t = 0
     report_every = max(1, cfg.iterations // 10)
+    pools = pair_pools(graphs, vocab)
 
     for iteration in range(cfg.iterations):
-        samples = generate_batch(graphs, vocab, cfg, rng)
+        batch = generate_batch(pools, cfg, rng)
         epoch_losses = []
         for _epoch in range(cfg.epochs_per_iteration):
-            loss, grad = batch_loss_and_grad(table.matrix, samples)
+            loss, grad = batch_loss_and_grad(table.matrix, batch)
             if not math.isfinite(loss):
                 raise TrainingDivergenceError(
                     f"non-finite loss at iteration {iteration}", iteration=iteration

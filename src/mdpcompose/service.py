@@ -3,7 +3,9 @@ policy table composed for it.
 
 POST /policies with either {"featureValues": {...}} or {"stateName": "..."}
 (exactly one of the two). Unrecognized states and compositions that exhaust
-the radius cap are rejected with 422; malformed bodies get 400. GET /health
+the radius cap are rejected with 422; malformed bodies get 400, bodies over
+MAX_BODY_BYTES get 413, and any other failure gets 500. A body that stalls
+for _Handler.timeout seconds counts as malformed. GET /health
 reports readiness. Shared graphs and embeddings are read-only; every
 request composes with fresh closures, so requests never interleave state.
 Each request is composed on its own handler thread, whose ensemble agents
@@ -25,6 +27,8 @@ from .space import load_tsv
 from .store import graph_of_state, load_store, recognize_across
 
 log = logging.getLogger(__name__)
+
+MAX_BODY_BYTES = 1 << 20
 
 
 class BadRequest(ValueError):
@@ -55,6 +59,8 @@ def resolve_policy_request(graphs: list[KnowledgeGraph], body) -> tuple[Knowledg
     features = body["featureValues"]
     if not isinstance(features, dict):
         raise BadRequest("featureValues must be an object")
+    if any(value is None or isinstance(value, (list, dict)) for value in features.values()):
+        raise BadRequest("featureValues values must be numbers")
     graph, state = recognize_across(graphs, features)
     return graph, state
 
@@ -75,6 +81,9 @@ class PolicyService:
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "mdpcompose/0.1"
+    # seconds one socket read or write may block; a stalled body gets a 400,
+    # a stalled request line or reply closes the connection
+    timeout = 10
 
     def _send(self, status: int, payload: bytes):
         self.send_response(status)
@@ -100,8 +109,11 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
             if length < 0:
                 raise ValueError("negative Content-Length")
+            if length > MAX_BODY_BYTES:
+                self._send_json(413, {"reason": "request body too large"})
+                return
             body = json.loads(self.rfile.read(length) or b"")
-        except (ValueError, json.JSONDecodeError):
+        except (ValueError, json.JSONDecodeError, TimeoutError):
             self._send_json(400, {"reason": "malformed request body"})
             return
         service: PolicyService = self.server.policy_service
@@ -115,6 +127,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except CompositionFailureError:
             self._send_json(422, {"reason": "no action within radius"})
+            return
+        except Exception:
+            log.exception("POST /policies failed")
+            self._send_json(500, {"reason": "internal error"})
             return
         self._send(200, payload)
 

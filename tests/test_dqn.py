@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from mdpcompose import dqn
 from mdpcompose.dqn import (
     DqnConfig,
     QNetwork,
@@ -11,6 +14,7 @@ from mdpcompose.dqn import (
     td_targets,
     train_dqn,
 )
+from mdpcompose.simulation import SimConfig, make_simulation
 from mdpcompose.vhome import VhScript, VhStep, script_to_kg
 
 
@@ -71,6 +75,58 @@ def test_td_gradients_match_finite_differences():
             else:
                 assert abs(numeric - grad[idx]) / abs(grad[idx]) < 1e-4
             it.iternext()
+
+
+def _one_hot_td(net, batch, gamma):
+    """The TD loss and gradients with a dense one-hot state encoding and
+    per-row tanh, for the forward pass and the targets alike."""
+    s, a, r, s_next, terminal = batch
+    n = len(s)
+    q_next = np.tanh(net.w1[s_next] + net.b1) @ net.w2 + net.b2
+    targets = r + gamma * (1.0 - terminal) * q_next.max(axis=1)
+    x = np.zeros((n, len(net.states)))
+    x[np.arange(n), s] = 1.0
+    h = np.tanh(x @ net.w1 + net.b1)
+    q = h @ net.w2 + net.b2
+    errors = q[np.arange(n), a] - targets
+    dq = np.zeros_like(q)
+    dq[np.arange(n), a] = 2.0 * errors / n
+    dz1 = (dq @ net.w2.T) * (1.0 - h**2)
+    grads = {"w2": h.T @ dq, "b2": dq.sum(axis=0), "w1": x.T @ dz1, "b1": dz1.sum(axis=0)}
+    return float((errors**2).mean()), grads
+
+
+# (states, actions) of every mini-corpus activity, (4, 2) up to (32, 30)
+MINI_CORPUS_SHAPES = [(n + 2, n) for n in (2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 22, 30)]
+
+
+@pytest.mark.parametrize("n_states, n_actions", MINI_CORPUS_SHAPES)
+def test_td_update_equals_one_hot_reference(n_states, n_actions):
+    rng = np.random.default_rng(n_states * 100 + n_actions)
+    cfg = DqnConfig()
+    net = QNetwork(
+        [f"s{i}" for i in range(n_states)], [f"a{i}" for i in range(n_actions)],
+        cfg.hidden_units, rng,
+    )
+    n = cfg.replay_batch
+    for trial in range(10):
+        net.w1 += rng.normal(scale=0.3, size=net.w1.shape)
+        net.b1 += rng.normal(scale=0.1, size=net.b1.shape)
+        net.w2 += rng.normal(scale=0.3, size=net.w2.shape)
+        net.b2 += rng.normal(scale=0.1, size=net.b2.shape)
+        batch = (
+            rng.integers(0, n_states, size=n),
+            rng.integers(0, n_actions, size=n),
+            rng.choice([-0.25, 0.25], size=n),
+            rng.integers(0, n_states, size=n),
+            (rng.random(size=n) < 0.2).astype(float),
+        )
+        loss, grads = td_loss_and_grads(net, batch, cfg.gamma)
+        want_loss, want_grads = _one_hot_td(net, batch, cfg.gamma)
+        assert loss == want_loss
+        assert grads.keys() == want_grads.keys()
+        for key, want in want_grads.items():
+            assert np.array_equal(grads[key], want), (trial, key)
 
 
 def _value_iteration_oracle(gamma=0.9):
@@ -144,6 +200,51 @@ def test_zero_weights_tie_break_to_lowest_action_index():
     assert np.argmax(net.q_values(0)) == 0
     # lowest-index action is Find_cup_1, which is wrong at the initial state
     assert evaluate_greedy(net, g, "Chain") is False
+
+
+def _full_greedy_walk(net, graph, activity_name) -> bool:
+    """A greedy episode that walks the whole 50 x L step budget."""
+    activity = graph.get(activity_name)
+    actions = sorted(activity.actions)
+    start = dqn._episode_start(graph, activity_name)
+    closure = make_simulation(graph, start, SimConfig())
+    current, steps = start, 0
+    while not current.is_final and steps < 50 * len(actions):
+        s_idx = net.state_index.get(current.state_label)
+        if s_idx is None:
+            return False
+        current = closure(actions[int(np.argmax(net.q_values(s_idx)))])
+        steps += 1
+    return current.is_final and steps == len(actions)
+
+
+def _stuck(net, graph, activity_name) -> bool:
+    """True when the greedy action at the initial state leaves it unchanged."""
+    start = dqn._episode_start(graph, activity_name)
+    actions = sorted(graph.get(activity_name).actions)
+    action = actions[int(np.argmax(net.q_values(net.state_index[start.state_label])))]
+    return make_simulation(graph, start, SimConfig())(action).state_label == start.state_label
+
+
+def test_short_greedy_walk_agrees_with_full_walk(graphs, monkeypatch):
+    snapshots = []
+    original = dqn.evaluate_greedy
+
+    def snapshot(net, graph, activity_name, cfg=None):
+        snapshots.append((copy.deepcopy(net), graph, activity_name))
+        return original(net, graph, activity_name, cfg)
+
+    monkeypatch.setattr(dqn, "evaluate_greedy", snapshot)
+    for name in ("Make_coffee", "Watch_TV_49"):
+        for seed in range(3):
+            train_dqn(graphs[name], name, DqnConfig(episode_cap=40, rng_seed=seed))
+    outcomes = []
+    for net, graph, name in snapshots:
+        outcome = original(net, graph, name)
+        assert outcome == _full_greedy_walk(net, graph, name)
+        outcomes.append((outcome, _stuck(net, graph, name)))
+    assert (True, False) in outcomes
+    assert (False, True) in outcomes
 
 
 def test_replay_buffer_never_exceeds_capacity():

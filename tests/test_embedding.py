@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import WATCH_TV_49_TTL
+from mdpcompose import embedding
 from mdpcompose.embedding import (
+    NEGATIVE_RETRY_CAP,
+    Batch,
     PairType,
     TrainConfig,
     TrainSample,
@@ -15,6 +18,7 @@ from mdpcompose.embedding import (
     forward,
     generate_batch,
     initialize_table,
+    pair_pools,
     positive_pairs,
     train,
 )
@@ -62,32 +66,26 @@ def test_batch_is_balanced(watch_tv):
     vocab = build_vocabulary([watch_tv])
     cfg = TrainConfig(dimension=8, batch_size=64)
     rng = np.random.default_rng(0)
-    batch = generate_batch([watch_tv], vocab, cfg, rng)
-    assert len(batch) == 64
-    assert sum(s.label for s in batch) == 32
-    for sample in batch:
-        left, right = PairType, sample.pair_type
-        assert sample.label in (0, 1)
+    batch = generate_batch(pair_pools([watch_tv], vocab), cfg, rng)
+    assert len(batch.left) == len(batch.right) == len(batch.labels) == 64
+    assert batch.labels.tolist() == [1.0] * 32 + [0.0] * 32
 
 
 def test_batch_of_two(watch_tv):
     vocab = build_vocabulary([watch_tv])
     cfg = TrainConfig(dimension=8, batch_size=2)
-    batch = generate_batch([watch_tv], vocab, cfg, np.random.default_rng(1))
-    assert len(batch) == 2
-    assert sorted(s.label for s in batch) == [0, 1]
+    batch = generate_batch(pair_pools([watch_tv], vocab), cfg, np.random.default_rng(1))
+    assert batch.labels.tolist() == [1.0, 0.0]
 
 
 def test_negatives_do_not_cooccur(watch_tv):
     vocab = build_vocabulary([watch_tv])
     pools = positive_pairs([watch_tv], vocab)
+    cooccurring = set().union(*pools.values())
     cfg = TrainConfig(dimension=8, batch_size=128)
-    batch = generate_batch([watch_tv], vocab, cfg, np.random.default_rng(2))
-    for sample in batch:
-        if sample.label == 0:
-            assert (sample.left_index, sample.right_index) not in set(
-                pools[sample.pair_type]
-            )
+    batch = generate_batch(pair_pools([watch_tv], vocab), cfg, np.random.default_rng(2))
+    for left, right, label in zip(batch.left, batch.right, batch.labels):
+        assert ((int(left), int(right)) in cooccurring) == (label == 1.0)
 
 
 def test_saturated_relation_is_skipped_with_warning(caplog):
@@ -98,10 +96,79 @@ def test_saturated_relation_is_skipped_with_warning(caplog):
     vocab = build_vocabulary([g])
     cfg = TrainConfig(dimension=4, batch_size=8)
     with caplog.at_level(logging.WARNING):
-        batch = generate_batch([g], vocab, cfg, np.random.default_rng(3))
+        batch = generate_batch(pair_pools([g], vocab), cfg, np.random.default_rng(3))
     assert any("no negative pair" in r.message for r in caplog.records)
-    assert len(batch) == 8
-    assert sum(s.label for s in batch) == 4
+    assert batch.labels.tolist() == [1.0] * 4 + [0.0] * 4
+
+
+def _reference_batch(graphs, vocab, cfg, rng) -> list[TrainSample]:
+    """The per-iteration batch generator that rebuilt its pools on every
+    call; generate_batch must draw the same samples from the same rng."""
+    pools = positive_pairs(graphs, vocab)
+    half = cfg.batch_size // 2
+    active = [pt for pt in embedding._PAIR_ROTATION if pools[pt]]
+    samples = []
+    for k in range(half):
+        pt = active[k % len(active)]
+        pool = pools[pt]
+        left, right = pool[int(rng.integers(len(pool)))]
+        samples.append(TrainSample(left, right, pt, 1))
+    positive_sets = {pt: set(pools[pt]) for pt in embedding._PAIR_ROTATION}
+    concept_indices = {
+        pt: (vocab.indices_of(ca), vocab.indices_of(cb))
+        for pt, (ca, cb) in embedding._PAIR_CONCEPTS.items()
+    }
+    usable = list(active)
+    k = 0
+    while len(samples) < 2 * half:
+        pt = usable[k % len(usable)]
+        lefts, rights = concept_indices[pt]
+        found = None
+        if lefts and rights:
+            for _attempt in range(NEGATIVE_RETRY_CAP):
+                pair = (
+                    lefts[int(rng.integers(len(lefts)))],
+                    rights[int(rng.integers(len(rights)))],
+                )
+                if pair not in positive_sets[pt]:
+                    found = pair
+                    break
+        if found is None:
+            usable.remove(pt)
+            continue
+        samples.append(TrainSample(found[0], found[1], pt, 0))
+        k += 1
+    return samples
+
+
+@pytest.mark.parametrize("seed", [0, 5, 99])
+def test_batches_match_reference_draws(graph_list, seed):
+    tiny = script_to_kg(VhScript("Tiny", "x", [VhStep("Walk", "door", 1)]))
+    cfg = TrainConfig(dimension=4, batch_size=256)
+    for graphs in (graph_list, [tiny]):
+        vocab = build_vocabulary(graphs)
+        pools = pair_pools(graphs, vocab)
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            batch = generate_batch(pools, cfg, fast)
+            reference = Batch.of(_reference_batch(graphs, vocab, cfg, slow))
+            for got, want in zip(batch, reference):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        assert fast.integers(1 << 30) == slow.integers(1 << 30)
+
+
+def test_training_builds_pair_pools_once(watch_tv, monkeypatch):
+    calls = []
+
+    def counted(graphs, vocab):
+        calls.append(1)
+        return positive_pairs(graphs, vocab)
+
+    monkeypatch.setattr(embedding, "positive_pairs", counted)
+    vocab = build_vocabulary([watch_tv])
+    train([watch_tv], vocab, TrainConfig(dimension=4, iterations=6, epochs_per_iteration=1, batch_size=8))
+    assert len(calls) == 1
 
 
 def test_forward_matches_scalar_recomputation(watch_tv):
@@ -159,6 +226,37 @@ def test_gradient_matches_central_finite_differences():
                 assert abs(numeric) < 1e-6
             else:
                 assert abs(numeric - grad[r, c]) / abs(grad[r, c]) < 1e-4
+
+
+def _reference_loss_and_grad(matrix, samples):
+    """The gradient scatter as two sequential np.add.at calls."""
+    left, right, labels = Batch.of(samples)
+    lvec, rvec = matrix[left], matrix[right]
+    p = embedding._sigmoid(np.einsum("ij,ij->i", lvec, rvec))
+    eps = 1e-12
+    losses = -(labels * np.log(p + eps) + (1.0 - labels) * np.log(1.0 - p + eps))
+    coeff = (p - labels)[:, None] / len(samples)
+    grad = np.zeros_like(matrix)
+    np.add.at(grad, left, coeff * rvec)
+    np.add.at(grad, right, coeff * lvec)
+    return float(losses.mean()), grad
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bincount_scatter_equals_add_at_exactly(seed):
+    rng = np.random.default_rng(seed)
+    rows, dim, count = [(4, 3, 2), (12, 8, 64), (40, 50, 256)][seed % 3]
+    matrix = rng.normal(scale=0.5, size=(rows, dim))
+    # few rows, so every row collects many terms from both sides
+    samples = [
+        TrainSample(int(rng.integers(rows)), int(rng.integers(rows)), PairType.ACTION_STATE, int(rng.integers(2)))
+        for _ in range(count)
+    ]
+    want_loss, want_grad = _reference_loss_and_grad(matrix, samples)
+    for batch in (samples, Batch.of(samples)):
+        loss, grad = batch_loss_and_grad(matrix, batch)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
 
 
 def test_zero_iterations_returns_initialization(watch_tv):
@@ -287,6 +385,6 @@ def test_every_batch_is_exactly_half_positive(half, seed):
     graph = parse_turtle(WATCH_TV_49_TTL)
     vocab = build_vocabulary([graph])
     cfg = TrainConfig(dimension=4, batch_size=2 * half)
-    batch = generate_batch([graph], vocab, cfg, np.random.default_rng(seed))
-    assert len(batch) == 2 * half
-    assert sum(s.label for s in batch) == half
+    batch = generate_batch(pair_pools([graph], vocab), cfg, np.random.default_rng(seed))
+    assert len(batch.labels) == 2 * half
+    assert batch.labels.sum() == half

@@ -8,7 +8,14 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from mdpcompose.composer import ComposerConfig, compose, policy_table_json
-from mdpcompose.service import build_server, resolve_policy_request, BadRequest
+from mdpcompose.service import (
+    MAX_BODY_BYTES,
+    BadRequest,
+    PolicyService,
+    _Handler,
+    build_server,
+    resolve_policy_request,
+)
 from mdpcompose.simulation import SimState, initial_features
 
 
@@ -81,19 +88,78 @@ def test_malformed_body_rejected_400(server):
     assert err.value.code == 400
 
 
-def test_negative_content_length_rejected_400(server):
+def _raw_exchange(server, head: bytes, timeout: float) -> tuple[bytes, bytes]:
+    """Send raw bytes and read until the server closes; (status, body)."""
     port = server.server_address[1]
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        sock.sendall(
-            b"POST /policies HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-            b"Content-Length: -1\r\n\r\n"
-        )
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(head)
         response = b""
         while chunk := sock.recv(4096):  # the server closes after replying
             response += chunk
     head, _, body = response.partition(b"\r\n\r\n")
-    assert head.split(b"\r\n")[0].split()[1] == b"400"
+    return head.split(b"\r\n")[0].split()[1], body
+
+
+def _post_head(length: int) -> bytes:
+    return (
+        b"POST /policies HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        b"Content-Length: %d\r\n\r\n" % length
+    )
+
+
+def test_negative_content_length_rejected_400(server):
+    status, body = _raw_exchange(server, _post_head(-1), timeout=5)
+    assert status == b"400"
     assert body == b'{"reason":"malformed request body"}'
+
+
+def test_oversized_body_rejected_413_unread(server):
+    # only the head is sent: a reply proves the body was never waited for
+    status, body = _raw_exchange(server, _post_head(MAX_BODY_BYTES + 1), timeout=5)
+    assert status == b"413"
+    assert body == b'{"reason":"request body too large"}'
+
+
+def test_stalled_body_rejected_within_timeout(server, monkeypatch):
+    assert 0 < _Handler.timeout <= 60
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    # 100 bytes declared, 2 sent: the read must give up, not hold the thread
+    status, body = _raw_exchange(server, _post_head(100) + b"{}", timeout=5)
+    assert status == b"400"
+    assert body == b'{"reason":"malformed request body"}'
+
+
+@pytest.mark.parametrize("value", [[0.0], {"x": 1.0}, None])
+def test_non_scalar_feature_value_rejected_400(server, graphs, value):
+    features = initial_features(graphs["Watch_TV_49"], "Watch_TV_49")
+    features[next(iter(features))] = value
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(server, "/policies", {"featureValues": features})
+    assert err.value.code == 400
+    assert json.loads(err.value.read()) == {"reason": "featureValues values must be numbers"}
+
+
+def test_string_and_boolean_feature_values_keep_responses(server, graphs):
+    features = initial_features(graphs["Watch_TV_49"], "Watch_TV_49")
+    first = next(iter(features))
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(server, "/policies", {"featureValues": {**features, first: "x"}})
+    assert err.value.code == 422
+    for flag in (True, False):
+        assert _post(server, "/policies", {"featureValues": {**features, first: flag}}).status == 200
+
+
+def test_unexpected_error_answered_500(server, monkeypatch, caplog):
+    def fail(self, body):
+        raise ValueError("cosine distance is undefined for zero-norm vectors")
+
+    monkeypatch.setattr(PolicyService, "policies_for", fail)
+    with caplog.at_level("ERROR", logger="mdpcompose.service"):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(server, "/policies", {"stateName": "InitialState_Feed_cat"})
+    assert err.value.code == 500
+    assert json.loads(err.value.read()) == {"reason": "internal error"}
+    assert any(r.exc_info and "zero-norm" in str(r.exc_info[1]) for r in caplog.records)
 
 
 def test_state_name_request(server, corpus):
