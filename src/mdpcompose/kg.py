@@ -9,12 +9,21 @@ The KnowledgeGraph is an in-memory store indexed by entity name and by
 concept, with a derived triple view used for pattern matching and for the
 serialization round trips. Graphs are built once, validated, then treated
 as immutable (safe for concurrent readers).
+
+``validate()`` freezes a graph and builds its lookup indexes once, in
+``_build_index``: the owning activities of each state, the transitions by
+(state, action), the states in name order with their parsed rules and lead
+features (graph-wide and per activity), and each activity's state and
+action names. After that, lookups only read and no request thread writes
+to a shared graph. An unfrozen graph calls the same builder on each lookup,
+so both give the same answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import GraphValidationError, RuleSyntaxError, UnknownEntityError
 from .rules import EquationExpr, RuleExpr, parse_equation, parse_rule
@@ -251,6 +260,32 @@ PROPERTIES: dict[Concept, dict[str, PropertySpec]] = {
     },
 }
 
+# Reference properties: concept -> property -> the concept it must point to.
+_REF_TARGETS: dict[Concept, dict[str, Concept]] = {
+    Concept.ACTIVITY: {
+        "hasState": Concept.STATE,
+        "hasAction": Concept.ACTION,
+        "hasObservationFeature": Concept.OBSERVATION_FEATURE,
+    },
+    Concept.STATE: {
+        "hasObservationFeature": Concept.OBSERVATION_FEATURE,
+        "hasAction": Concept.ACTION,
+    },
+    Concept.OBSERVATION_FEATURE: {},
+    Concept.TRANSITION: {
+        "hasPreviousState": Concept.STATE,
+        "hasNextState": Concept.STATE,
+        "hasAction": Concept.ACTION,
+    },
+    Concept.ACTION: {"hasEffect": Concept.EFFECT, "hasTransition": Concept.TRANSITION},
+    Concept.EFFECT: {
+        "hasObservationFeature": Concept.OBSERVATION_FEATURE,
+        "hasEquation": Concept.EQUATION,
+    },
+    Concept.EQUATION: {"hasParameter": Concept.PARAMETER},
+    Concept.PARAMETER: {},
+}
+
 # Case-insensitive lookup (dataset exports mix hasTransition / HasTransition).
 _PROPERTY_LOOKUP: dict[Concept, dict[str, str]] = {
     concept: {prop.lower(): prop for prop in props}
@@ -315,6 +350,8 @@ _CONCEPT_CLASSES = {
     Concept.PARAMETER: Parameter,
 }
 
+_ENTITY_CLASSES = tuple(_CONCEPT_CLASSES.values())
+
 _CONCEPT_ORDER = [
     Concept.ACTIVITY,
     Concept.STATE,
@@ -331,21 +368,40 @@ def new_entity(concept: Concept, name: str) -> Entity:
     return _CONCEPT_CLASSES[concept](name=name)
 
 
+class RecognitionEntry(NamedTuple):
+    """A state with its parsed rule and the feature of the rule's first
+    comparison, ``rule.clauses[0][0]``, which evaluation always reads first."""
+
+    state: State
+    rule: RuleExpr
+    lead_feature: str
+
+
+@dataclass(frozen=True)
+class _Index:
+    owners: dict[str, tuple[Activity, ...]]  # state name -> owning activities
+    transitions: dict[tuple[str, str], list[Transition]]  # (state, action)
+    recognition: tuple[RecognitionEntry, ...]  # every state, by name
+    scope_recognition: dict[str, tuple[RecognitionEntry, ...]]  # per activity
+    scope_names: dict[str, tuple[frozenset[str], frozenset[str]]]  # states, actions
+
+
 class KnowledgeGraph:
     """In-memory entity store with a derived triple view."""
 
     def __init__(self):
         self._entities: dict[str, Entity] = {}
+        # keyed by entity class: a class hashes in C, a Concept member in Python
+        self._by_class: dict[type, dict[str, Entity]] = {cls: {} for cls in _ENTITY_CLASSES}
         self.extra_triples: list[tuple[str, str, str]] = []
-        self._frozen = False
         self._rule_cache: dict[str, RuleExpr] = {}
         self._equation_cache: dict[str, EquationExpr] = {}
-        self._transition_index: dict[tuple[str, str], list[Transition]] | None = None
+        self._index: _Index | None = None  # set when validate() freezes the graph
 
     # -- construction --------------------------------------------------
 
     def add(self, entity: Entity) -> Entity:
-        if self._frozen:
+        if self._index is not None:
             raise RuntimeError("graph is frozen after validation")
         existing = self._entities.get(entity.name)
         if existing is not None and existing is not entity:
@@ -353,10 +409,11 @@ class KnowledgeGraph:
                 [f"duplicate entity name {entity.name!r}"]
             )
         self._entities[entity.name] = entity
+        self._by_class[type(entity)][entity.name] = entity
         return entity
 
     def add_extra_triple(self, subject: str, predicate: str, obj: str):
-        if self._frozen:
+        if self._index is not None:
             raise RuntimeError("graph is frozen after validation")
         self.extra_triples.append((subject, predicate, obj))
 
@@ -381,38 +438,78 @@ class KnowledgeGraph:
         return list(self._entities.values())
 
     def by_concept(self, concept: Concept) -> list[Entity]:
-        return [e for e in self._entities.values() if e.concept is concept]
+        """The entities of one concept, in insertion order."""
+        return list(self._by_class[_CONCEPT_CLASSES[concept]].values())
 
     @property
     def activities(self) -> list[Activity]:
-        return self.by_concept(Concept.ACTIVITY)
+        return list(self._by_class[Activity].values())
 
     @property
     def states(self) -> list[State]:
-        return self.by_concept(Concept.STATE)
+        return list(self._by_class[State].values())
 
     @property
     def actions(self) -> list[Action]:
-        return self.by_concept(Concept.ACTION)
+        return list(self._by_class[Action].values())
 
     @property
     def features(self) -> list[ObservationFeature]:
-        return self.by_concept(Concept.OBSERVATION_FEATURE)
+        return list(self._by_class[ObservationFeature].values())
 
     @property
     def transitions(self) -> list[Transition]:
-        return self.by_concept(Concept.TRANSITION)
+        return list(self._by_class[Transition].values())
 
     def transitions_from(self, state_name: str, action_name: str) -> list[Transition]:
-        if self._transition_index is None:
-            index: dict[tuple[str, str], list[Transition]] = {}
-            for t in self.transitions:
-                index.setdefault((t.previous_state, t.action), []).append(t)
-            self._transition_index = index
-        return self._transition_index.get((state_name, action_name), [])
+        return self._indexes().transitions.get((state_name, action_name), [])
 
     def activities_of_state(self, state_name: str) -> list[Activity]:
-        return [a for a in self.activities if state_name in a.states]
+        return list(self._indexes().owners.get(state_name, ()))
+
+    def recognition_order(self, activity_name: str | None = None) -> tuple[RecognitionEntry, ...]:
+        """The states in name order, each with its rule and lead feature;
+        only the states of ``activity_name`` when it is given."""
+        index = self._indexes()
+        if activity_name is None:
+            return index.recognition
+        return index.scope_recognition[activity_name]
+
+    def scope_names(self, activity_name: str) -> tuple[frozenset[str], frozenset[str]]:
+        """The state names and the action names of one activity."""
+        return self._indexes().scope_names[activity_name]
+
+    def _indexes(self) -> _Index:
+        return self._index if self._index is not None else self._build_index()
+
+    def _build_index(self) -> _Index:
+        """Derive every lookup index from the entities. Runs once in
+        validate() and on each lookup of an unfrozen graph."""
+        transitions: dict[tuple[str, str], list[Transition]] = {}
+        for t in self.transitions:
+            transitions.setdefault((t.previous_state, t.action), []).append(t)
+        recognition = []
+        for name, state in sorted(self._by_class[State].items()):
+            rule = self.rule(name)
+            recognition.append(RecognitionEntry(state, rule, rule.clauses[0][0].feature))
+        owners: dict[str, list[Activity]] = {}
+        scope_recognition = {}
+        scope_names = {}
+        for activity in self.activities:
+            states = frozenset(activity.states)
+            for name in states:
+                owners.setdefault(name, []).append(activity)
+            scope_recognition[activity.name] = tuple(
+                entry for entry in recognition if entry.state.name in states
+            )
+            scope_names[activity.name] = (states, frozenset(activity.actions))
+        return _Index(
+            owners={name: tuple(acts) for name, acts in owners.items()},
+            transitions=transitions,
+            recognition=tuple(recognition),
+            scope_recognition=scope_recognition,
+            scope_names=scope_names,
+        )
 
     def rule(self, state_name: str) -> RuleExpr:
         if state_name not in self._rule_cache:
@@ -471,24 +568,9 @@ class KnowledgeGraph:
         """
         problems: list[str] = []
 
-        ref_targets = {
-            (Concept.ACTIVITY, "hasState"): Concept.STATE,
-            (Concept.ACTIVITY, "hasAction"): Concept.ACTION,
-            (Concept.ACTIVITY, "hasObservationFeature"): Concept.OBSERVATION_FEATURE,
-            (Concept.STATE, "hasObservationFeature"): Concept.OBSERVATION_FEATURE,
-            (Concept.STATE, "hasAction"): Concept.ACTION,
-            (Concept.TRANSITION, "hasPreviousState"): Concept.STATE,
-            (Concept.TRANSITION, "hasNextState"): Concept.STATE,
-            (Concept.TRANSITION, "hasAction"): Concept.ACTION,
-            (Concept.ACTION, "hasEffect"): Concept.EFFECT,
-            (Concept.ACTION, "hasTransition"): Concept.TRANSITION,
-            (Concept.EFFECT, "hasObservationFeature"): Concept.OBSERVATION_FEATURE,
-            (Concept.EFFECT, "hasEquation"): Concept.EQUATION,
-            (Concept.EQUATION, "hasParameter"): Concept.PARAMETER,
-        }
-
         for entity in self._entities.values():
             label = f"{entity.concept.value} {entity.name!r}"
+            ref_targets = _REF_TARGETS[entity.concept]
             for prop, (attr, _kind, multi, required) in PROPERTIES[entity.concept].items():
                 value = getattr(entity, attr)
                 if required:
@@ -497,7 +579,7 @@ class KnowledgeGraph:
                         continue
                 if value is None:
                     continue
-                target = ref_targets.get((entity.concept, prop))
+                target = ref_targets.get(prop)
                 if target is not None:
                     names = value if multi else [value]
                     for ref in names:
@@ -535,7 +617,7 @@ class KnowledgeGraph:
 
         for state in self.states:
             label = f"State {state.name!r}"
-            if not state.expression:
+            if state.expression is None:
                 continue
             try:
                 expr = parse_rule(state.expression)
@@ -627,11 +709,11 @@ class KnowledgeGraph:
 
         if problems:
             raise GraphValidationError(problems)
-        self._frozen = True
+        self._index = self._build_index()
 
     @property
     def effects(self) -> list[Effect]:
-        return self.by_concept(Concept.EFFECT)
+        return list(self._by_class[Effect].values())
 
 
 def match_triples(graph: KnowledgeGraph, pattern) -> list[tuple[str, str, str]]:

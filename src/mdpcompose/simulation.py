@@ -8,6 +8,16 @@ effects, re-derives the state label and updates the running reward
 single-owner; any number of them can read the same frozen graph.
 ``start_state`` validates a starting state and ``wrong_step`` charges the
 penalty for a step that makes no transition; the composer uses both.
+
+Lookups read the indexes a graph builds when it freezes (see ``kg``): the
+owning activity of a state, the transitions by (state, action), each
+activity's state and action names, and the states in name order with
+their rules. Recognition scans that name order and skips, without
+evaluating it, every state whose lead feature (the feature of its rule's
+first comparison) is absent from the feature map. The skip is exact:
+``RuleExpr.evaluate`` always evaluates that comparison first, it raises
+``MissingFeatureError`` for an absent feature, and a rule that raises is
+"not evaluable", which never matches.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from .errors import (
     UnknownEntityError,
     UnknownSituationError,
 )
-from .kg import Action, Activity, ImpactType, KnowledgeGraph, State
+from .kg import Action, Activity, ImpactType, KnowledgeGraph, RecognitionEntry, State
 
 UNKNOWN_STATE = "UNKNOWN"
 
@@ -56,11 +66,20 @@ class SimState:
         )
 
 
-def _rule_holds(graph, state_name, features):
+def _rule_holds(rule, features):
     try:
-        return graph.rule(state_name).evaluate(features)
+        return rule.evaluate(features)
     except (MissingFeatureError, EvaluationError):
         return None  # not evaluable against this feature map
+
+
+def _first_match(entries: tuple[RecognitionEntry, ...], features) -> State | None:
+    """The first state whose rule holds. A state whose lead feature is
+    unbound is skipped unevaluated: its rule would raise on that feature."""
+    for state, rule, lead_feature in entries:
+        if lead_feature in features and _rule_holds(rule, features):
+            return state
+    return None
 
 
 def recognize_state(graph: KnowledgeGraph, feature_values) -> SimState:
@@ -69,16 +88,16 @@ def recognize_state(graph: KnowledgeGraph, feature_values) -> SimState:
     States are scanned in name order; the first whose expression holds wins.
     Raises UnknownSituationError when nothing matches (the rejection path).
     """
-    for state in sorted(graph.states, key=lambda s: s.name):
-        if _rule_holds(graph, state.name, feature_values):
-            return SimState(
-                feature_values=dict(feature_values),
-                state_label=state.name,
-                reward=0.0,
-                is_goal=bool(state.is_goal),
-                is_final=bool(state.is_final_state),
-            )
-    raise UnknownSituationError("observed features match no known state")
+    state = _first_match(graph.recognition_order(), feature_values)
+    if state is None:
+        raise UnknownSituationError("observed features match no known state")
+    return SimState(
+        feature_values=dict(feature_values),
+        state_label=state.name,
+        reward=0.0,
+        is_goal=bool(state.is_goal),
+        is_final=bool(state.is_final_state),
+    )
 
 
 def initial_features(graph: KnowledgeGraph, activity_name: str) -> dict[str, float]:
@@ -147,22 +166,20 @@ def _relabel(graph, target: State, features, scope: Activity | None) -> str:
     The transition target wins when its rule holds. When the features do not
     encode the target (rule false or not evaluable) but the rule pins plain
     equality values, those values are written into the feature map and the
-    target is kept. Otherwise the states are scanned for the first match.
+    target is kept. Otherwise the states of the scope (or of the graph) are
+    scanned in name order for the first match.
     """
-    holds = _rule_holds(graph, target.name, features)
-    if holds:
+    rule = graph.rule(target.name)
+    if _rule_holds(rule, features):
         return target.name
-    pinned = graph.rule(target.name).pinned_values()
+    pinned = rule.pinned_values()
     if pinned:
         features.update(pinned)
         return target.name
-    candidates = (
-        [graph.get(s) for s in scope.states] if scope is not None else graph.states
+    match = _first_match(
+        graph.recognition_order(scope.name if scope is not None else None), features
     )
-    for state in sorted(candidates, key=lambda s: s.name):
-        if _rule_holds(graph, state.name, features):
-            return state.name
-    return UNKNOWN_STATE
+    return match.name if match is not None else UNKNOWN_STATE
 
 
 def start_state(graph: KnowledgeGraph, initial: SimState) -> tuple[SimState, Activity | None]:
@@ -179,7 +196,7 @@ def start_state(graph: KnowledgeGraph, initial: SimState) -> tuple[SimState, Act
         state.reward = initial.reward
         state.step_index = initial.step_index
     else:
-        holds = _rule_holds(graph, initial.state_label, initial.feature_values)
+        holds = _rule_holds(graph.rule(initial.state_label), initial.feature_values)
         if holds is False:
             raise UnknownSituationError(
                 f"features contradict state {initial.state_label!r}"
@@ -219,15 +236,15 @@ def make_simulation(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | N
     cfg = cfg or SimConfig()
     state, scope = start_state(graph, initial)
     if scope is not None:
-        scope_states = set(scope.states)
-        scope_actions = set(scope.actions)
+        scope_states, scope_actions = graph.scope_names(scope.name)
     else:
         scope_states = scope_actions = None
 
     max_steps = cfg.max_steps if cfg.max_steps is not None else 50 * max(
         1, len(graph.states)
     )
-    rng = random.Random(cfg.rng_seed)
+    # deterministic steps never draw, so only a stochastic closure seeds one
+    rng = random.Random(cfg.rng_seed) if cfg.stochastic else None
 
     def step(performed_action: str) -> SimState:
         if state.is_final:
@@ -249,7 +266,7 @@ def make_simulation(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | N
             ]
         if not matching:
             return wrong_step(state, cfg).clone()
-        if cfg.stochastic:
+        if rng is not None:
             ordered = sorted(matching, key=lambda t: t.next_state)
             draw = rng.random()
             cumulative = 0.0

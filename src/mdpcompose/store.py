@@ -56,8 +56,12 @@ def graph_of_state(graphs: list[KnowledgeGraph], state_name: str) -> KnowledgeGr
 
 
 def recognize_across(graphs: list[KnowledgeGraph], feature_values) -> tuple[KnowledgeGraph, SimState]:
-    """Match observed features against every graph; first match wins (the
-    store order is deterministic)."""
+    """Match observed features against the graphs in store order.
+
+    Tie rule: when states of several graphs match, the first graph in store
+    order wins, and the graphs after it are not scanned. Within a graph the
+    first matching state in name order wins (``recognize_state``).
+    """
     for graph in graphs:
         try:
             return graph, recognize_state(graph, feature_values)

@@ -430,7 +430,8 @@ def test_criterion_9_service_fidelity(graph_list, graphs, desk_space):
             data=json.dumps({"featureValues": features}).encode(),
             headers={"Content-Type": "application/json"},
         )
-        body = urllib.request.urlopen(request).read()
+        with urllib.request.urlopen(request) as response:
+            body = response.read()
         table, _ = compose(g, desk_space, _start(g, "Watch_TV_49"))
         assert body == policy_table_json(table).encode("utf-8")
 
@@ -440,8 +441,9 @@ def test_criterion_9_service_fidelity(graph_list, graphs, desk_space):
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(bad)
-        assert err.value.code == 422
-        assert json.loads(err.value.read()) == {"reason": "unknown state"}
+        with err.value:
+            assert err.value.code == 422
+            assert json.loads(err.value.read()) == {"reason": "unknown state"}
     finally:
         server.shutdown()
         server.server_close()

@@ -329,3 +329,48 @@ def test_invalid_config_rejected():
         ComposerConfig(max_distance=0.0)
     with pytest.raises(ValueError):
         ComposerConfig(max_distance=3.0, radius_cap=2.0)
+
+
+# --- properties over fuzzed graphs ---------------------------------------
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_random_graph
+from mdpcompose.embedding import build_vocabulary
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    # radii that land on the cap, where every action is a candidate
+    st.sampled_from([(0.125, 0.125), (0.25, 0.25), (0.5, 0.25), (0.5, 0.5), (2.0, 0.25)]),
+)
+def test_composition_invariants_on_fuzzed_graphs(seed, radii):
+    max_distance, radius_step = radii
+    g = make_random_graph(random.Random(seed))
+    vocab = build_vocabulary([g])
+    matrix = np.random.default_rng(seed).normal(size=(len(vocab), 8))
+    cfg = ComposerConfig(max_distance=max_distance, radius_step=radius_step)
+    name = g.activities[0].name
+    table, trace = compose(g, EmbeddingSpace(vocab, matrix), _start(g, name), cfg)
+
+    committed = [r for r in trace.rounds if r.committed]
+    # committed rewards strictly increase
+    rewards = table.rows[0].rewards
+    assert all(b > a for a, b in zip(rewards, rewards[1:]))
+    assert list(rewards) == [dict(r.results)[r.chosen] for r in committed]
+    # rank 1 is the committed path
+    assert table.rows[0].rank == 1
+    assert table.rows[0].actions == tuple(r.chosen for r in committed)
+    assert [row.rank for row in table.rows] == list(range(1, len(table.rows) + 1))
+    # radii only grow between commits and reset after each commit
+    for previous, current in zip([None] + trace.rounds, trace.rounds):
+        if previous is None or previous.committed:
+            assert current.radius == max_distance
+        else:
+            assert current.radius == pytest.approx(previous.radius + radius_step)
+    assert trace.commit_radii == [r.radius for r in committed]
+    assert trace.rounds[-1].committed

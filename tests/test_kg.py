@@ -108,6 +108,33 @@ def test_validation_collects_multiple_problems():
     assert any("does not parse" in p for p in problems)
 
 
+def test_empty_state_expression_rejected_in_turtle():
+    # an empty rule used to freeze and then fail recognition at request time
+    text = WATCH_TV_49_TTL.replace(
+        'property:hasExpression "IsSit_couch_1 == 1"^^xsd:string;',
+        'property:hasExpression ""^^xsd:string;',
+    )
+    assert text != WATCH_TV_49_TTL
+    with pytest.raises(GraphValidationError) as err:
+        parse_turtle(text)
+    assert any(
+        "State 'Sit_couch_1_Done'" in p and "hasExpression" in p
+        for p in err.value.problems
+    )
+
+
+def test_empty_state_expression_rejected_in_json(watch_tv):
+    document = json.loads(to_json(watch_tv))
+    state = next(e for e in document["entities"] if e["name"] == "Sit_couch_1_Done")
+    state["properties"]["hasExpression"] = ""
+    with pytest.raises(GraphValidationError) as err:
+        from_json(json.dumps(document))
+    assert any(
+        "State 'Sit_couch_1_Done'" in p and "hasExpression" in p
+        for p in err.value.problems
+    )
+
+
 MANDATORY_CASES = [
     ("Activity", "isSequential"),
     ("Activity", "hasNumberOfActors"),

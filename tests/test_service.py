@@ -50,9 +50,9 @@ def _post_raw(server, path, payload: bytes):
 def test_policies_byte_identical_to_direct_compose(server, graphs, desk_space):
     g = graphs["Watch_TV_49"]
     features = initial_features(g, "Watch_TV_49")
-    response = _post(server, "/policies", {"featureValues": features})
-    assert response.status == 200
-    body = response.read()
+    with _post(server, "/policies", {"featureValues": features}) as response:
+        assert response.status == 200
+        body = response.read()
     table, _ = compose(
         g,
         desk_space,
@@ -65,27 +65,31 @@ def test_policies_byte_identical_to_direct_compose(server, graphs, desk_space):
 def test_unknown_state_rejected_422(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         _post(server, "/policies", {"featureValues": {"Nonsense": 1.0}})
-    assert err.value.code == 422
-    assert json.loads(err.value.read()) == {"reason": "unknown state"}
+    with err.value:
+        assert err.value.code == 422
+        assert json.loads(err.value.read()) == {"reason": "unknown state"}
 
 
 def test_both_fields_rejected_400(server, graphs):
     features = initial_features(graphs["Watch_TV_49"], "Watch_TV_49")
     with pytest.raises(urllib.error.HTTPError) as err:
         _post(server, "/policies", {"featureValues": features, "stateName": "x"})
-    assert err.value.code == 400
+    with err.value:
+        assert err.value.code == 400
 
 
 def test_neither_field_rejected_400(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         _post(server, "/policies", {})
-    assert err.value.code == 400
+    with err.value:
+        assert err.value.code == 400
 
 
 def test_malformed_body_rejected_400(server):
     with pytest.raises(urllib.error.HTTPError) as err:
         _post_raw(server, "/policies", b"{this is not json")
-    assert err.value.code == 400
+    with err.value:
+        assert err.value.code == 400
 
 
 def _raw_exchange(server, head: bytes, timeout: float) -> tuple[bytes, bytes]:
@@ -135,8 +139,9 @@ def test_non_scalar_feature_value_rejected_400(server, graphs, value):
     features[next(iter(features))] = value
     with pytest.raises(urllib.error.HTTPError) as err:
         _post(server, "/policies", {"featureValues": features})
-    assert err.value.code == 400
-    assert json.loads(err.value.read()) == {"reason": "featureValues values must be numbers"}
+    with err.value:
+        assert err.value.code == 400
+        assert json.loads(err.value.read()) == {"reason": "featureValues values must be numbers"}
 
 
 def test_string_and_boolean_feature_values_keep_responses(server, graphs):
@@ -144,9 +149,11 @@ def test_string_and_boolean_feature_values_keep_responses(server, graphs):
     first = next(iter(features))
     with pytest.raises(urllib.error.HTTPError) as err:
         _post(server, "/policies", {"featureValues": {**features, first: "x"}})
-    assert err.value.code == 422
+    with err.value:
+        assert err.value.code == 422
     for flag in (True, False):
-        assert _post(server, "/policies", {"featureValues": {**features, first: flag}}).status == 200
+        with _post(server, "/policies", {"featureValues": {**features, first: flag}}) as response:
+            assert response.status == 200
 
 
 def test_unexpected_error_answered_500(server, monkeypatch, caplog):
@@ -157,22 +164,23 @@ def test_unexpected_error_answered_500(server, monkeypatch, caplog):
     with caplog.at_level("ERROR", logger="mdpcompose.service"):
         with pytest.raises(urllib.error.HTTPError) as err:
             _post(server, "/policies", {"stateName": "InitialState_Feed_cat"})
-    assert err.value.code == 500
-    assert json.loads(err.value.read()) == {"reason": "internal error"}
+    with err.value:
+        assert err.value.code == 500
+        assert json.loads(err.value.read()) == {"reason": "internal error"}
     assert any(r.exc_info and "zero-norm" in str(r.exc_info[1]) for r in caplog.records)
 
 
 def test_state_name_request(server, corpus):
-    response = _post(server, "/policies", {"stateName": "InitialState_Feed_cat"})
-    document = json.loads(response.read())
+    with _post(server, "/policies", {"stateName": "InitialState_Feed_cat"}) as response:
+        document = json.loads(response.read())
     script = next(s for s in corpus.scripts if s.activity_name == "Feed_cat")
     assert len(document["policies"][0]["actions"]) == len(script.steps)
 
 
 def test_mid_chain_state_composes_remaining_suffix(server, corpus):
     script = next(s for s in corpus.scripts if s.activity_name == "Watch_TV_49")
-    response = _post(server, "/policies", {"stateName": "Sit_couch_1_Done"})
-    document = json.loads(response.read())
+    with _post(server, "/policies", {"stateName": "Sit_couch_1_Done"}) as response:
+        document = json.loads(response.read())
     from mdpcompose.vhome import action_sequence
 
     assert document["policies"][0]["actions"] == action_sequence(script)[4:]
@@ -180,16 +188,17 @@ def test_mid_chain_state_composes_remaining_suffix(server, corpus):
 
 def test_health_endpoint(server):
     port = server.server_address[1]
-    response = urllib.request.urlopen(f"http://127.0.0.1:{port}/health")
-    assert response.status == 200
-    assert json.loads(response.read()) == {"status": "ok"}
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}/health") as response:
+        assert response.status == 200
+        assert json.loads(response.read()) == {"status": "ok"}
 
 
 def test_unknown_path_404(server):
     port = server.server_address[1]
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(f"http://127.0.0.1:{port}/nope")
-    assert err.value.code == 404
+    with err.value:
+        assert err.value.code == 404
 
 
 def test_concurrent_requests_do_not_interleave(server, graphs):
@@ -197,7 +206,8 @@ def test_concurrent_requests_do_not_interleave(server, graphs):
     features_coffee = initial_features(graphs["Make_coffee"], "Make_coffee")
 
     def call(features):
-        return json.loads(_post(server, "/policies", {"featureValues": features}).read())
+        with _post(server, "/policies", {"featureValues": features}) as response:
+            return json.loads(response.read())
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         futures = [

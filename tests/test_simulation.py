@@ -373,3 +373,59 @@ def test_compute_effect_binds_parameters():
     )
     with pytest.raises(EvaluationError):
         clash("Go")
+
+
+# --- recognition skips only on the lead feature --------------------------
+
+
+def _disjunction_graph():
+    g = KnowledgeGraph()
+    for name in ("A", "B", "C"):
+        g.add(
+            ObservationFeature(
+                name=name, range_start=0.0, range_end=1.0,
+                feature_type=FeatureType.NOMINAL, unit="",
+            )
+        )
+    for name, expr, initial in (
+        ("Either", "A == 1 AND B == 1 OR C == 1", True),
+        ("Other", "B == 1 OR A == 0", False),
+    ):
+        g.add(
+            State(
+                name=name, is_initial_state=initial, is_final_state=not initial,
+                is_goal=not initial, reward=0.0, expression=expr,
+                observation_features=["A", "B", "C"],
+            )
+        )
+    g.add(Effect(name="SetC", target_features=["C"], impact_type=ImpactType.ON))
+    g.add(Transition(name="T", previous_state="Either", next_state="Other", action="Go", probability=1.0))
+    g.add(Action(name="Go", effects=["SetC"], transitions=["T"]))
+    g.add(
+        Activity(
+            name="Pick", is_sequential=True, number_of_actors=1,
+            communication_type=CommunicationType.ASYNCHRONOUS,
+            states=["Either", "Other"], actions=["Go"],
+            observation_features=["A", "B", "C"],
+        )
+    )
+    g.validate()
+    return g
+
+
+@pytest.mark.parametrize(
+    "features,label",
+    [
+        ({"A": 0, "C": 1}, "Either"),  # holds through the second clause; B unbound
+        ({"A": 1, "B": 1}, "Either"),  # holds through the first clause; C unbound
+        ({"B": 1, "C": 1}, "Other"),  # lead feature A unbound: Either is skipped
+        ({"C": 1}, None),  # Either skipped, Other not evaluable
+    ],
+)
+def test_only_an_unbound_lead_feature_skips_a_state(features, label):
+    g = _disjunction_graph()
+    if label is None:
+        with pytest.raises(UnknownSituationError):
+            recognize_state(g, features)
+    else:
+        assert recognize_state(g, features).state_label == label
