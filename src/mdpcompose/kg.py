@@ -10,13 +10,14 @@ concept, with a derived triple view used for pattern matching and for the
 serialization round trips. Graphs are built once, validated, then treated
 as immutable (safe for concurrent readers).
 
-``validate()`` freezes a graph and builds its lookup indexes once, in
-``_build_index``: the owning activities of each state, the transitions by
-(state, action), the states in name order with their parsed rules and lead
-features (graph-wide and per activity), and each activity's state and
-action names. After that, lookups only read and no request thread writes
-to a shared graph. An unfrozen graph calls the same builder on each lookup,
-so both give the same answers.
+``validate()`` freezes a graph and builds its lookup indexes once: in
+``_build_index`` the owning activities of each state, the transitions by
+(state, action) and each activity's state and action names, and in
+``_build_recognition`` the states in name order with their parsed rules and
+lead features. After that, lookups only read and no request thread writes
+to a shared graph. An unfrozen graph calls the same builders on each
+lookup, so both give the same answers; only ``recognition_order`` parses
+rules, so the other lookups work before the rules are validated.
 """
 
 from __future__ import annotations
@@ -350,8 +351,6 @@ _CONCEPT_CLASSES = {
     Concept.PARAMETER: Parameter,
 }
 
-_ENTITY_CLASSES = tuple(_CONCEPT_CLASSES.values())
-
 _CONCEPT_ORDER = [
     Concept.ACTIVITY,
     Concept.STATE,
@@ -381,8 +380,6 @@ class RecognitionEntry(NamedTuple):
 class _Index:
     owners: dict[str, tuple[Activity, ...]]  # state name -> owning activities
     transitions: dict[tuple[str, str], list[Transition]]  # (state, action)
-    recognition: tuple[RecognitionEntry, ...]  # every state, by name
-    scope_recognition: dict[str, tuple[RecognitionEntry, ...]]  # per activity
     scope_names: dict[str, tuple[frozenset[str], frozenset[str]]]  # states, actions
 
 
@@ -391,12 +388,12 @@ class KnowledgeGraph:
 
     def __init__(self):
         self._entities: dict[str, Entity] = {}
-        # keyed by entity class: a class hashes in C, a Concept member in Python
-        self._by_class: dict[type, dict[str, Entity]] = {cls: {} for cls in _ENTITY_CLASSES}
+        self._by_concept: dict[Concept, dict[str, Entity]] = {c: {} for c in Concept}
         self.extra_triples: list[tuple[str, str, str]] = []
         self._rule_cache: dict[str, RuleExpr] = {}
         self._equation_cache: dict[str, EquationExpr] = {}
         self._index: _Index | None = None  # set when validate() freezes the graph
+        self._recognition: tuple[RecognitionEntry, ...] | None = None  # likewise
 
     # -- construction --------------------------------------------------
 
@@ -409,7 +406,7 @@ class KnowledgeGraph:
                 [f"duplicate entity name {entity.name!r}"]
             )
         self._entities[entity.name] = entity
-        self._by_class[type(entity)][entity.name] = entity
+        self._by_concept[entity.concept][entity.name] = entity
         return entity
 
     def add_extra_triple(self, subject: str, predicate: str, obj: str):
@@ -439,27 +436,27 @@ class KnowledgeGraph:
 
     def by_concept(self, concept: Concept) -> list[Entity]:
         """The entities of one concept, in insertion order."""
-        return list(self._by_class[_CONCEPT_CLASSES[concept]].values())
+        return list(self._by_concept[concept].values())
 
     @property
     def activities(self) -> list[Activity]:
-        return list(self._by_class[Activity].values())
+        return self.by_concept(Concept.ACTIVITY)
 
     @property
     def states(self) -> list[State]:
-        return list(self._by_class[State].values())
+        return self.by_concept(Concept.STATE)
 
     @property
     def actions(self) -> list[Action]:
-        return list(self._by_class[Action].values())
+        return self.by_concept(Concept.ACTION)
 
     @property
     def features(self) -> list[ObservationFeature]:
-        return list(self._by_class[ObservationFeature].values())
+        return self.by_concept(Concept.OBSERVATION_FEATURE)
 
     @property
     def transitions(self) -> list[Transition]:
-        return list(self._by_class[Transition].values())
+        return self.by_concept(Concept.TRANSITION)
 
     def transitions_from(self, state_name: str, action_name: str) -> list[Transition]:
         return self._indexes().transitions.get((state_name, action_name), [])
@@ -467,13 +464,11 @@ class KnowledgeGraph:
     def activities_of_state(self, state_name: str) -> list[Activity]:
         return list(self._indexes().owners.get(state_name, ()))
 
-    def recognition_order(self, activity_name: str | None = None) -> tuple[RecognitionEntry, ...]:
-        """The states in name order, each with its rule and lead feature;
-        only the states of ``activity_name`` when it is given."""
-        index = self._indexes()
-        if activity_name is None:
-            return index.recognition
-        return index.scope_recognition[activity_name]
+    def recognition_order(self) -> tuple[RecognitionEntry, ...]:
+        """The states in name order, each with its rule and lead feature."""
+        if self._recognition is not None:
+            return self._recognition
+        return self._build_recognition()
 
     def scope_names(self, activity_name: str) -> tuple[frozenset[str], frozenset[str]]:
         """The state names and the action names of one activity."""
@@ -483,33 +478,33 @@ class KnowledgeGraph:
         return self._index if self._index is not None else self._build_index()
 
     def _build_index(self) -> _Index:
-        """Derive every lookup index from the entities. Runs once in
-        validate() and on each lookup of an unfrozen graph."""
+        """Derive the lookup indexes that need no rules from the entities.
+        Runs once in validate() and on each lookup of an unfrozen graph."""
         transitions: dict[tuple[str, str], list[Transition]] = {}
         for t in self.transitions:
             transitions.setdefault((t.previous_state, t.action), []).append(t)
-        recognition = []
-        for name, state in sorted(self._by_class[State].items()):
-            rule = self.rule(name)
-            recognition.append(RecognitionEntry(state, rule, rule.clauses[0][0].feature))
         owners: dict[str, list[Activity]] = {}
-        scope_recognition = {}
         scope_names = {}
         for activity in self.activities:
             states = frozenset(activity.states)
             for name in states:
                 owners.setdefault(name, []).append(activity)
-            scope_recognition[activity.name] = tuple(
-                entry for entry in recognition if entry.state.name in states
-            )
             scope_names[activity.name] = (states, frozenset(activity.actions))
         return _Index(
             owners={name: tuple(acts) for name, acts in owners.items()},
             transitions=transitions,
-            recognition=tuple(recognition),
-            scope_recognition=scope_recognition,
             scope_names=scope_names,
         )
+
+    def _build_recognition(self) -> tuple[RecognitionEntry, ...]:
+        """Every state in name order with its parsed rule and lead feature.
+        Runs once in validate() and on each recognition_order() of an
+        unfrozen graph."""
+        entries = []
+        for name, state in sorted(self._by_concept[Concept.STATE].items()):
+            rule = self.rule(name)
+            entries.append(RecognitionEntry(state, rule, rule.clauses[0][0].feature))
+        return tuple(entries)
 
     def rule(self, state_name: str) -> RuleExpr:
         if state_name not in self._rule_cache:
@@ -709,11 +704,12 @@ class KnowledgeGraph:
 
         if problems:
             raise GraphValidationError(problems)
+        self._recognition = self._build_recognition()
         self._index = self._build_index()
 
     @property
     def effects(self) -> list[Effect]:
-        return list(self._by_class[Effect].values())
+        return self.by_concept(Concept.EFFECT)
 
 
 def match_triples(graph: KnowledgeGraph, pattern) -> list[tuple[str, str, str]]:

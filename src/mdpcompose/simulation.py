@@ -23,6 +23,7 @@ first comparison) is absent from the feature map. The skip is exact:
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -73,7 +74,7 @@ def _rule_holds(rule, features):
         return None  # not evaluable against this feature map
 
 
-def _first_match(entries: tuple[RecognitionEntry, ...], features) -> State | None:
+def _first_match(entries: Iterable[RecognitionEntry], features) -> State | None:
     """The first state whose rule holds. A state whose lead feature is
     unbound is skipped unevaluated: its rule would raise on that feature."""
     for state, rule, lead_feature in entries:
@@ -176,9 +177,11 @@ def _relabel(graph, target: State, features, scope: Activity | None) -> str:
     if pinned:
         features.update(pinned)
         return target.name
-    match = _first_match(
-        graph.recognition_order(scope.name if scope is not None else None), features
-    )
+    entries = graph.recognition_order()
+    if scope is not None:
+        states = graph.scope_names(scope.name)[0]
+        entries = (entry for entry in entries if entry.state.name in states)
+    match = _first_match(entries, features)
     return match.name if match is not None else UNKNOWN_STATE
 
 

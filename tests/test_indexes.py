@@ -18,9 +18,16 @@ from mdpcompose.errors import (
     UnknownSituationError,
 )
 from mdpcompose.json_io import from_json, to_json
-from mdpcompose.kg import Concept, KnowledgeGraph
+from mdpcompose.kg import Concept, KnowledgeGraph, State
 from mdpcompose.rules import parse_rule
-from mdpcompose.simulation import SimState, initial_features, make_simulation, recognize_state
+from mdpcompose.simulation import (
+    UNKNOWN_STATE,
+    SimState,
+    _relabel,
+    initial_features,
+    make_simulation,
+    recognize_state,
+)
 from mdpcompose.store import recognize_across
 
 # --- reference scans: the lookups as they were before the indexes --------
@@ -36,18 +43,42 @@ def _reference_activities_of_state(graph, state_name):
     ]
 
 
+def _reference_holds(state, features):
+    try:
+        return parse_rule(state.expression).evaluate(features)
+    except (MissingFeatureError, EvaluationError):
+        return None
+
+
 def _reference_recognize(graph, features):
     """Every state in name order, each rule evaluated; the first that
     holds wins."""
     states = sorted(_reference_by_concept(graph, Concept.STATE), key=lambda s: s.name)
     for state in states:
-        try:
-            holds = parse_rule(state.expression).evaluate(features)
-        except (MissingFeatureError, EvaluationError):
-            continue
-        if holds:
+        if _reference_holds(state, features):
             return state
     raise UnknownSituationError("observed features match no known state")
+
+
+def _reference_relabel(graph, target, features, scope):
+    """The label after a transition into ``target``: the target when its
+    rule holds or pins values, else the first state of the scope (or of the
+    graph) in name order whose rule holds."""
+    if _reference_holds(target, features):
+        return target.name
+    pinned = parse_rule(target.expression).pinned_values()
+    if pinned:
+        features.update(pinned)
+        return target.name
+    candidates = (
+        [graph.get(s) for s in scope.states]
+        if scope is not None
+        else _reference_by_concept(graph, Concept.STATE)
+    )
+    for state in sorted(candidates, key=lambda s: s.name):
+        if _reference_holds(state, features):
+            return state.name
+    return UNKNOWN_STATE
 
 
 # --- fuzzed graphs with richer rules -------------------------------------
@@ -176,11 +207,6 @@ def test_activities_of_state_equals_the_activity_scan(seed):
             graph.activities_of_state(name), _reference_activities_of_state(graph, name)
         )
     for activity in graph.activities:
-        states = sorted(
-            (graph.get(s) for s in set(activity.states)), key=lambda s: s.name
-        )
-        entries = graph.recognition_order(activity.name)
-        assert _identical([e.state for e in entries], states)
         assert graph.scope_names(activity.name) == (
             set(activity.states),
             set(activity.actions),
@@ -224,10 +250,9 @@ def test_unfrozen_graph_gives_the_same_answers(seed, data):
                 loose.transitions_from(state.name, action.name),
                 graph.transitions_from(state.name, action.name),
             )
-    for name in [None] + [a.name for a in graph.activities]:
-        assert [e.state for e in loose.recognition_order(name)] == [
-            e.state for e in graph.recognition_order(name)
-        ]
+    assert loose.recognition_order() == graph.recognition_order()
+    for activity in graph.activities:
+        assert loose.scope_names(activity.name) == graph.scope_names(activity.name)
     for features in _feature_maps(data, graph, 8):
         assert _outcome(lambda f: recognize_state(loose, f), features) == _outcome(
             lambda f: recognize_state(graph, f), features
@@ -243,6 +268,39 @@ def test_unfrozen_graph_gives_the_same_answers(seed, data):
             continue
         for action in [rng.choice(actions) for _ in range(10)]:
             assert _outcome(frozen[1], action) == _outcome(unfrozen[1], action)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.data())
+def test_relabel_equals_the_scoped_sorted_scan(seed, data):
+    graph = fuzzed_graph(seed)
+    maps = _feature_maps(data, graph, 4)
+    for entry in graph.recognition_order():
+        maps.append(dict(entry.rule.pinned_values()))
+    for scope in [None] + graph.activities:
+        for target in graph.states if scope is None else map(graph.get, scope.states):
+            for features in maps:
+                got, want = dict(features), dict(features)
+                assert _outcome(_relabel, graph, target, got, scope) == _outcome(
+                    _reference_relabel, graph, target, want, scope
+                )
+                assert got == want
+
+
+def test_unfrozen_lookups_need_no_parsable_rules():
+    graph = unfrozen_copy(fuzzed_graph(0))
+    state = graph.states[0]
+    graph.add(State(name="NoRule", observation_features=list(state.observation_features)))
+    for transition in graph.transitions:
+        key = transition.previous_state, transition.action
+        assert graph.transitions_from(*key) == [
+            t for t in graph.transitions if (t.previous_state, t.action) == key
+        ]
+    assert graph.activities_of_state(state.name) == _reference_activities_of_state(
+        graph, state.name
+    )
+    activity = graph.activities[0]
+    assert graph.scope_names(activity.name)[0] == set(activity.states)
 
 
 # --- concurrent readers --------------------------------------------------
