@@ -6,9 +6,13 @@ candidate (each with its own simulation closure over a snapshot of the
 current state), and keeps the reward-maximising outcome. The agents of a
 round run one after another in candidate order: an agent step is pure
 Python, so under the GIL threads would add overhead and no parallelism.
-When no candidate improves the reward the radius grows by a fixed step; a
-commit resets it. The loop ends at a goal state and returns the ranked
-policy table together with a trace of every round.
+When no candidate improves the reward the radius grows by a fixed step, up
+to the radius cap, which is tried itself even when the steps skip it; a
+commit resets it. An agent is a pure function of (state, action), so a
+candidate that an earlier round already simulated from the same state reuses
+that result instead of running again; the trace still counts it in every
+round it was a candidate. The loop ends at a goal state and returns the
+ranked policy table together with a trace of every round.
 """
 
 from __future__ import annotations
@@ -137,6 +141,7 @@ def compose(
     committed_actions: list[str] = []
     committed_rewards: list[float] = []
     alternatives: dict[tuple[str, ...], tuple[tuple[float, ...], float]] = {}
+    simulated: dict[str, AgentResult] = {}  # action -> result from `current`
     radius = cfg.max_distance
 
     while not current.is_goal:
@@ -151,22 +156,27 @@ def compose(
         )
         trace.rounds.append(round_record)
 
-        results = [
-            _run_agent(graph, current, sim_cfg, action, distance)
-            for action, distance in candidates
-        ]
+        results = []
+        for action, distance in candidates:
+            result = simulated.get(action)
+            if result is None:
+                result = simulated[action] = _run_agent(graph, current, sim_cfg, action, distance)
+            results.append(result)
         trace.agent_steps += len(results)
         trace.wrong_decisions += sum(1 for r in results if r.state.reward < current.reward)
         round_record.results = [(r.action, r.state.reward) for r in results]
 
         best = select_best(results) if results else None
         if best is None or best.state.reward <= current.reward:
-            radius += cfg.radius_step
-            if radius > cfg.radius_cap + 1e-12:
-                raise CompositionFailureError(
-                    f"no reward-improving action within radius cap "
-                    f"{cfg.radius_cap} from state {current.state_label!r}"
-                )
+            grown = radius + cfg.radius_step
+            if grown > cfg.radius_cap + 1e-12:
+                if radius >= cfg.radius_cap - 1e-12:
+                    raise CompositionFailureError(
+                        f"no reward-improving action within radius cap "
+                        f"{cfg.radius_cap} from state {current.state_label!r}"
+                    )
+                grown = cfg.radius_cap  # the steps skip the cap: try it once
+            radius = grown
             continue
 
         for result in results:
@@ -181,6 +191,7 @@ def compose(
         committed_actions.append(best.action)
         committed_rewards.append(best.state.reward)
         current = best.state
+        simulated.clear()
         radius = cfg.max_distance
 
     trace.cumulative_reward = sum(committed_rewards)

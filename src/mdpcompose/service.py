@@ -8,9 +8,16 @@ MAX_BODY_BYTES get 413, and any other failure gets 500. A body that stalls
 for _Handler.timeout seconds counts as malformed. GET /health
 reports readiness. Shared graphs and embeddings are read-only; every
 request composes with fresh closures, so requests never interleave state.
-Each request is composed on its own handler thread, whose ensemble agents
-run one after another: agent steps are pure Python, so under the GIL more
-threads per request would add overhead and no parallelism.
+
+The server speaks HTTP/1.1 with persistent connections: one handler thread
+serves every request of a connection, one after another, and closes it when
+the client asks to or after _Handler.timeout seconds without a request.
+A response after which the connection may still hold unread bytes of the
+request (404 on POST, 413, the 400 for a malformed body, a GET with a
+Content-Length, and any request framed by Transfer-Encoding) says
+"Connection: close" and ends the connection. A request's ensemble agents run one after another on its
+handler thread: agent steps are pure Python, so under the GIL more threads
+per request would add overhead and no parallelism.
 """
 
 from __future__ import annotations
@@ -81,40 +88,49 @@ class PolicyService:
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "mdpcompose/0.1"
+    protocol_version = "HTTP/1.1"
+    # the head and the body go out in two sends; with Nagle's algorithm the
+    # second waits for the client's delayed ACK
+    disable_nagle_algorithm = True
     # seconds one socket read or write may block; a stalled body gets a 400,
-    # a stalled request line or reply closes the connection
+    # a stalled request line or reply and an idle connection close it
     timeout = 10
 
-    def _send(self, status: int, payload: bytes):
+    def _send(self, status: int, payload: bytes, close: bool = False):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if close or "Transfer-Encoding" in self.headers:
+            # unread request bytes may follow: the stream cannot carry the
+            # next request, and the client must not send one on it
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
-    def _send_json(self, status: int, document):
-        self._send(status, json.dumps(document, separators=(",", ":")).encode("utf-8"))
+    def _send_json(self, status: int, document, close: bool = False):
+        self._send(status, json.dumps(document, separators=(",", ":")).encode("utf-8"), close)
 
     def do_GET(self):
+        close = "Content-Length" in self.headers  # a GET body is never read
         if self.path == "/health":
-            self._send_json(200, {"status": "ok"})
+            self._send_json(200, {"status": "ok"}, close)
         else:
-            self._send_json(404, {"reason": "not found"})
+            self._send_json(404, {"reason": "not found"}, close)
 
     def do_POST(self):
         if self.path != "/policies":
-            self._send_json(404, {"reason": "not found"})
+            self._send_json(404, {"reason": "not found"}, close=True)
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
             if length < 0:
                 raise ValueError("negative Content-Length")
             if length > MAX_BODY_BYTES:
-                self._send_json(413, {"reason": "request body too large"})
+                self._send_json(413, {"reason": "request body too large"}, close=True)
                 return
             body = json.loads(self.rfile.read(length) or b"")
         except (ValueError, json.JSONDecodeError, TimeoutError):
-            self._send_json(400, {"reason": "malformed request body"})
+            self._send_json(400, {"reason": "malformed request body"}, close=True)
             return
         service: PolicyService = self.server.policy_service
         try:

@@ -1,8 +1,11 @@
 """Distance and neighborhood queries over trained entity embeddings.
 
-The neighborhood search is a plain linear scan over the action rows; at the
-vocabulary sizes this system works with (a few thousand entities) that is
-sub-millisecond and needs no index.
+The neighborhood search computes the distances to every action row in one
+array expression, then builds result tuples only for the actions inside the
+radius. The action rows, their norms, their names and each name's rank in
+string order are gathered once, when the space is built; a space is never
+modified afterwards. At the vocabulary sizes this system works with (a few
+thousand entities) a full scan is tens of microseconds and needs no index.
 """
 
 from __future__ import annotations
@@ -32,8 +35,15 @@ class EmbeddingSpace:
         self.vocab = vocab
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self.metric = metric
-        self._action_indices = np.array(vocab.indices_of(Concept.ACTION), dtype=np.int64)
         self._norms = np.linalg.norm(self.matrix, axis=1)
+        action_indices = np.array(vocab.indices_of(Concept.ACTION), dtype=np.int64)
+        self._action_rows = self.matrix[action_indices]
+        self._action_norms = self._norms[action_indices]
+        names = self._action_names = [vocab.name(i) for i in action_indices.tolist()]
+        # rank of each action name in string order: sorting on (distance,
+        # rank) is sorting on (distance, name)
+        self._name_rank = np.empty(len(names), dtype=np.int64)
+        self._name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
 
     def vector(self, name: str) -> np.ndarray:
         return self.matrix[self.vocab.index(name)]
@@ -58,27 +68,24 @@ class EmbeddingSpace:
             raise UnknownSituationError(
                 f"state {state_name!r} has no embedding; request rejected"
             ) from None
-        if len(self._action_indices) == 0:
+        if not self._action_names:
             return []
         query = self.matrix[idx]
-        rows = self.matrix[self._action_indices]
+        rows = self._action_rows
         if self.metric is Metric.EUCLIDEAN:
             distances = np.linalg.norm(rows - query, axis=1)
         else:
             qn = self._norms[idx]
             if qn == 0.0:
                 raise ValueError("cosine distance is undefined for zero-norm vectors")
-            norms = self._norms[self._action_indices]
+            norms = self._action_norms
             with np.errstate(divide="ignore", invalid="ignore"):
                 distances = 1.0 - (rows @ query) / (norms * qn)
             distances[norms == 0.0] = np.inf  # zero vectors are never neighbors
-        hits = [
-            (self.vocab.name(int(ai)), float(d))
-            for ai, d in zip(self._action_indices, distances)
-            if d <= radius
-        ]
-        hits.sort(key=lambda pair: (pair[1], pair[0]))
-        return hits
+        hits = np.flatnonzero(distances <= radius)
+        hits = hits[np.lexsort((self._name_rank[hits], distances[hits]))]
+        names = self._action_names
+        return [(names[i], d) for i, d in zip(hits.tolist(), distances[hits].tolist())]
 
 
 def load_tsv(path_vectors, path_metadata, metric: Metric = Metric.COSINE_DISTANCE) -> EmbeddingSpace:

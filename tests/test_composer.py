@@ -1,17 +1,22 @@
 import json
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import make_random_graph
+from mdpcompose import composer
 from mdpcompose.composer import (
     AgentResult,
     ComposerConfig,
+    _run_agent,
     compose,
     policy_table_json,
     select_best,
 )
-from mdpcompose.embedding import Vocabulary
+from mdpcompose.embedding import Vocabulary, build_vocabulary
 from mdpcompose.errors import CompositionFailureError, UnknownSituationError
 from mdpcompose.kg import (
     Action,
@@ -26,7 +31,7 @@ from mdpcompose.kg import (
     State,
     Transition,
 )
-from mdpcompose.simulation import SimState, initial_features
+from mdpcompose.simulation import SimConfig, SimState, initial_features, start_state
 from mdpcompose.space import EmbeddingSpace
 from mdpcompose.vhome import action_sequence
 
@@ -111,6 +116,71 @@ def test_no_state_leaks_between_compositions(graphs, desk_space):
         tables.append(policy_table_json(table))
     assert tables[0] == tables[2]
     assert tables[0] != tables[1]
+
+
+# --- one agent per (commit, action) --------------------------------------
+
+
+def _repeated_candidates(trace) -> int:
+    """Candidates that an earlier round since the last commit already had."""
+    repeats, seen = 0, set()
+    for rnd in trace.rounds:
+        repeats += sum(1 for action, _ in rnd.results if action in seen)
+        seen.update(action for action, _ in rnd.results)
+        if rnd.committed:
+            seen = set()
+    return repeats
+
+
+def _check_against_fresh_agents(graph, start, trace, sim_cfg):
+    """Replay the trace with a fresh agent for every candidate of every
+    round: results, winners and commits must be those of the traced run."""
+    current, _ = start_state(graph, start)
+    for rnd in trace.rounds:
+        fresh = [_run_agent(graph, current, sim_cfg, a, d) for a, d in rnd.candidates]
+        assert rnd.results == [(r.action, r.state.reward) for r in fresh]
+        if rnd.committed:
+            best = select_best(fresh)
+            assert rnd.chosen == best.action
+            current = best.state
+    assert current.is_goal
+
+
+def _fuzzed_cases(graphs, desk_space):
+    for name, graph in graphs.items():
+        yield graph, desk_space, _start(graph, name), SimConfig()
+    for seed in range(40):
+        graph = make_random_graph(random.Random(seed))
+        vocab = build_vocabulary([graph])
+        space = EmbeddingSpace(vocab, np.random.default_rng(seed).normal(size=(len(vocab), 8)))
+        start = _start(graph, graph.activities[0].name)
+        for sim_cfg in (SimConfig(), SimConfig(stochastic=True, rng_seed=seed)):
+            yield graph, space, start, sim_cfg
+
+
+def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeypatch):
+    steps = Counter()
+    make = composer.make_simulation
+
+    def counting(graph, initial, cfg=None):
+        step = make(graph, initial, cfg)
+
+        def counted(action):
+            steps[initial.step_index, initial.state_label, action] += 1
+            return step(action)
+
+        return counted
+
+    reused = 0
+    for graph, space, start, sim_cfg in _fuzzed_cases(graphs, desk_space):
+        steps.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(composer, "make_simulation", counting)
+            _table, trace = compose(graph, space, start, sim_cfg=sim_cfg)
+        assert set(steps.values()) <= {1}
+        reused += _repeated_candidates(trace)
+        _check_against_fresh_agents(graph, start, trace, sim_cfg)
+    assert reused > 0  # some candidates did come back after the radius grew
 
 
 # --- crafted fixtures ----------------------------------------------------
@@ -333,35 +403,53 @@ def test_invalid_config_rejected():
 
 # --- properties over fuzzed graphs ---------------------------------------
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from conftest import make_random_graph
-from mdpcompose.embedding import build_vocabulary
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**6),
-    # radii that land on the cap, where every action is a candidate
-    st.sampled_from([(0.125, 0.125), (0.25, 0.25), (0.5, 0.25), (0.5, 0.5), (2.0, 0.25)]),
+    st.one_of(
+        # radii that land on the cap
+        st.sampled_from([(0.125, 0.125), (0.25, 0.25), (0.5, 0.25), (0.5, 0.5), (2.0, 0.25)]),
+        # radii whose steps skip the cap, so only the cap itself reaches
+        # every action
+        st.tuples(st.floats(min_value=0.01, max_value=2.0), st.floats(min_value=0.05, max_value=1.0)),
+    ),
 )
 def test_composition_invariants_on_fuzzed_graphs(seed, radii):
     _check_composition_invariants(seed, *radii)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=CompositionFailureError,
-    reason="compose stops short of radius_cap when max_distance + k * radius_step "
-    "skips it (FOUND in CHANGES.md)",
-)
 def test_composition_reaches_a_radius_cap_off_the_step_grid():
     # radii 0.05, 0.30, ..., 1.80 never reach the cap of 2.0; A5608_5 lies
-    # at 1.842 from S5608_4_Done, so only the cap itself would find it
-    _check_composition_invariants(186, 0.05, 0.25)
+    # at 1.842 from S5608_4_Done, so only the cap itself finds it
+    trace = _check_composition_invariants(186, 0.05, 0.25)
+    assert 2.0 in trace.commit_radii
+
+
+def test_radius_cap_off_the_step_grid_is_tried_once_before_failing(monkeypatch):
+    radii = []
+    find = EmbeddingSpace.find_closest_actions
+
+    def recording(self, state_name, radius):
+        radii.append(radius)
+        return find(self, state_name, radius)
+
+    monkeypatch.setattr(EmbeddingSpace, "find_closest_actions", recording)
+    space = _space_with(
+        [
+            ("Ready", Concept.STATE, [1.0, 0.0]),
+            ("Pressed", Concept.STATE, [0.0, 1.0]),
+            ("Press_button_1", Concept.ACTION, [1.0, 0.0]),
+        ]
+    )
+    start = SimState(feature_values={"IsPressed": 0.0}, state_label="Ready")
+    cfg = ComposerConfig(max_distance=0.2, radius_step=0.25, radius_cap=0.5)
+    with pytest.raises(CompositionFailureError):
+        compose(_single_action_graph(goal_action="Unreachable_1"), space, start, cfg)
+    assert radii == [0.2, 0.45, 0.5]
 
 
 def _check_composition_invariants(seed, max_distance, radius_step):
@@ -381,11 +469,13 @@ def _check_composition_invariants(seed, max_distance, radius_step):
     assert table.rows[0].rank == 1
     assert table.rows[0].actions == tuple(r.chosen for r in committed)
     assert [row.rank for row in table.rows] == list(range(1, len(table.rows) + 1))
-    # radii only grow between commits and reset after each commit
+    # radii grow by one step, up to the cap, between commits and reset
+    # after each commit
     for previous, current in zip([None] + trace.rounds, trace.rounds):
         if previous is None or previous.committed:
             assert current.radius == max_distance
         else:
-            assert current.radius == pytest.approx(previous.radius + radius_step)
+            assert current.radius == pytest.approx(min(previous.radius + radius_step, cfg.radius_cap))
     assert trace.commit_radii == [r.radius for r in committed]
     assert trace.rounds[-1].committed
+    return trace

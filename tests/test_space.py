@@ -210,3 +210,122 @@ def test_watch_tv_space_matches_brute_force():
             space.find_closest_actions("InitialState_Watch_TV_49", radius),
             _brute_force(space, "InitialState_Watch_TV_49", radius),
         )
+
+
+# --- the array search against the comprehension it replaced ---------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+def _comprehension_reference(space, state_name, radius):
+    """``find_closest_actions`` as a per-call gather and a list
+    comprehension over every action, sorted on (distance, name)."""
+    try:
+        idx = space.vocab.index(state_name)
+    except UnknownEntityError:
+        raise UnknownSituationError(state_name) from None
+    action_indices = np.array(space.vocab.indices_of(Concept.ACTION), dtype=np.int64)
+    if len(action_indices) == 0:
+        return []
+    all_norms = np.linalg.norm(space.matrix, axis=1)
+    query = space.matrix[idx]
+    rows = space.matrix[action_indices]
+    if space.metric is Metric.EUCLIDEAN:
+        distances = np.linalg.norm(rows - query, axis=1)
+    else:
+        qn = all_norms[idx]
+        if qn == 0.0:
+            raise ValueError("cosine distance is undefined for zero-norm vectors")
+        norms = all_norms[action_indices]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            distances = 1.0 - (rows @ query) / (norms * qn)
+        distances[norms == 0.0] = np.inf
+    hits = [
+        (space.vocab.name(int(ai)), float(d))
+        for ai, d in zip(action_indices, distances)
+        if d <= radius
+    ]
+    hits.sort(key=lambda pair: (pair[1], pair[0]))
+    return hits
+
+
+@st.composite
+def _fuzzed_spaces(draw):
+    """Spaces whose action names sort differently from vocabulary order,
+    with duplicated rows (tied distances), zero rows and a zero query."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = draw(
+        st.lists(st.text(alphabet="aAbZ_9é", min_size=1, max_size=3), max_size=14, unique=True)
+    )
+    concepts = [
+        draw(st.sampled_from([Concept.ACTION, Concept.ACTION, Concept.STATE, Concept.ACTIVITY]))
+        for _ in names
+    ]
+    rows = [["Query", Concept.STATE]] + [[n, c] for n, c in zip(names, concepts) if n != "Query"]
+    dimension = draw(st.integers(1, 5))
+    matrix = rng.normal(size=(len(rows), dimension))
+    for k in range(1, len(rows)):
+        kind = draw(st.sampled_from(["random", "duplicate", "query", "zero"]))
+        if kind == "duplicate":
+            matrix[k] = matrix[draw(st.integers(1, len(rows) - 1))]
+        elif kind == "query":
+            matrix[k] = matrix[0]
+        elif kind == "zero":
+            matrix[k] = 0.0
+    if draw(st.integers(0, 3)) == 0:
+        matrix[0] = 0.0
+    metric = draw(st.sampled_from(list(Metric)))
+    return _space(rows, matrix, metric)
+
+
+_RADII = st.one_of(
+    st.sampled_from([0.0, -0.5, -1e-300, np.inf, np.nan]),
+    st.floats(min_value=0.0, max_value=6.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzzed_spaces(), _RADII)
+def test_array_search_equals_the_comprehension_exactly(space, radius):
+    try:
+        expected = _comprehension_reference(space, "Query", radius)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            space.find_closest_actions("Query", radius)
+        return
+    assert space.find_closest_actions("Query", radius) == expected
+
+
+def test_array_search_equals_the_comprehension_on_ties_and_name_order():
+    # vocabulary order a, B, A_2, C; string order A_2, B, C, a; a and B tie,
+    # A_2 and C are the zero row and a copy of the query
+    rows = [
+        ("S", Concept.STATE),
+        ("a", Concept.ACTION),
+        ("B", Concept.ACTION),
+        ("A_2", Concept.ACTION),
+        ("Other", Concept.ACTIVITY),
+        ("C", Concept.ACTION),
+    ]
+    matrix = [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
+    for metric in Metric:
+        space = _space(rows, matrix, metric)
+        for radius in (0.0, 0.5, 1.0, 1.5, 2.0, np.inf):
+            expected = _comprehension_reference(space, "S", radius)
+            assert space.find_closest_actions("S", radius) == expected
+        assert [n for n, _ in space.find_closest_actions("S", np.inf)] == ["C", "B", "a", "A_2"]
+        assert space.find_closest_actions("S", -1.0) == []
+        assert space.find_closest_actions("S", np.nan) == []
+
+
+def test_zero_norm_query_is_rejected_only_with_actions():
+    with_actions = _space([("S", Concept.STATE), ("A", Concept.ACTION)], [[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        with_actions.find_closest_actions("S", 1.0)
+    without = _space([("S", Concept.STATE), ("X", Concept.ACTIVITY)], [[0.0, 0.0], [1.0, 0.0]])
+    assert without.find_closest_actions("S", 1.0) == []
+    euclidean = _space(
+        [("S", Concept.STATE), ("A", Concept.ACTION)], [[0.0, 0.0], [1.0, 0.0]], Metric.EUCLIDEAN
+    )
+    assert euclidean.find_closest_actions("S", 1.0) == [("A", 1.0)]
