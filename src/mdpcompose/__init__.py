@@ -5,7 +5,7 @@ from .composer import ComposerConfig, PolicyTable, compose, policy_table_json
 from .embedding import TrainConfig, build_vocabulary, export_tsv, train
 from .hmm import HmmModel, LogRow, fit_hmm, hmm_to_kg, most_likely_next, viterbi_path
 from .json_io import from_json, to_json
-from .kg import KnowledgeGraph, match_triples
+from .kg import KnowledgeGraph
 from .simulation import SimConfig, SimState, make_simulation, recognize_state
 from .space import EmbeddingSpace, Metric, load_tsv
 from .turtle_io import parse_turtle, write_turtle
@@ -35,7 +35,6 @@ __all__ = [
     "load_corpus",
     "load_tsv",
     "make_simulation",
-    "match_triples",
     "most_likely_next",
     "parse_script",
     "parse_turtle",

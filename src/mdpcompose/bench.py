@@ -22,7 +22,6 @@ from .errors import CompositionFailureError, UnknownSituationError
 from .kg import KnowledgeGraph
 from .simulation import SimState, initial_features
 from .space import EmbeddingSpace
-from .vhome import VhCorpus, VhScript
 
 log = logging.getLogger(__name__)
 
@@ -50,23 +49,6 @@ class RunMetrics:
     success: bool
     sequence_length: int
     commit_radii: tuple[float, ...] = ()  # ENSEMBLE only: radius of each commit
-
-
-def stratified_sample(corpus: VhCorpus, per_category: int, seed: int) -> list[VhScript]:
-    """Pick ``per_category`` scripts per distinct sequence length, without
-    replacement, deterministically under the seed."""
-    import random
-
-    rng = random.Random(seed)
-    by_length: dict[int, list[VhScript]] = {}
-    for script in corpus.scripts:
-        by_length.setdefault(len(script.steps), []).append(script)
-    picked = []
-    for length in sorted(by_length):
-        bucket = sorted(by_length[length], key=lambda s: s.activity_name)
-        count = min(per_category, len(bucket))
-        picked.extend(rng.sample(bucket, count))
-    return picked
 
 
 def _cell_seed(base: int, activity: str, method: str, cap: int) -> int:

@@ -2,17 +2,21 @@
 
 Starting from a recognized state, each round finds the actions whose
 embeddings lie within the current search radius, spawns one agent per
-candidate (each with its own simulation closure over a snapshot of the
-current state), and keeps the reward-maximising outcome. The agents of a
-round run one after another in candidate order: an agent step is pure
-Python, so under the GIL threads would add overhead and no parallelism.
-When no candidate improves the reward the radius grows by a fixed step, up
-to the radius cap, which is tried itself even when the steps skip it; a
-commit resets it. An agent is a pure function of (state, action), so a
-candidate that an earlier round already simulated from the same state reuses
-that result instead of running again; the trace still counts it in every
-round it was a candidate. The loop ends at a goal state and returns the
-ranked policy table together with a trace of every round.
+candidate, and keeps the reward-maximising outcome. The state an agent
+starts from is validated once per commit, by ``start_state`` at the first
+candidate that the graph knows, so an invalid state fails at the same agent
+as a per-agent check would; each agent then steps its own copy of it with
+``step_state``. A candidate that makes no transition is charged the wrong-step
+penalty, and one absent from the graph is charged it without a simulation.
+The agents of a round run one after another in candidate order: an agent
+step is pure Python, so under the GIL threads would add overhead and no
+parallelism. When no candidate improves the reward the radius grows by a
+fixed step, up to the radius cap, which is tried itself even when the steps
+skip it; a commit resets it. An agent is a pure function of (state, action),
+so a candidate that an earlier round already simulated from the same state
+reuses that result instead of running again; the trace still counts it in
+every round it was a candidate. The loop ends at a goal state and returns
+the ranked policy table together with a trace of every round.
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ from dataclasses import dataclass, field
 
 from .errors import CompositionFailureError
 from .kg import KnowledgeGraph
-from .simulation import SimConfig, SimState, make_simulation, start_state, wrong_step
+from .simulation import (
+    SimConfig,
+    SimState,
+    scope_names,
+    start_state,
+    step_limit,
+    step_state,
+    wrong_step,
+)
 from .space import EmbeddingSpace
 
 
@@ -108,14 +120,6 @@ def select_best(results: list[AgentResult]) -> AgentResult:
     return min(results, key=lambda r: (-r.state.reward, r.distance, r.action))
 
 
-def _run_agent(graph, current: SimState, sim_cfg, action: str, distance: float) -> AgentResult:
-    if graph.find(action) is None:
-        # action known to the embedding space but absent from this activity
-        # graph: penalized exactly like a transition-less action
-        return AgentResult(action, distance, wrong_step(current.clone(), sim_cfg))
-    return AgentResult(action, distance, make_simulation(graph, current, sim_cfg)(action))
-
-
 def compose(
     graph: KnowledgeGraph,
     space: EmbeddingSpace,
@@ -132,7 +136,12 @@ def compose(
     cfg = cfg or ComposerConfig()
     sim_cfg = sim_cfg or SimConfig()
 
-    current, _scope = start_state(graph, initial_state)
+    current, scope = start_state(graph, initial_state)
+    # what the agents step from: the validated state, its scope and their
+    # names. After a commit it is None until the first candidate found in
+    # the graph validates the new state, so an invalid one fails there.
+    start = current, scope, scope_names(graph, scope)
+    max_steps = step_limit(graph, sim_cfg)
 
     budget = cfg.step_budget if cfg.step_budget is not None else 50 * max(
         1, len(graph.states)
@@ -160,7 +169,19 @@ def compose(
         for action, distance in candidates:
             result = simulated.get(action)
             if result is None:
-                result = simulated[action] = _run_agent(graph, current, sim_cfg, action, distance)
+                if graph.find(action) is None:
+                    # known to the embedding space but absent from this
+                    # activity graph: penalized like a transition-less action
+                    state = wrong_step(current.clone(), sim_cfg)
+                else:
+                    if start is None:
+                        validated, scope = start_state(graph, current)
+                        start = validated, scope, scope_names(graph, scope)
+                    validated, scope, names = start
+                    state = step_state(
+                        graph, validated.clone(), action, sim_cfg, scope, names, max_steps
+                    )
+                result = simulated[action] = AgentResult(action, distance, state)
             results.append(result)
         trace.agent_steps += len(results)
         trace.wrong_decisions += sum(1 for r in results if r.state.reward < current.reward)
@@ -191,6 +212,7 @@ def compose(
         committed_actions.append(best.action)
         committed_rewards.append(best.state.reward)
         current = best.state
+        start = None
         simulated.clear()
         radius = cfg.max_distance
 

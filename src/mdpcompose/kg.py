@@ -545,15 +545,6 @@ class KnowledgeGraph:
         out.sort()
         return out
 
-    def match(self, subject=None, predicate=None, obj=None) -> list[tuple[str, str, str]]:
-        return [
-            t
-            for t in self.triples()
-            if (subject is None or t[0] == subject)
-            and (predicate is None or t[1] == predicate)
-            and (obj is None or t[2] == obj)
-        ]
-
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
@@ -710,12 +701,6 @@ class KnowledgeGraph:
     @property
     def effects(self) -> list[Effect]:
         return self.by_concept(Concept.EFFECT)
-
-
-def match_triples(graph: KnowledgeGraph, pattern) -> list[tuple[str, str, str]]:
-    """Triple pattern matching; None components act as wildcards."""
-    subject, predicate, obj = pattern
-    return graph.match(subject, predicate, obj)
 
 
 def isomorphic(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:

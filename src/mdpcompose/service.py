@@ -7,7 +7,8 @@ the radius cap are rejected with 422; malformed bodies get 400, bodies over
 MAX_BODY_BYTES get 413, and any other failure gets 500. A body that stalls
 for _Handler.timeout seconds counts as malformed. GET /health
 reports readiness. Shared graphs and embeddings are read-only; every
-request composes with fresh closures, so requests never interleave state.
+request composes on its own copies of the state, so requests never
+interleave state.
 
 The server speaks HTTP/1.1 with persistent connections: one handler thread
 serves every request of a connection, one after another, and closes it when

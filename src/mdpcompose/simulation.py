@@ -1,13 +1,15 @@
-"""Per-agent activity simulation closures.
+"""Activity simulation: a validated start state and a plain step function.
 
-``make_simulation`` returns a step function that captures the graph and a
-mutable state snapshot. Each call performs one action: it looks up the
-matching transition for (current state label, action), applies the action's
-effects, re-derives the state label and updates the running reward
-(+increment for a matched transition, -increment otherwise). Closures are
-single-owner; any number of them can read the same frozen graph.
-``start_state`` validates a starting state and ``wrong_step`` charges the
-penalty for a step that makes no transition; the composer uses both.
+``start_state`` validates a starting state once and names the activity that
+scopes its steps. ``step_state`` performs one action on a state in place: it
+looks up the matching transition for (current state label, action), applies
+the action's effects, re-derives the state label and updates the running
+reward (+increment for a matched transition, -increment otherwise);
+``wrong_step`` charges that penalty for a step that makes no transition. The
+composer steps a clone of one validated state per agent; ``make_simulation``
+wraps the same pair in a closure that owns its state across steps, for the
+DQN baseline and single walks. Any number of callers can read the same
+frozen graph.
 
 Lookups read the indexes a graph builds when it freezes (see ``kg``): the
 owning activity of a state, the transitions by (state, action), each
@@ -230,71 +232,102 @@ def wrong_step(state: SimState, cfg: SimConfig) -> SimState:
     return state
 
 
+def step_limit(graph: KnowledgeGraph, cfg: SimConfig) -> int:
+    """The step index at which a walk stops: ``cfg.max_steps``, or 50 steps
+    per state of the graph."""
+    return cfg.max_steps if cfg.max_steps is not None else 50 * max(1, len(graph.states))
+
+
+ScopeNames = tuple[frozenset[str], frozenset[str]]
+
+
+def scope_names(graph: KnowledgeGraph, scope: Activity | None) -> ScopeNames | None:
+    """The (state names, action names) that filter the transitions of a
+    scoped walk, or None for an unscoped one."""
+    return graph.scope_names(scope.name) if scope is not None else None
+
+
+def step_state(
+    graph: KnowledgeGraph,
+    state: SimState,
+    performed_action: str,
+    cfg: SimConfig,
+    scope: Activity | None,
+    names: ScopeNames | None,
+    max_steps: int,
+    rng: random.Random | None = None,
+) -> SimState:
+    """Perform one action on ``state``, which must come from ``start_state``
+    (or from earlier steps on it). Mutates and returns ``state``.
+
+    ``scope`` and ``names`` are the activity from ``start_state`` and its
+    ``scope_names``; ``max_steps`` is ``step_limit``. A stochastic step
+    draws from ``rng``, or from a fresh ``random.Random(cfg.rng_seed)``
+    when it is None. Raises ActivityTerminatedError in a final state,
+    StepLimitExceededError at the step limit and UnknownEntityError for a
+    name that is not an action, in that order.
+    """
+    if state.is_final:
+        raise ActivityTerminatedError(f"activity terminated in state {state.state_label!r}")
+    if state.step_index >= max_steps:
+        raise StepLimitExceededError(f"exceeded {max_steps} steps")
+    entity = graph.find(performed_action)
+    if not isinstance(entity, Action):
+        raise UnknownEntityError(f"unknown action {performed_action!r}")
+
+    matching = graph.transitions_from(state.state_label, performed_action)
+    if names is not None:
+        scope_states, scope_actions = names
+        matching = [
+            t for t in matching if t.next_state in scope_states and t.action in scope_actions
+        ]
+    if not matching:
+        return wrong_step(state, cfg)
+    if cfg.stochastic:
+        if rng is None:
+            rng = random.Random(cfg.rng_seed)
+        ordered = sorted(matching, key=lambda t: t.next_state)
+        draw = rng.random()
+        cumulative = 0.0
+        chosen = ordered[-1]
+        for t in ordered:
+            cumulative += t.probability
+            if draw < cumulative:
+                chosen = t
+                break
+    else:
+        chosen = min(matching, key=lambda t: (-t.probability, t.next_state))
+    target = graph.get(chosen.next_state)
+    for effect_name in entity.effects:
+        _apply_effect(graph, graph.get(effect_name), state.feature_values)
+    state.state_label = _relabel(graph, target, state.feature_values, scope)
+    matched = graph.find(state.state_label)
+    if scope is None or not scope.is_sequential:
+        state.reward += matched.reward if isinstance(matched, State) else 0.0
+    else:
+        state.reward += cfg.reward_increment
+    if isinstance(matched, State):
+        state.is_goal = bool(matched.is_goal)
+        state.is_final = bool(matched.is_final_state)
+    state.step_index += 1
+    return state
+
+
 def make_simulation(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None = None):
     """Create a simulation closure over (graph, state snapshot).
 
     The initial state must pass ``start_state``. The returned callable takes
-    an action name and returns the updated state snapshot.
+    an action name, performs it with ``step_state`` on the closure's own
+    state and returns a copy of the updated state.
     """
     cfg = cfg or SimConfig()
     state, scope = start_state(graph, initial)
-    if scope is not None:
-        scope_states, scope_actions = graph.scope_names(scope.name)
-    else:
-        scope_states = scope_actions = None
-
-    max_steps = cfg.max_steps if cfg.max_steps is not None else 50 * max(
-        1, len(graph.states)
-    )
+    names = scope_names(graph, scope)
+    max_steps = step_limit(graph, cfg)
     # deterministic steps never draw, so only a stochastic closure seeds one
     rng = random.Random(cfg.rng_seed) if cfg.stochastic else None
 
     def step(performed_action: str) -> SimState:
-        if state.is_final:
-            raise ActivityTerminatedError(
-                f"activity terminated in state {state.state_label!r}"
-            )
-        if state.step_index >= max_steps:
-            raise StepLimitExceededError(f"exceeded {max_steps} steps")
-        entity = graph.find(performed_action)
-        if not isinstance(entity, Action):
-            raise UnknownEntityError(f"unknown action {performed_action!r}")
-
-        matching = graph.transitions_from(state.state_label, performed_action)
-        if scope_states is not None:
-            matching = [
-                t
-                for t in matching
-                if t.next_state in scope_states and t.action in scope_actions
-            ]
-        if not matching:
-            return wrong_step(state, cfg).clone()
-        if rng is not None:
-            ordered = sorted(matching, key=lambda t: t.next_state)
-            draw = rng.random()
-            cumulative = 0.0
-            chosen = ordered[-1]
-            for t in ordered:
-                cumulative += t.probability
-                if draw < cumulative:
-                    chosen = t
-                    break
-        else:
-            chosen = min(matching, key=lambda t: (-t.probability, t.next_state))
-        target = graph.get(chosen.next_state)
-        for effect_name in entity.effects:
-            _apply_effect(graph, graph.get(effect_name), state.feature_values)
-        state.state_label = _relabel(graph, target, state.feature_values, scope)
-        matched = graph.find(state.state_label)
-        if scope is None or not scope.is_sequential:
-            gained = matched.reward if isinstance(matched, State) else 0.0
-            state.reward += gained
-        else:
-            state.reward += cfg.reward_increment
-        if isinstance(matched, State):
-            state.is_goal = bool(matched.is_goal)
-            state.is_final = bool(matched.is_final_state)
-        state.step_index += 1
-        return state.clone()
+        return step_state(graph, state, performed_action, cfg, scope, names, max_steps, rng).clone()
 
     return step

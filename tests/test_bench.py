@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from mdpcompose.bench import (
@@ -9,47 +7,9 @@ from mdpcompose.bench import (
     RunMetrics,
     mean_commit_radius,
     run_benchmark,
-    stratified_sample,
 )
 from mdpcompose.composer import ComposerConfig
 from mdpcompose.dqn import DqnConfig
-from mdpcompose.vhome import VhCorpus, VhScript, VhStep
-
-
-def _script(name, length):
-    return VhScript(name, "x", [VhStep("Walk", f"obj_{k}", 1) for k in range(length)])
-
-
-def test_stratified_sample_enumeration_oracle():
-    corpus = VhCorpus(scripts=[_script("A", 2), _script("B", 2), _script("C", 5)])
-    picked = stratified_sample(corpus, per_category=1, seed=3)
-    assert len(picked) == 2
-    lengths = sorted(len(s.steps) for s in picked)
-    assert lengths == [2, 5]
-    assert picked[0].activity_name in {"A", "B"}
-    assert picked[1].activity_name == "C"
-    # oracle: the sample is a member of the cross product of the buckets
-    combos = {(a, "C") for a in ("A", "B")}
-    assert (picked[0].activity_name, picked[1].activity_name) in combos
-
-
-def test_stratified_sample_deterministic_under_seed():
-    corpus = VhCorpus(scripts=[_script(f"S{k}", 2 + (k % 3)) for k in range(9)])
-    a = [s.activity_name for s in stratified_sample(corpus, 2, seed=11)]
-    b = [s.activity_name for s in stratified_sample(corpus, 2, seed=11)]
-    c = [s.activity_name for s in stratified_sample(corpus, 2, seed=12)]
-    assert a == b
-    assert a != c or len(set(itertools.chain(a, c))) <= 6
-
-
-def test_stratified_sample_category_smaller_than_requested():
-    corpus = VhCorpus(scripts=[_script("A", 2), _script("B", 5)])
-    picked = stratified_sample(corpus, per_category=4, seed=0)
-    assert {s.activity_name for s in picked} == {"A", "B"}
-
-
-def test_stratified_sample_empty_corpus():
-    assert stratified_sample(VhCorpus(), per_category=1, seed=0) == []
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -5,19 +6,30 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_graph
 from mdpcompose import composer
 from mdpcompose.composer import (
     AgentResult,
     ComposerConfig,
-    _run_agent,
+    CompositionTrace,
+    PolicyRow,
+    PolicyTable,
+    TraceRound,
     compose,
     policy_table_json,
     select_best,
 )
 from mdpcompose.embedding import Vocabulary, build_vocabulary
-from mdpcompose.errors import CompositionFailureError, UnknownSituationError
+from mdpcompose.errors import (
+    ActivityTerminatedError,
+    CompositionFailureError,
+    StepLimitExceededError,
+    UnknownEntityError,
+    UnknownSituationError,
+)
 from mdpcompose.kg import (
     Action,
     Activity,
@@ -31,7 +43,15 @@ from mdpcompose.kg import (
     State,
     Transition,
 )
-from mdpcompose.simulation import SimConfig, SimState, initial_features, start_state
+from mdpcompose.simulation import (
+    SimConfig,
+    SimState,
+    initial_features,
+    make_simulation,
+    start_state,
+    state_features,
+    wrong_step,
+)
 from mdpcompose.space import EmbeddingSpace
 from mdpcompose.vhome import action_sequence
 
@@ -132,6 +152,14 @@ def _repeated_candidates(trace) -> int:
     return repeats
 
 
+def _run_agent(graph, current: SimState, sim_cfg, action: str, distance: float) -> AgentResult:
+    """The reference agent: a fresh ``make_simulation`` closure, which
+    validates ``current`` itself, for every candidate in the graph."""
+    if graph.find(action) is None:
+        return AgentResult(action, distance, wrong_step(current.clone(), sim_cfg))
+    return AgentResult(action, distance, make_simulation(graph, current, sim_cfg)(action))
+
+
 def _check_against_fresh_agents(graph, start, trace, sim_cfg):
     """Replay the trace with a fresh agent for every candidate of every
     round: results, winners and commits must be those of the traced run."""
@@ -159,34 +187,172 @@ def _fuzzed_cases(graphs, desk_space):
 
 
 def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeypatch):
-    steps = Counter()
-    make = composer.make_simulation
+    validations = []  # one entry per start_state call: a commit's start
+    steps = Counter()  # (start_state calls so far, action) -> agent steps
+    validate, step = composer.start_state, composer.step_state
 
-    def counting(graph, initial, cfg=None):
-        step = make(graph, initial, cfg)
+    def counting_start(graph, initial):
+        validations.append(initial.state_label)
+        return validate(graph, initial)
 
-        def counted(action):
-            steps[initial.step_index, initial.state_label, action] += 1
-            return step(action)
+    def counting_step(graph, state, action, *args):
+        steps[len(validations), action] += 1
+        return step(graph, state, action, *args)
 
-        return counted
-
+    monkeypatch.setattr(composer, "start_state", counting_start)
+    monkeypatch.setattr(composer, "step_state", counting_step)
     reused = 0
     for graph, space, start, sim_cfg in _fuzzed_cases(graphs, desk_space):
+        validations.clear()
         steps.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(composer, "make_simulation", counting)
-            _table, trace = compose(graph, space, start, sim_cfg=sim_cfg)
-        assert set(steps.values()) <= {1}
+        _table, trace = compose(graph, space, start, sim_cfg=sim_cfg)
+        assert steps and set(steps.values()) == {1}
+        # the initial state, then the state of every commit but the last
+        assert len(validations) == max(1, len(trace.commit_radii))
         reused += _repeated_candidates(trace)
         _check_against_fresh_agents(graph, start, trace, sim_cfg)
     assert reused > 0  # some candidates did come back after the radius grew
 
 
+# --- the reference composition: a fresh closure per agent ----------------
+
+
+def _reference_compose(graph, space, initial_state, cfg=None, sim_cfg=None):
+    """``compose`` with every agent run by ``_run_agent``: a candidate's
+    start state is validated by its own ``make_simulation`` call."""
+    cfg = cfg or ComposerConfig()
+    sim_cfg = sim_cfg or SimConfig()
+    current, _ = start_state(graph, initial_state)
+    budget = cfg.step_budget if cfg.step_budget is not None else 50 * max(1, len(graph.states))
+    trace = CompositionTrace()
+    committed_actions, committed_rewards = [], []
+    alternatives = {}
+    simulated = {}
+    radius = cfg.max_distance
+    while not current.is_goal:
+        if trace.steps >= budget:
+            raise CompositionFailureError(f"step budget {budget} exhausted before reaching a goal")
+        trace.steps += 1
+        candidates = space.find_closest_actions(current.state_label, radius)
+        record = TraceRound(radius=radius, candidates=candidates, results=[], chosen=None, committed=False)
+        trace.rounds.append(record)
+        results = []
+        for action, distance in candidates:
+            if action not in simulated:
+                simulated[action] = _run_agent(graph, current, sim_cfg, action, distance)
+            results.append(simulated[action])
+        trace.agent_steps += len(results)
+        trace.wrong_decisions += sum(1 for r in results if r.state.reward < current.reward)
+        record.results = [(r.action, r.state.reward) for r in results]
+        best = select_best(results) if results else None
+        if best is None or best.state.reward <= current.reward:
+            grown = radius + cfg.radius_step
+            if grown > cfg.radius_cap + 1e-12:
+                if radius >= cfg.radius_cap - 1e-12:
+                    raise CompositionFailureError(
+                        f"no reward-improving action within radius cap "
+                        f"{cfg.radius_cap} from state {current.state_label!r}"
+                    )
+                grown = cfg.radius_cap
+            radius = grown
+            continue
+        for result in results:
+            if result is not best and result.state.is_goal:
+                actions = tuple(committed_actions) + (result.action,)
+                rewards = tuple(committed_rewards) + (result.state.reward,)
+                alternatives.setdefault(actions, (rewards, sum(rewards)))
+        record.chosen, record.committed = best.action, True
+        trace.commit_radii.append(radius)
+        committed_actions.append(best.action)
+        committed_rewards.append(best.state.reward)
+        current = best.state
+        simulated.clear()
+        radius = cfg.max_distance
+    trace.cumulative_reward = sum(committed_rewards)
+    rows = [(tuple(committed_actions), tuple(committed_rewards), trace.cumulative_reward)]
+    rows += [(a, r, c) for a, (r, c) in alternatives.items() if a != rows[0][0]]
+    rows.sort(key=lambda row: (-row[2], row[0]))
+    table = PolicyTable([PolicyRow(i + 1, a, r, c) for i, (a, r, c) in enumerate(rows)])
+    return table, trace
+
+
+def _outcome(run, *args, **kwargs):
+    """The policy JSON and the trace of a composition, or the type and
+    message of the error it raised."""
+    try:
+        table, trace = run(*args, **kwargs)
+    except Exception as exc:  # every error must match the reference's
+        return type(exc), str(exc)
+    return policy_table_json(table), trace
+
+
+def _assert_matches_reference(*args, **kwargs):
+    outcome = _outcome(compose, *args, **kwargs)
+    assert outcome == _outcome(_reference_compose, *args, **kwargs)
+    return outcome
+
+
+@pytest.mark.parametrize("stochastic", [False, True])
+def test_desk_compositions_match_the_reference(graphs, desk_space, stochastic):
+    sim_cfg = SimConfig(stochastic=stochastic, rng_seed=3)
+    composed = 0
+    for name, graph in graphs.items():
+        for state in graph.get(name).states:
+            start = SimState(feature_values=state_features(graph, state), state_label=state)
+            outcome = _assert_matches_reference(graph, desk_space, start, sim_cfg=sim_cfg)
+            composed += isinstance(outcome[0], str)
+    assert composed > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([0.125, 0.25, 0.5]),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+)
+def test_fuzzed_compositions_match_the_reference(seed, radius, stochastic, max_steps):
+    graph = make_random_graph(random.Random(seed))
+    vocab = build_vocabulary([graph])
+    space = EmbeddingSpace(vocab, np.random.default_rng(seed).normal(size=(len(vocab), 8)))
+    sim_cfg = SimConfig(stochastic=stochastic, rng_seed=seed, max_steps=max_steps)
+    cfg = ComposerConfig(max_distance=radius, radius_step=radius)
+    _assert_matches_reference(graph, space, _start(graph, graph.activities[0].name), cfg, sim_cfg)
+
+
+# --- the desk policy bytes ------------------------------------------------
+
+DESK_POLICY_SHA256 = "83870c8380050e0528ee8f20f387b0362078d5deaa547910c8d2103c44899b8d"
+
+
+def test_desk_policy_bytes_are_pinned(graphs, desk_space):
+    """Every state of the 12 desk activities, labelled and with its
+    features: the policy JSON, or the error's class, hashed in order."""
+    digest = hashlib.sha256()
+    for name in sorted(graphs):
+        graph = graphs[name]
+        for state in graph.get(name).states:
+            start = SimState(feature_values=state_features(graph, state), state_label=state)
+            try:
+                payload = policy_table_json(compose(graph, desk_space, start)[0])
+            except (
+                ActivityTerminatedError,
+                CompositionFailureError,
+                StepLimitExceededError,
+                UnknownEntityError,
+                UnknownSituationError,
+            ) as exc:
+                payload = type(exc).__name__
+            digest.update(f"{name}\t{state}\t{payload}\n".encode())
+    assert digest.hexdigest() == DESK_POLICY_SHA256
+
+
 # --- crafted fixtures ----------------------------------------------------
 
 
-def _single_action_graph(goal_action="Press_button_1"):
+def _single_action_graph(
+    goal_action="Press_button_1", pressed_expression="IsPressed == 1", pressed_goal=True
+):
     g = KnowledgeGraph()
     g.add(
         ObservationFeature(
@@ -202,8 +368,8 @@ def _single_action_graph(goal_action="Press_button_1"):
     )
     g.add(
         State(
-            name="Pressed", is_initial_state=False, is_final_state=True, is_goal=True,
-            reward=0.0, expression="IsPressed == 1", observation_features=["IsPressed"],
+            name="Pressed", is_initial_state=False, is_final_state=True, is_goal=pressed_goal,
+            reward=0.0, expression=pressed_expression, observation_features=["IsPressed"],
         )
     )
     g.add(Effect(name="SetPressed", target_features=["IsPressed"], impact_type=ImpactType.ON))
@@ -401,10 +567,75 @@ def test_invalid_config_rejected():
         ComposerConfig(max_distance=3.0, radius_cap=2.0)
 
 
-# --- properties over fuzzed graphs ---------------------------------------
+# --- error paths against the reference -----------------------------------
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+
+def _error_of(outcome):
+    assert not isinstance(outcome[0], str), "composition did not fail"
+    return outcome[0]
+
+
+def test_commit_onto_an_unrecognisable_state_fails_like_the_reference():
+    # Pressed's rule never holds after the ON effect and pins no value, so
+    # the commit lands on UNKNOWN; the space embeds that label, so the
+    # next round's agents must validate it and fail
+    g = _single_action_graph(pressed_expression="IsPressed > 5")
+    space = _space_with(
+        [
+            ("Ready", Concept.STATE, [1.0, 0.0]),
+            ("UNKNOWN", Concept.STATE, [1.0, 0.0]),
+            ("Foreign_action", Concept.ACTION, [1.0, 0.0]),
+            ("Press_button_1", Concept.ACTION, [0.999, 0.01]),
+        ]
+    )
+    start = SimState(feature_values={"IsPressed": 0.0}, state_label="Ready")
+    outcome = _assert_matches_reference(g, space, start)
+    assert outcome == (UnknownSituationError, "observed features match no known state")
+
+
+@pytest.mark.parametrize("max_steps", [None, 1])
+def test_commit_onto_a_final_non_goal_state_fails_like_the_reference(max_steps):
+    # at the step limit too: the terminated state is checked first
+    g = _single_action_graph(pressed_goal=False)
+    space = _space_with(
+        [
+            ("Ready", Concept.STATE, [1.0, 0.0]),
+            ("Pressed", Concept.STATE, [1.0, 0.0]),
+            ("Press_button_1", Concept.ACTION, [1.0, 0.0]),
+        ]
+    )
+    start = SimState(feature_values={"IsPressed": 0.0}, state_label="Ready")
+    outcome = _assert_matches_reference(g, space, start, sim_cfg=SimConfig(max_steps=max_steps))
+    assert _error_of(outcome) is ActivityTerminatedError
+
+
+def test_step_limit_fails_like_the_reference(graphs, desk_space):
+    g = graphs["Watch_TV_49"]
+    outcome = _assert_matches_reference(
+        g, desk_space, _start(g, "Watch_TV_49"), sim_cfg=SimConfig(max_steps=2)
+    )
+    assert _error_of(outcome) is StepLimitExceededError
+
+
+@pytest.mark.parametrize(
+    "max_steps, error", [(None, UnknownEntityError), (0, StepLimitExceededError)]
+)
+def test_candidate_naming_a_non_action_fails_like_the_reference(max_steps, error):
+    # at the step limit, the limit is checked before the action's name
+    g = _single_action_graph()
+    space = _space_with(
+        [
+            ("Ready", Concept.STATE, [1.0, 0.0]),
+            ("IsPressed", Concept.ACTION, [1.0, 0.0]),  # a feature in the graph
+            ("Press_button_1", Concept.ACTION, [0.999, 0.01]),
+        ]
+    )
+    start = SimState(feature_values={"IsPressed": 0.0}, state_label="Ready")
+    outcome = _assert_matches_reference(g, space, start, sim_cfg=SimConfig(max_steps=max_steps))
+    assert _error_of(outcome) is error
+
+
+# --- properties over fuzzed graphs ---------------------------------------
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,6 @@ from mdpcompose.kg import (
     KnowledgeGraph,
     Parameter,
     State,
-    match_triples,
 )
 from mdpcompose.turtle_io import parse_turtle
 
@@ -20,26 +19,6 @@ from mdpcompose.turtle_io import parse_turtle
 @pytest.fixture(scope="module")
 def watch_tv():
     return parse_turtle(WATCH_TV_49_TTL)
-
-
-def test_match_triples_has_action(watch_tv):
-    rows = match_triples(watch_tv, (None, "hasAction", None))
-    assert len(rows) >= 7
-    assert ("Watch_TV_49", "hasAction", "Walk_living_room_1") in rows
-    assert rows == sorted(rows)
-
-
-def test_match_triples_ground_pattern(watch_tv):
-    pattern = ("Watch_TV_49", "isSequential", "true")
-    assert match_triples(watch_tv, pattern) == [pattern]
-
-
-def test_match_triples_unknown_subject(watch_tv):
-    assert match_triples(watch_tv, ("Nope", None, None)) == []
-
-
-def test_all_wildcard_returns_every_triple(watch_tv):
-    assert match_triples(watch_tv, (None, None, None)) == watch_tv.triples()
 
 
 def test_get_unknown_entity(watch_tv):
@@ -205,18 +184,3 @@ def test_rule_and_equation_caches(watch_tv):
     rule = watch_tv.rule("InitialState_Watch_TV_49")
     assert rule is watch_tv.rule("InitialState_Watch_TV_49")
     assert rule.evaluate({f: 0 for f in rule.feature_names()})
-
-
-# --- property tests ------------------------------------------------------
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_wildcard_match_returns_full_triple_count(seed):
-    g = make_random_graph(random.Random(seed))
-    triples = g.triples()
-    assert match_triples(g, (None, None, None)) == triples
-    assert len(triples) == len(g.match())
