@@ -2,21 +2,22 @@
 
 Starting from a recognized state, each round finds the actions whose
 embeddings lie within the current search radius, spawns one agent per
-candidate, and keeps the reward-maximising outcome. The state an agent
-starts from is validated once per commit, by ``start_state`` at the first
+candidate, and keeps the reward-maximising outcome. The state the agents
+start from is validated once per commit, by ``start_state`` at the first
 candidate that the graph knows, so an invalid state fails at the same agent
-as a per-agent check would; each agent then steps its own copy of it with
-``step_state``. A candidate that makes no transition is charged the wrong-step
-penalty, and one absent from the graph is charged it without a simulation.
-The agents of a round run one after another in candidate order: an agent
-step is pure Python, so under the GIL threads would add overhead and no
-parallelism. When no candidate improves the reward the radius grows by a
-fixed step, up to the radius cap, which is tried itself even when the steps
-skip it; a commit resets it. An agent is a pure function of (state, action),
-so a candidate that an earlier round already simulated from the same state
-reuses that result instead of running again; the trace still counts it in
-every round it was a candidate. The loop ends at a goal state and returns
-the ranked policy table together with a trace of every round.
+as a per-agent check would. Each agent is then a ``make_simulation``
+closure over that validated ``Start`` and steps its own copy of the state.
+A candidate that makes no transition is charged the wrong-step penalty, and
+one absent from the graph is charged it without a simulation. The agents of
+a round run one after another in candidate order: an agent step is pure
+Python, so under the GIL threads would add overhead and no parallelism.
+When no candidate improves the reward the radius grows by a fixed step, up
+to the radius cap, which is tried itself even when the steps skip it; a
+commit resets it. An agent is a pure function of (state, action), so a
+candidate that an earlier round already simulated from the same state reuses
+that result instead of running again; the trace still counts it in every
+round it was a candidate. The loop ends at a goal state and returns the
+ranked policy table together with a trace of every round.
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import CompositionFailureError
 from .kg import KnowledgeGraph
-from .simulation import (
-    SimConfig,
-    SimState,
-    scope_names,
-    start_state,
-    step_limit,
-    step_state,
-    wrong_step,
-)
+from .simulation import SimConfig, SimState, make_simulation, start_state, wrong_step
 from .space import EmbeddingSpace
 
 
@@ -136,12 +129,11 @@ def compose(
     cfg = cfg or ComposerConfig()
     sim_cfg = sim_cfg or SimConfig()
 
-    current, scope = start_state(graph, initial_state)
-    # what the agents step from: the validated state, its scope and their
-    # names. After a commit it is None until the first candidate found in
-    # the graph validates the new state, so an invalid one fails there.
-    start = current, scope, scope_names(graph, scope)
-    max_steps = step_limit(graph, sim_cfg)
+    # what the agents start from: after a commit it is None until the first
+    # candidate found in the graph validates the new state, so an invalid
+    # one fails there
+    start = start_state(graph, initial_state, sim_cfg)
+    current = start.state
 
     budget = cfg.step_budget if cfg.step_budget is not None else 50 * max(
         1, len(graph.states)
@@ -175,12 +167,8 @@ def compose(
                     state = wrong_step(current.clone(), sim_cfg)
                 else:
                     if start is None:
-                        validated, scope = start_state(graph, current)
-                        start = validated, scope, scope_names(graph, scope)
-                    validated, scope, names = start
-                    state = step_state(
-                        graph, validated.clone(), action, sim_cfg, scope, names, max_steps
-                    )
+                        start = start_state(graph, current, sim_cfg)
+                    state = make_simulation(graph, start, sim_cfg)(action)
                 result = simulated[action] = AgentResult(action, distance, state)
             results.append(result)
         trace.agent_steps += len(results)

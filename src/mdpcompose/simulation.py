@@ -1,15 +1,17 @@
-"""Activity simulation: a validated start state and a plain step function.
+"""Activity simulation: a validated start and a plain step function.
 
-``start_state`` validates a starting state once and names the activity that
-scopes its steps. ``step_state`` performs one action on a state in place: it
+``start_state`` validates a starting state once and returns a ``Start``:
+the state, the activity that scopes its steps and the step limit.
+``step_state`` performs one action on a copy of that state in place: it
 looks up the matching transition for (current state label, action), applies
 the action's effects, re-derives the state label and updates the running
 reward (+increment for a matched transition, -increment otherwise);
-``wrong_step`` charges that penalty for a step that makes no transition. The
-composer steps a clone of one validated state per agent; ``make_simulation``
-wraps the same pair in a closure that owns its state across steps, for the
-DQN baseline and single walks. Any number of callers can read the same
-frozen graph.
+``wrong_step`` charges that penalty for a step that makes no transition.
+``make_simulation`` wraps the pair in a closure that owns its state across
+steps. It validates a given state itself, or steps a copy of a ``Start``
+without validating again, which is how the composer runs one agent per
+candidate from a state it validated once per commit. Any number of
+callers can read the same frozen graph.
 
 Lookups read the indexes a graph builds when it freezes (see ``kg``): the
 owning activity of a state, the transitions by (state, action), each
@@ -49,7 +51,7 @@ class SimConfig:
     max_steps: int | None = None  # defaults to 50 x number of states
 
 
-@dataclass
+@dataclass(slots=True)
 class SimState:
     feature_values: dict[str, float | str] = field(default_factory=dict)
     state_label: str = UNKNOWN_STATE
@@ -59,13 +61,14 @@ class SimState:
     step_index: int = 0
 
     def clone(self) -> "SimState":
+        # positional and slotted: every agent step clones twice
         return SimState(
-            feature_values=dict(self.feature_values),
-            state_label=self.state_label,
-            reward=self.reward,
-            is_goal=self.is_goal,
-            is_final=self.is_final,
-            step_index=self.step_index,
+            dict(self.feature_values),
+            self.state_label,
+            self.reward,
+            self.is_goal,
+            self.is_final,
+            self.step_index,
         )
 
 
@@ -187,8 +190,21 @@ def _relabel(graph, target: State, features, scope: Activity | None) -> str:
     return match.name if match is not None else UNKNOWN_STATE
 
 
-def start_state(graph: KnowledgeGraph, initial: SimState) -> tuple[SimState, Activity | None]:
-    """The validated starting state and the activity that scopes its steps.
+@dataclass(frozen=True, slots=True)
+class Start:
+    """A validated starting state and what every step from it needs: the
+    activity that scopes the steps (None when no single activity owns the
+    state), that activity's (state names, action names), and the step
+    limit, ``cfg.max_steps`` or 50 steps per state of the graph."""
+
+    state: SimState
+    scope: Activity | None
+    names: tuple[frozenset[str], frozenset[str]] | None
+    max_steps: int
+
+
+def start_state(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None = None) -> Start:
+    """Validate a starting state once, for any number of walks from it.
 
     The state is a copy of ``initial``: an unset or unknown label is
     recognized from the features, and the goal and final flags come from
@@ -196,6 +212,7 @@ def start_state(graph: KnowledgeGraph, initial: SimState) -> tuple[SimState, Act
     features contradict the given label, or when they do not cover the
     owning activity's features.
     """
+    cfg = cfg or SimConfig()
     if initial.state_label == UNKNOWN_STATE or initial.state_label not in graph:
         state = recognize_state(graph, initial.feature_values)
         state.reward = initial.reward
@@ -221,7 +238,11 @@ def start_state(graph: KnowledgeGraph, initial: SimState) -> tuple[SimState, Act
                 f"initial features do not cover activity {scope.name!r}: "
                 f"missing {missing}"
             )
-    return state, scope
+    names = graph.scope_names(scope.name) if scope is not None else None
+    max_steps = cfg.max_steps if cfg.max_steps is not None else 50 * max(
+        1, len(graph.states)
+    )
+    return Start(state, scope, names, max_steps)
 
 
 def wrong_step(state: SimState, cfg: SimConfig) -> SimState:
@@ -232,60 +253,40 @@ def wrong_step(state: SimState, cfg: SimConfig) -> SimState:
     return state
 
 
-def step_limit(graph: KnowledgeGraph, cfg: SimConfig) -> int:
-    """The step index at which a walk stops: ``cfg.max_steps``, or 50 steps
-    per state of the graph."""
-    return cfg.max_steps if cfg.max_steps is not None else 50 * max(1, len(graph.states))
-
-
-ScopeNames = tuple[frozenset[str], frozenset[str]]
-
-
-def scope_names(graph: KnowledgeGraph, scope: Activity | None) -> ScopeNames | None:
-    """The (state names, action names) that filter the transitions of a
-    scoped walk, or None for an unscoped one."""
-    return graph.scope_names(scope.name) if scope is not None else None
-
-
 def step_state(
     graph: KnowledgeGraph,
+    start: Start,
     state: SimState,
     performed_action: str,
     cfg: SimConfig,
-    scope: Activity | None,
-    names: ScopeNames | None,
-    max_steps: int,
-    rng: random.Random | None = None,
+    rng: random.Random | None,
 ) -> SimState:
-    """Perform one action on ``state``, which must come from ``start_state``
-    (or from earlier steps on it). Mutates and returns ``state``.
+    """Perform one action on ``state``, a copy of ``start.state`` or of a
+    state that earlier steps from it returned. Mutates and returns
+    ``state``.
 
-    ``scope`` and ``names`` are the activity from ``start_state`` and its
-    ``scope_names``; ``max_steps`` is ``step_limit``. A stochastic step
-    draws from ``rng``, or from a fresh ``random.Random(cfg.rng_seed)``
-    when it is None. Raises ActivityTerminatedError in a final state,
-    StepLimitExceededError at the step limit and UnknownEntityError for a
-    name that is not an action, in that order.
+    A stochastic walk draws its transitions from ``rng``; with None the
+    most probable transition is taken. Raises ActivityTerminatedError in a
+    final state, StepLimitExceededError at the step limit and
+    UnknownEntityError for a name that is not an action, in that order.
     """
     if state.is_final:
         raise ActivityTerminatedError(f"activity terminated in state {state.state_label!r}")
-    if state.step_index >= max_steps:
-        raise StepLimitExceededError(f"exceeded {max_steps} steps")
+    if state.step_index >= start.max_steps:
+        raise StepLimitExceededError(f"exceeded {start.max_steps} steps")
     entity = graph.find(performed_action)
     if not isinstance(entity, Action):
         raise UnknownEntityError(f"unknown action {performed_action!r}")
 
     matching = graph.transitions_from(state.state_label, performed_action)
-    if names is not None:
-        scope_states, scope_actions = names
+    if start.names is not None:
+        scope_states, scope_actions = start.names
         matching = [
             t for t in matching if t.next_state in scope_states and t.action in scope_actions
         ]
     if not matching:
         return wrong_step(state, cfg)
-    if cfg.stochastic:
-        if rng is None:
-            rng = random.Random(cfg.rng_seed)
+    if rng is not None:
         ordered = sorted(matching, key=lambda t: t.next_state)
         draw = rng.random()
         cumulative = 0.0
@@ -300,6 +301,7 @@ def step_state(
     target = graph.get(chosen.next_state)
     for effect_name in entity.effects:
         _apply_effect(graph, graph.get(effect_name), state.feature_values)
+    scope = start.scope
     state.state_label = _relabel(graph, target, state.feature_values, scope)
     matched = graph.find(state.state_label)
     if scope is None or not scope.is_sequential:
@@ -313,21 +315,27 @@ def step_state(
     return state
 
 
-def make_simulation(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None = None):
+def make_simulation(
+    graph: KnowledgeGraph, initial: SimState | Start, cfg: SimConfig | None = None
+):
     """Create a simulation closure over (graph, state snapshot).
 
-    The initial state must pass ``start_state``. The returned callable takes
-    an action name, performs it with ``step_state`` on the closure's own
-    state and returns a copy of the updated state.
+    ``initial`` is a state, which must pass ``start_state``, or a ``Start``
+    that ``start_state`` returned for the same ``cfg``; then the closure
+    steps a copy of it and validates nothing again. The returned callable
+    takes an action name, performs it with ``step_state`` on the closure's
+    own state and returns a copy of the updated state.
     """
     cfg = cfg or SimConfig()
-    state, scope = start_state(graph, initial)
-    names = scope_names(graph, scope)
-    max_steps = step_limit(graph, cfg)
+    if isinstance(initial, Start):
+        start, state = initial, initial.state.clone()
+    else:
+        start = start_state(graph, initial, cfg)
+        state = start.state
     # deterministic steps never draw, so only a stochastic closure seeds one
     rng = random.Random(cfg.rng_seed) if cfg.stochastic else None
 
     def step(performed_action: str) -> SimState:
-        return step_state(graph, state, performed_action, cfg, scope, names, max_steps, rng).clone()
+        return step_state(graph, start, state, performed_action, cfg, rng).clone()
 
     return step

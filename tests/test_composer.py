@@ -46,6 +46,7 @@ from mdpcompose.kg import (
 from mdpcompose.simulation import (
     SimConfig,
     SimState,
+    Start,
     initial_features,
     make_simulation,
     start_state,
@@ -163,7 +164,7 @@ def _run_agent(graph, current: SimState, sim_cfg, action: str, distance: float) 
 def _check_against_fresh_agents(graph, start, trace, sim_cfg):
     """Replay the trace with a fresh agent for every candidate of every
     round: results, winners and commits must be those of the traced run."""
-    current, _ = start_state(graph, start)
+    current = start_state(graph, start).state
     for rnd in trace.rounds:
         fresh = [_run_agent(graph, current, sim_cfg, a, d) for a, d in rnd.candidates]
         assert rnd.results == [(r.action, r.state.reward) for r in fresh]
@@ -189,18 +190,24 @@ def _fuzzed_cases(graphs, desk_space):
 def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeypatch):
     validations = []  # one entry per start_state call: a commit's start
     steps = Counter()  # (start_state calls so far, action) -> agent steps
-    validate, step = composer.start_state, composer.step_state
+    validate, make = composer.start_state, composer.make_simulation
 
-    def counting_start(graph, initial):
+    def counting_start(graph, initial, cfg=None):
         validations.append(initial.state_label)
-        return validate(graph, initial)
+        return validate(graph, initial, cfg)
 
-    def counting_step(graph, state, action, *args):
-        steps[len(validations), action] += 1
-        return step(graph, state, action, *args)
+    def counting_make(graph, initial, cfg=None):
+        assert isinstance(initial, Start)  # validated by start_state above
+        step = make(graph, initial, cfg)
+
+        def counted(action):
+            steps[len(validations), action] += 1
+            return step(action)
+
+        return counted
 
     monkeypatch.setattr(composer, "start_state", counting_start)
-    monkeypatch.setattr(composer, "step_state", counting_step)
+    monkeypatch.setattr(composer, "make_simulation", counting_make)
     reused = 0
     for graph, space, start, sim_cfg in _fuzzed_cases(graphs, desk_space):
         validations.clear()
@@ -222,7 +229,7 @@ def _reference_compose(graph, space, initial_state, cfg=None, sim_cfg=None):
     start state is validated by its own ``make_simulation`` call."""
     cfg = cfg or ComposerConfig()
     sim_cfg = sim_cfg or SimConfig()
-    current, _ = start_state(graph, initial_state)
+    current = start_state(graph, initial_state).state
     budget = cfg.step_budget if cfg.step_budget is not None else 50 * max(1, len(graph.states))
     trace = CompositionTrace()
     committed_actions, committed_rewards = [], []
