@@ -8,7 +8,9 @@ CSVs plus a short console summary.
 
 Desk-scale training (200 iterations x 5 epochs, batch 256) finishes in a
 few seconds; --full-scale switches to the full budget (1000 x 15, batch
-1024). DQN cells at cap 100 dominate the runtime on long activities.
+1024). DQN cells at cap 100 dominate the runtime on long activities; they
+run on one worker process per usable CPU, and timings.json beside the CSVs
+records each cell's wall time.
 """
 
 import argparse

@@ -2,19 +2,30 @@
 
 Every (activity, method, episode cap) cell runs independently with a seed
 derived from the cell identity, so results do not depend on the order in
-which cells run. Cells run one after another: composition and DQN training
-are pure Python and small numpy calls, so under the GIL a thread pool would
-add overhead and no parallelism. Metrics land in one row per cell and are
-projected into the CSV files consumed by the analysis plots.
+which cells run, nor on where. DQN training dominates a benchmark and is
+pure Python plus small numpy calls, so threads gained nothing under the
+GIL; separate processes do run in parallel. The DQN cells therefore run on
+a pool of worker processes, one per usable CPU, longest first. The workers
+are forked, not spawned, so they inherit the graphs instead of importing
+the package again and unpickling them; each sends back only a cell's
+metrics and wall time. The composer cells are short and run in the
+calling process meanwhile. Metrics land in one row per cell and are
+projected into the CSV files consumed by the analysis plots; per-cell wall
+times go to a separate ``timings.json``.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import logging
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from time import perf_counter
 
 from .composer import ComposerConfig, compose
 from .dqn import DqnConfig, train_dqn
@@ -113,6 +124,27 @@ def _run_dqn_cell(graph, activity_name, cap, dqn_cfg):
     )
 
 
+# The graphs, base DQN configuration and seed of the running benchmark.
+# Set only in worker processes, by the pool's initializer; fork hands the
+# initializer's arguments over without pickling them.
+_worker_context: tuple = ()
+
+
+def _init_worker(graphs, dqn_cfg, seed) -> None:
+    global _worker_context
+    _worker_context = (graphs, dqn_cfg, seed)
+
+
+def _run_dqn_job(job) -> tuple[RunMetrics, float]:
+    """One DQN cell in a worker process: its row and its wall time."""
+    _method, name, cap = job
+    graphs, dqn_cfg, seed = _worker_context
+    started = perf_counter()
+    cell_cfg = replace(dqn_cfg, episode_cap=cap, rng_seed=_cell_seed(seed, name, DQN, cap))
+    row = _run_dqn_cell(graphs[name], name, cap, cell_cfg)
+    return row, perf_counter() - started
+
+
 def run_benchmark(
     graphs: dict[str, KnowledgeGraph],
     space: EmbeddingSpace,
@@ -124,32 +156,64 @@ def run_benchmark(
     dqn_cfg: DqnConfig | None = None,
 ) -> list[RunMetrics]:
     """One ENSEMBLE row per activity plus one DQN row per (activity, cap);
-    writes the CSV files and returns all rows."""
+    writes the CSV files and ``timings.json`` and returns all rows."""
     composer_cfg = composer_cfg or ComposerConfig()
     dqn_cfg = dqn_cfg or DqnConfig()
+    started = perf_counter()
 
-    def run_cell(job) -> RunMetrics:
-        method, name, cap = job
-        graph = graphs[name]
-        if method == ENSEMBLE:
-            return _run_ensemble_cell(graph, space, name, composer_cfg)
-        cell_cfg = replace(
-            dqn_cfg,
-            episode_cap=cap,
-            rng_seed=_cell_seed(seed, name, method, cap),
-        )
-        return _run_dqn_cell(graph, name, cap, cell_cfg)
+    # longest first, by sequence length times cap; ties in cell order, so
+    # the schedule does not depend on the caller's order either
+    def cost(job) -> int:
+        _method, name, cap = job
+        return len(graphs[name].get(name).actions) * cap
 
-    jobs = []
-    for name in activities:
-        jobs.append((ENSEMBLE, name, 0))
-        jobs.extend((DQN, name, cap) for cap in caps)
-    # cells run in the caller's order; rows are sorted by method, activity
-    # and cap, so the CSVs do not depend on that order
-    results = dict(zip(jobs, map(run_cell, jobs)))
-    metrics = [results[job] for job in sorted(results)]
+    dqn_jobs = sorted(
+        ((DQN, name, cap) for name in activities for cap in caps),
+        key=lambda job: (-cost(job), job),
+    )
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(dqn_jobs)))
+    results: dict[tuple, tuple[RunMetrics, float]] = {}
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(graphs, dqn_cfg, seed),
+    ) as pool:
+        dqn_results = pool.map(_run_dqn_job, dqn_jobs)
+        for name in activities:
+            cell_started = perf_counter()
+            row = _run_ensemble_cell(graphs[name], space, name, composer_cfg)
+            results[(ENSEMBLE, name, 0)] = row, perf_counter() - cell_started
+        results.update(zip(dqn_jobs, dqn_results))
+    wall_s = perf_counter() - started
+    # rows are sorted by method, activity and cap, so the CSVs depend on
+    # neither the caller's order nor the schedule
+    cells = [results[job] for job in sorted(results)]
+    metrics = [row for row, _seconds in cells]
     write_csv_files(metrics, out_dir)
+    _write_timings(cells, workers, wall_s, Path(out_dir) / "timings.json")
     return metrics
+
+
+def _write_timings(cells: list[tuple[RunMetrics, float]], workers: int, wall_s: float, path) -> None:
+    """Each cell's wall time where it ran, kept apart from the pinned CSVs
+    because it differs from run to run."""
+    document = {
+        "workers": workers,
+        "wall_s": wall_s,
+        "cells": [
+            {
+                "method": row.method,
+                "activity": row.activity_name,
+                "episode_cap": row.episode_cap,
+                "seconds": seconds,
+            }
+            for row, seconds in cells
+        ],
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=1)
+        handle.write("\n")
 
 
 def _fmt(value) -> str:

@@ -1,7 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every exception here survives ``pickle`` with its type, message and
+attributes, so an error raised in a benchmark worker process reaches the
+caller unchanged.
+"""
 
 
-class GraphValidationError(Exception):
+def _rebuild(cls, args, state):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
+
+class _Rebuilt:
+    """Pickles as its type, ``args`` and attributes without running
+    ``__init__`` again. The default ``cls(*args)`` fails for errors whose
+    ``__init__`` formats ``args`` from other parameters."""
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+class GraphValidationError(_Rebuilt, Exception):
     """Raised when a knowledge graph violates structural rules.
 
     Collects every problem found instead of stopping at the first one.
@@ -12,7 +32,7 @@ class GraphValidationError(Exception):
         super().__init__("; ".join(self.problems))
 
 
-class TurtleSyntaxError(ValueError):
+class TurtleSyntaxError(_Rebuilt, ValueError):
     """Syntax error in a Turtle document, with position and expectation."""
 
     def __init__(self, message, line, column, expected=None):
@@ -29,7 +49,7 @@ class SchemaError(ValueError):
     """A JSON document does not match the entity schema."""
 
 
-class RuleSyntaxError(ValueError):
+class RuleSyntaxError(_Rebuilt, ValueError):
     """Syntax error in a rule or equation expression."""
 
     def __init__(self, message, position):
@@ -37,7 +57,7 @@ class RuleSyntaxError(ValueError):
         super().__init__(f"position {position}: {message}")
 
 
-class MissingFeatureError(LookupError):
+class MissingFeatureError(_Rebuilt, LookupError):
     """An expression references a feature absent from the value map."""
 
     def __init__(self, feature):
@@ -69,7 +89,7 @@ class CompositionFailureError(Exception):
     """Policy composition could not finish for this activity."""
 
 
-class TrainingDivergenceError(RuntimeError):
+class TrainingDivergenceError(_Rebuilt, RuntimeError):
     """An optimizer produced a non-finite loss."""
 
     def __init__(self, message, iteration=None):

@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 
 import pytest
@@ -298,6 +299,16 @@ property:hasObservationFeature entity:IsTurnTo_television_1 .
 """
 
 DESK_TRAIN = dict(dimension=50, **DESK_SCALE, rng_seed=7)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_worker_processes():
+    """Fail a test that leaves child processes running, as pyproject's
+    ``error::ResourceWarning`` filter fails one that leaks a socket or file."""
+    yield
+    leaked = multiprocessing.active_children()
+    if leaked:
+        pytest.fail(f"test left worker processes running: {leaked}")
 
 
 @pytest.fixture(scope="session")

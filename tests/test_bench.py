@@ -1,5 +1,11 @@
+import json
+import multiprocessing
+import os
+import threading
+
 import pytest
 
+from mdpcompose import bench
 from mdpcompose.bench import (
     CSV_HEADERS,
     DQN,
@@ -10,6 +16,7 @@ from mdpcompose.bench import (
 )
 from mdpcompose.composer import ComposerConfig
 from mdpcompose.dqn import DqnConfig
+from mdpcompose.errors import TrainingDivergenceError
 
 
 @pytest.fixture(scope="module")
@@ -71,16 +78,59 @@ def test_radius_density_rows_match_commits(small_bench):
     assert len(lines) - 1 >= total_commits  # one row per committed action
 
 
-def test_determinism_across_activity_order(graphs, desk_space, tmp_path):
+def test_timings_list_every_cell_once_beside_the_csvs(small_bench):
+    metrics, out = small_bench
+    timings = json.loads((out / "timings.json").read_text())
+    listed = [(c["method"], c["activity"], c["episode_cap"]) for c in timings["cells"]]
+    assert sorted(listed) == sorted((m.method, m.activity_name, m.episode_cap) for m in metrics)
+    assert len(set(listed)) == len(listed)
+    assert all(c["seconds"] > 0 for c in timings["cells"])
+    assert timings["wall_s"] > 0
+
+
+def test_determinism_across_activity_order(graphs, desk_space, tmp_path, monkeypatch):
     # cell seeds come from cell identity, not from the order cells run in
+    # or the process they run on; two cells, so 8 CPUs give two workers
     activities = ["Make_coffee", "Feed_cat"]
     outs = []
-    for label, order in (("forward", activities), ("reversed", activities[::-1])):
-        out = tmp_path / label
-        run_benchmark(graphs, desk_space, order, caps=[1], seed=7, out_dir=out)
-        outs.append(out)
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid, cpus=cpus: set(range(cpus)))
+        for label, order in (("forward", activities), ("reversed", activities[::-1])):
+            out = tmp_path / f"{label}-{cpus}"
+            run_benchmark(graphs, desk_space, order, caps=[1], seed=7, out_dir=out)
+            assert json.loads((out / "timings.json").read_text())["workers"] == min(cpus, 2)
+            outs.append(out)
     for filename in CSV_HEADERS:
-        assert (outs[0] / filename).read_bytes() == (outs[1] / filename).read_bytes()
+        expected = (outs[0] / filename).read_bytes()
+        assert all((out / filename).read_bytes() == expected for out in outs[1:])
+
+
+def test_failing_cell_raises_its_error_in_the_caller(graphs, desk_space, tmp_path, monkeypatch):
+    caller = os.getpid()
+
+    def diverge(*_args, **_kwargs):
+        assert os.getpid() != caller, "DQN cells must run in worker processes"
+        raise TrainingDivergenceError("nan", iteration=3)
+
+    monkeypatch.setattr(bench, "train_dqn", diverge)
+    outcome = {}
+
+    def run():
+        try:
+            run_benchmark(graphs, desk_space, ["Make_coffee", "Feed_cat"], caps=[1, 10], seed=7, out_dir=tmp_path)
+        except Exception as exc:  # checked below, in the test's own thread
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive(), "run_benchmark hung on a failing cell"
+    error = outcome.get("error")
+    assert type(error) is TrainingDivergenceError
+    assert str(error) == "nan"
+    assert error.iteration == 3
+    assert list(tmp_path.iterdir()) == []  # no CSV, no timings.json
+    assert multiprocessing.active_children() == []
 
 
 def test_mean_commit_radius():
