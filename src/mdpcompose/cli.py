@@ -8,6 +8,7 @@ train (store -> embedding TSVs), compose (one policy request), bench
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -79,12 +80,13 @@ def _cmd_train(args) -> int:
     else:
         scale = {} if args.full_scale else DESK_SCALE
         cfg = TrainConfig(dimension=args.dim, rng_seed=args.seed, **scale)
-    if args.iterations is not None:
-        cfg.iterations = args.iterations
-    if args.epochs is not None:
-        cfg.epochs_per_iteration = args.epochs
-    if args.batch is not None:
-        cfg.batch_size = args.batch
+    overrides = {
+        "iterations": args.iterations,
+        "epochs_per_iteration": args.epochs,
+        "batch_size": args.batch,
+    }
+    # replace() builds a new config, so the overrides are validated too.
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     table = train(graphs, vocab, cfg)
     vectors, metadata = _embedding_paths(args.out)
     export_tsv(table, vocab, vectors, metadata)

@@ -7,8 +7,24 @@ state) and 0 otherwise; the model scores a pair with the sigmoid of the dot
 product of the two rows and is optimized with Adam on binary cross-entropy.
 Batches are balanced, half positive and half negative, with pair relations
 drawn round-robin. The positive pair pools, their sets and the per-concept
-index lists do not change during training, so a training run builds them
+index arrays do not change during training, so a training run builds them
 once (``pair_pools``) and every batch draws from them.
+
+A batch is drawn with array calls that consume the generator exactly as one
+scalar ``rng.integers`` call per draw would: ``rng.integers(0, bounds)``
+returns the same values, and leaves the same bit-generator state, as one
+call per bound (``tests/test_embedding.py`` pins this). The positive half is
+one such call. The negative half draws the (left, right) pairs of all
+remaining samples in one call; at the first pair that turns out positive it
+restores the generator state, redraws exactly up to that pair and goes on
+from there. A pair rejected ``NEGATIVE_RETRY_CAP`` times, or a relation
+without candidates, hands the rest of the batch to the scalar loop
+(``_scalar_negatives``), the one definition of when a relation is dropped.
+
+Adam updates the moment tables and the embedding table in place, with the
+operations of the textbook expressions in their order, so every element
+rounds as it would in the allocating form. One scratch table and the
+epoch's gradient hold the intermediate terms.
 """
 
 from __future__ import annotations
@@ -119,13 +135,14 @@ class Batch(NamedTuple):
 
 @dataclass(frozen=True)
 class PairPools:
-    """What batches are drawn from: the sorted positive pairs, their sets,
-    the left and right candidates of each relation, and the relations
-    that have positive pairs, in rotation order."""
+    """What batches are drawn from: the sorted positive pairs of each
+    relation as an (n, 2) index array and as a set, its left and right
+    candidate index arrays, and the relations that have positive pairs, in
+    rotation order."""
 
-    positives: dict[PairType, list[tuple[int, int]]]
+    positives: dict[PairType, np.ndarray]
     positive_sets: dict[PairType, set[tuple[int, int]]]
-    candidates: dict[PairType, tuple[list[int], list[int]]]
+    candidates: dict[PairType, tuple[np.ndarray, np.ndarray]]
     active: tuple[PairType, ...]
 
 
@@ -147,9 +164,12 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("dimension", "iterations", "epochs_per_iteration", "batch_size"):
-            if getattr(self, name) < 0 or (name == "dimension" and self.dimension == 0):
+        for name in ("dimension", "batch_size"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("iterations", "epochs_per_iteration"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         if self.batch_size % 2:
             raise ValueError("batch_size must be even (balanced 1:1)")
 
@@ -226,10 +246,15 @@ def pair_pools(graphs, vocab: Vocabulary) -> PairPools:
     if not active:
         raise ValueError("no relation has positive pairs")
     return PairPools(
-        positives=positives,
+        positives={
+            pt: np.array(pool, dtype=np.int64).reshape(-1, 2) for pt, pool in positives.items()
+        },
         positive_sets={pt: set(pool) for pt, pool in positives.items()},
         candidates={
-            pt: (vocab.indices_of(ca), vocab.indices_of(cb))
+            pt: (
+                np.array(vocab.indices_of(ca), dtype=np.int64),
+                np.array(vocab.indices_of(cb), dtype=np.int64),
+            )
             for pt, (ca, cb) in _PAIR_CONCEPTS.items()
         },
         active=active,
@@ -240,29 +265,93 @@ def generate_batch(pools: PairPools, cfg: TrainConfig, rng) -> Batch:
     """Assemble one balanced batch: cfg.batch_size samples, the first half
     positive (label 1) and the second half negative (label 0)."""
     half = cfg.batch_size // 2
-    left: list[int] = []
-    right: list[int] = []
-    active = pools.active
-    for k in range(half):
-        pool = pools.positives[active[k % len(active)]]
-        pair = pool[int(rng.integers(len(pool)))]
-        left.append(pair[0])
-        right.append(pair[1])
+    left = np.empty(2 * half, dtype=np.int64)
+    right = np.empty(2 * half, dtype=np.int64)
+    # Sample k of the positive half belongs to relation active[k % n].
+    active, n = pools.active, len(pools.active)
+    sizes = np.array([len(pools.positives[pt]) for pt in active], dtype=np.int64)
+    picks = rng.integers(0, sizes[np.arange(half) % n])
+    for r, pt in enumerate(active):
+        chosen = pools.positives[pt][picks[r::n]]
+        left[r:half:n] = chosen[:, 0]
+        right[r:half:n] = chosen[:, 1]
+    _draw_negatives(pools, rng, left, right, half)
+    labels = np.zeros(2 * half)
+    labels[:half] = 1.0
+    return Batch(left, right, labels)
 
-    usable = list(active)
-    k = 0
-    while len(left) < 2 * half:
+
+def _draw_negatives(pools: PairPools, rng, left, right, half: int) -> None:
+    """Fill left[half:] and right[half:] with negative pairs, relations
+    round-robin, consuming rng as _scalar_negatives would."""
+    usable = list(pools.active)
+    sizes = np.array([[len(c) for c in pools.candidates[pt]] for pt in usable], dtype=np.int64)
+    if not sizes.all():
+        _scalar_negatives(pools, rng, left, right, half, usable, half)
+        return
+    positive_sets = [pools.positive_sets[pt] for pt in usable]
+    filled, tries, head = half, 0, None
+    while filled < len(left):
+        # Sample j of the rest belongs to relation usable[(k + j) % u], and
+        # draws[j] holds its (left, right) candidate positions.
+        k, u, rest = filled - half, len(usable), len(left) - filled
+        bounds = sizes[(k + np.arange(rest)) % u].ravel()
+        state = rng.bit_generator.state
+        draws = rng.integers(0, bounds).reshape(rest, 2)
+        lefts = np.empty(rest, dtype=np.int64)
+        rights = np.empty(rest, dtype=np.int64)
+        for r, pt in enumerate(usable):
+            own = slice((r - k) % u, rest, u)
+            lefts[own] = pools.candidates[pt][0][draws[own, 0]]
+            rights[own] = pools.candidates[pt][1][draws[own, 1]]
+        rejected = next(
+            (
+                j
+                for j, pair in enumerate(zip(lefts.tolist(), rights.tolist()))
+                if pair in positive_sets[(k + j) % u]
+            ),
+            rest,
+        )
+        left[filled : filled + rejected] = lefts[:rejected]
+        right[filled : filled + rejected] = rights[:rejected]
+        filled += rejected
+        if rejected == rest:
+            return
+        # Leave the generator where the scalar loop would be after drawing
+        # the rejected pair; remember where that pair's first draw began.
+        rng.bit_generator.state = state
+        if rejected:
+            rng.integers(0, bounds[: 2 * rejected])
+            tries = 0
+        if not tries:
+            head = rng.bit_generator.state
+        rng.integers(0, bounds[2 * rejected : 2 * rejected + 2])
+        tries += 1
+        if tries == NEGATIVE_RETRY_CAP:
+            rng.bit_generator.state = head
+            _scalar_negatives(pools, rng, left, right, filled, usable, half)
+            return
+
+
+def _scalar_negatives(
+    pools: PairPools, rng, left, right, filled: int, usable: list, half: int
+) -> None:
+    """Fill left[filled:] and right[filled:] with negative pairs, one scalar
+    draw at a time; a relation whose pair stays positive for
+    NEGATIVE_RETRY_CAP draws, or that has no candidates, is dropped from
+    usable with a warning."""
+    while filled < len(left):
         if not usable:
             raise ValueError("cannot draw negative pairs for any relation")
-        pt = usable[k % len(usable)]
+        pt = usable[(filled - half) % len(usable)]
         lefts, rights = pools.candidates[pt]
         positives = pools.positive_sets[pt]
         found = None
-        if lefts and rights:
+        if len(lefts) and len(rights):
             for _attempt in range(NEGATIVE_RETRY_CAP):
                 pair = (
-                    lefts[int(rng.integers(len(lefts)))],
-                    rights[int(rng.integers(len(rights)))],
+                    int(lefts[rng.integers(len(lefts))]),
+                    int(rights[rng.integers(len(rights))]),
                 )
                 if pair not in positives:
                     found = pair
@@ -275,12 +364,8 @@ def generate_batch(pools: PairPools, cfg: TrainConfig, rng) -> Batch:
             )
             usable.remove(pt)
             continue
-        left.append(found[0])
-        right.append(found[1])
-        k += 1
-    labels = np.zeros(2 * half)
-    labels[:half] = 1.0
-    return Batch(np.array(left, dtype=np.int64), np.array(right, dtype=np.int64), labels)
+        left[filled], right[filled] = found
+        filled += 1
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -290,15 +375,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def forward(table: EmbeddingTable, sample: TrainSample) -> float:
-    """Sigmoid of the dot product of the two entity rows, in (0, 1)."""
-    z = float(table.matrix[sample.left_index] @ table.matrix[sample.right_index])
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
 
 
 def batch_loss_and_grad(matrix: np.ndarray, batch):
@@ -343,8 +419,10 @@ def train(graphs, vocab: Vocabulary, cfg: TrainConfig | None = None) -> Embeddin
     rng = np.random.default_rng(cfg.rng_seed)
     table = initialize_table(vocab, cfg, rng)
 
-    m = np.zeros_like(table.matrix)
-    v = np.zeros_like(table.matrix)
+    matrix = table.matrix
+    m = np.zeros_like(matrix)
+    v = np.zeros_like(matrix)
+    step = np.empty_like(matrix)
     t = 0
     report_every = max(1, cfg.iterations // 10)
     pools = pair_pools(graphs, vocab)
@@ -353,17 +431,32 @@ def train(graphs, vocab: Vocabulary, cfg: TrainConfig | None = None) -> Embeddin
         batch = generate_batch(pools, cfg, rng)
         epoch_losses = []
         for _epoch in range(cfg.epochs_per_iteration):
-            loss, grad = batch_loss_and_grad(table.matrix, batch)
+            loss, grad = batch_loss_and_grad(matrix, batch)
             if not math.isfinite(loss):
                 raise TrainingDivergenceError(
                     f"non-finite loss at iteration {iteration}", iteration=iteration
                 )
             t += 1
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-            m_hat = m / (1.0 - cfg.beta1**t)
-            v_hat = v / (1.0 - cfg.beta2**t)
-            table.matrix -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            # The textbook Adam expressions, each evaluated in place in its
+            # own operation order, so every element rounds as before. grad
+            # is this epoch's own array and serves as scratch once read.
+            # v = beta2 * v + (1 - beta2) * grad * grad, left to right
+            np.multiply(grad, 1.0 - cfg.beta2, out=step)
+            np.multiply(step, grad, out=step)
+            np.multiply(v, cfg.beta2, out=v)
+            np.add(v, step, out=v)
+            # m = beta1 * m + (1 - beta1) * grad
+            np.multiply(grad, 1.0 - cfg.beta1, out=grad)
+            np.multiply(m, cfg.beta1, out=m)
+            np.add(m, grad, out=m)
+            # matrix -= lr * m_hat / (sqrt(v_hat) + epsilon)
+            np.divide(m, 1.0 - cfg.beta1**t, out=step)
+            np.multiply(step, cfg.learning_rate, out=step)
+            np.divide(v, 1.0 - cfg.beta2**t, out=grad)
+            np.sqrt(grad, out=grad)
+            np.add(grad, cfg.epsilon, out=grad)
+            np.divide(step, grad, out=step)
+            np.subtract(matrix, step, out=matrix)
             epoch_losses.append(loss)
         mean_loss = sum(epoch_losses) / len(epoch_losses) if epoch_losses else 0.0
         table.loss_history.append(mean_loss)
@@ -371,7 +464,7 @@ def train(graphs, vocab: Vocabulary, cfg: TrainConfig | None = None) -> Embeddin
         if (iteration + 1) % report_every == 0:
             log.info("iteration %d/%d: mean loss %.6f", iteration + 1, cfg.iterations, mean_loss)
 
-    if not np.isfinite(table.matrix).all():
+    if not np.isfinite(matrix).all():
         raise TrainingDivergenceError("non-finite values in the trained table")
     return table
 
@@ -380,8 +473,10 @@ def export_tsv(table: EmbeddingTable, vocab: Vocabulary, path_vectors, path_meta
     """Write the vectors file (one row of tab-separated floats per entity)
     and the aligned metadata file (name, index, concept)."""
     with open(path_vectors, "w", encoding="utf-8") as handle:
+        # Row by row: the Python floats of the whole table at once would
+        # add about 4 MB to the peak at 1,912 entities.
         for row in table.matrix:
-            handle.write("\t".join(repr(float(x)) for x in row))
+            handle.write("\t".join(map(repr, row.tolist())))
             handle.write("\n")
     with open(path_metadata, "w", encoding="utf-8") as handle:
         handle.write("name\tindex\tconcept\n")

@@ -97,6 +97,25 @@ def test_train_zero_iterations(pipeline):
     assert all(len(line.split("\t")) == 8 for line in vectors)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--batch", "7"], "batch_size must be even"),
+        (["--batch", "-2"], "batch_size must be positive"),
+        (["--batch", "0"], "batch_size must be positive"),
+        (["--iterations", "-3"], "iterations must not be negative"),
+        (["--epochs", "-1"], "epochs_per_iteration must not be negative"),
+    ],
+)
+def test_train_rejects_out_of_range_overrides(pipeline, capsys, flags, message):
+    root, store, _emb = pipeline
+    out = root / "rejected"
+    code = main(["train", "--store", str(store), "--out", str(out), "--dim", "8", *flags])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out.parent / (out.name + ".vectors.tsv")).exists()
+
+
 def test_no_arguments_prints_usage_and_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([])

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 
@@ -7,15 +8,16 @@ import pytest
 from conftest import WATCH_TV_49_TTL
 from mdpcompose import embedding
 from mdpcompose.embedding import (
+    DESK_SCALE,
     NEGATIVE_RETRY_CAP,
     Batch,
     PairType,
     TrainConfig,
     TrainSample,
+    Vocabulary,
     batch_loss_and_grad,
     build_vocabulary,
     export_tsv,
-    forward,
     generate_batch,
     initialize_table,
     pair_pools,
@@ -23,9 +25,17 @@ from mdpcompose.embedding import (
     train,
 )
 from mdpcompose.kg import Concept
+from mdpcompose.sample_corpus import synthetic_script_text
 from mdpcompose.space import load_tsv
 from mdpcompose.turtle_io import parse_turtle
-from mdpcompose.vhome import VhScript, VhStep, script_to_kg
+from mdpcompose.vhome import VhScript, VhStep, dedupe_activity_names, parse_script, script_to_kg
+
+# SHA-256 of the TSV pair that training the mini-corpus at DESK_SCALE with
+# seed 42 exports; the same digests gate the pipeline benchmark's outputs.
+DESK_TSV_SHA256 = {
+    "vectors": "a9b132e3864859b9f079866282ddac8df4897cb1c8067183bd742b551bc0f15d",
+    "metadata": "2acaf98c5e61ff6d50f10fb2b8318948718d832e1f1b6a808d7e03e3999fe34b",
+}
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +113,8 @@ def test_saturated_relation_is_skipped_with_warning(caplog):
 
 def _reference_batch(graphs, vocab, cfg, rng) -> list[TrainSample]:
     """The per-iteration batch generator that rebuilt its pools on every
-    call; generate_batch must draw the same samples from the same rng."""
+    call and drew one scalar at a time; generate_batch must draw the same
+    samples from the same rng and leave it in the same state."""
     pools = positive_pairs(graphs, vocab)
     half = cfg.batch_size // 2
     active = [pt for pt in embedding._PAIR_ROTATION if pools[pt]]
@@ -141,21 +152,96 @@ def _reference_batch(graphs, vocab, cfg, rng) -> list[TrainSample]:
     return samples
 
 
+def _draw_corpora(graph_list):
+    """(name, graphs, vocab) whose batches take every drawing path."""
+    tiny = script_to_kg(VhScript("Tiny", "x", [VhStep("Walk", "door", 1)]))
+    # One activity: its action and state relations are saturated, so the
+    # first negative pair already falls back to the scalar loop.
+    saturated = build_vocabulary([tiny])
+    # A spare action gives the activity/action relation negatives, so the
+    # array draws run until the saturated activity/state relation comes up.
+    spare = build_vocabulary([tiny])
+    spare.add("Spare_action_1", Concept.ACTION)
+    # The action is indexed as a state: its relations keep positive pairs
+    # but have no action candidates.
+    no_candidates = Vocabulary()
+    for idx, name in enumerate(saturated.names()):
+        concept = saturated.concept(idx)
+        no_candidates.add(name, Concept.STATE if concept is Concept.ACTION else concept)
+    return [
+        ("desk", graph_list, build_vocabulary(graph_list)),
+        ("saturated", [tiny], saturated),
+        ("saturates-mid-batch", [tiny], spare),
+        ("no-candidates", [tiny], no_candidates),
+    ]
+
+
 @pytest.mark.parametrize("seed", [0, 5, 99])
 def test_batches_match_reference_draws(graph_list, seed):
-    tiny = script_to_kg(VhScript("Tiny", "x", [VhStep("Walk", "door", 1)]))
     cfg = TrainConfig(dimension=4, batch_size=256)
-    for graphs in (graph_list, [tiny]):
-        vocab = build_vocabulary(graphs)
+    for name, graphs, vocab in _draw_corpora(graph_list):
         pools = pair_pools(graphs, vocab)
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
             batch = generate_batch(pools, cfg, fast)
             reference = Batch.of(_reference_batch(graphs, vocab, cfg, slow))
             for got, want in zip(batch, reference):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
-        assert fast.integers(1 << 30) == slow.integers(1 << 30)
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+            assert fast.bit_generator.state == slow.bit_generator.state, name
+
+
+def test_desk_batches_need_no_scalar_fallback(graph_list, monkeypatch):
+    # Rejections are frequent on the desk corpus, but no relation saturates,
+    # so every rejected pair is redrawn by the array path.
+    def fail(*_args):
+        raise AssertionError("fell back to scalar draws")
+
+    monkeypatch.setattr(embedding, "_scalar_negatives", fail)
+    vocab = build_vocabulary(graph_list)
+    pools = pair_pools(graph_list, vocab)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        generate_batch(pools, TrainConfig(dimension=4, batch_size=256), rng)
+
+
+def test_fallback_drops_the_saturated_relation_mid_batch(graph_list, caplog):
+    graphs, vocab = next(
+        (g, v) for name, g, v in _draw_corpora(graph_list) if name == "saturates-mid-batch"
+    )
+    cfg = TrainConfig(dimension=4, batch_size=64)
+    with caplog.at_level(logging.WARNING):
+        batch = generate_batch(pair_pools(graphs, vocab), cfg, np.random.default_rng(7))
+    dropped = [r.getMessage() for r in caplog.records if "no negative pair" in r.getMessage()]
+    assert dropped == [
+        f"relation ACTIVITY_STATE: no negative pair found after {NEGATIVE_RETRY_CAP} draws; skipped"
+    ]
+    # The first negative comes from the activity/action relation.
+    assert vocab.concept(int(batch.left[32])) is Concept.ACTIVITY
+    assert vocab.concept(int(batch.right[32])) is Concept.ACTION
+
+
+def test_array_integer_draws_consume_the_generator_like_scalar_draws():
+    """generate_batch relies on this numpy behaviour: one rng.integers call
+    over an array of bounds returns, and leaves the generator, exactly as
+    one scalar call per bound. A numpy release that changes it must fail
+    here instead of silently changing the trained tables."""
+    special = [1, 2, 3, 255, 256, 65_536, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 7, 2**62]
+    mix = np.random.default_rng(2024)
+    for seed in range(50):
+        bounds = np.concatenate(
+            [
+                mix.choice(special, size=100),
+                mix.integers(1, 2_000, size=100),
+                mix.integers(1, 2**63 - 1, size=100, dtype=np.int64),
+            ]
+        )
+        mix.shuffle(bounds)
+        array_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = array_rng.integers(0, bounds)
+        expected = [int(scalar_rng.integers(int(bound))) for bound in bounds]
+        assert drawn.tolist() == expected
+        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 def test_training_builds_pair_pools_once(watch_tv, monkeypatch):
@@ -171,19 +257,44 @@ def test_training_builds_pair_pools_once(watch_tv, monkeypatch):
     assert len(calls) == 1
 
 
+def forward(table, sample: TrainSample) -> float:
+    """Sigmoid of the dot product of the two entity rows, in (0, 1), one
+    sample at a time: the scalar reference for the batched probabilities."""
+    z = float(table.matrix[sample.left_index] @ table.matrix[sample.right_index])
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
+def _batched_probabilities(table, samples) -> np.ndarray:
+    left, right, _labels = Batch.of(samples)
+    return embedding._sigmoid(np.einsum("ij,ij->i", table.matrix[left], table.matrix[right]))
+
+
 def test_forward_matches_scalar_recomputation(watch_tv):
     vocab = build_vocabulary([watch_tv])
     cfg = TrainConfig(dimension=12, batch_size=4)
     rng = np.random.default_rng(5)
     table = initialize_table(vocab, cfg, rng)
     table.matrix = rng.normal(size=table.matrix.shape)
+    samples = []
     for _ in range(10):
         i, j = rng.integers(len(vocab)), rng.integers(len(vocab))
-        sample = TrainSample(int(i), int(j), PairType.ACTIVITY_ACTION, 1)
+        sample = TrainSample(int(i), int(j), PairType.ACTIVITY_ACTION, int(rng.integers(2)))
         expected = 1.0 / (
             1.0 + math.exp(-sum(table.matrix[i][k] * table.matrix[j][k] for k in range(12)))
         )
         assert forward(table, sample) == pytest.approx(expected, rel=1e-12)
+        samples.append(sample)
+    scalar = [forward(table, s) for s in samples]
+    assert _batched_probabilities(table, samples).tolist() == pytest.approx(scalar, rel=1e-12)
+    bce = [
+        -math.log(p + 1e-12) if s.label else -math.log(1.0 - p + 1e-12)
+        for s, p in zip(samples, scalar)
+    ]
+    loss, _grad = batch_loss_and_grad(table.matrix, samples)
+    assert loss == pytest.approx(sum(bce) / len(bce), rel=1e-12)
 
 
 def test_forward_zero_vectors_give_half(watch_tv):
@@ -191,7 +302,9 @@ def test_forward_zero_vectors_give_half(watch_tv):
     cfg = TrainConfig(dimension=6, batch_size=4)
     table = initialize_table(vocab, cfg, np.random.default_rng(0))
     table.matrix[:] = 0.0
-    assert forward(table, TrainSample(0, 1, PairType.ACTIVITY_STATE, 1)) == 0.5
+    sample = TrainSample(0, 1, PairType.ACTIVITY_STATE, 1)
+    assert forward(table, sample) == 0.5
+    assert _batched_probabilities(table, [sample]).tolist() == [0.5]
 
 
 def test_forward_saturates_toward_one(watch_tv):
@@ -200,9 +313,14 @@ def test_forward_saturates_toward_one(watch_tv):
     table = initialize_table(vocab, cfg, np.random.default_rng(0))
     table.matrix[0] = [100.0, 0, 0, 0]
     table.matrix[1] = [100.0, 0, 0, 0]
-    assert forward(table, TrainSample(0, 1, PairType.ACTIVITY_STATE, 1)) > 1 - 1e-9
-    table.matrix[1] = [-100.0, 0, 0, 0]
-    assert forward(table, TrainSample(0, 1, PairType.ACTIVITY_STATE, 1)) < 1e-9
+    table.matrix[2] = [-100.0, 0, 0, 0]
+    near_one = TrainSample(0, 1, PairType.ACTIVITY_STATE, 1)
+    near_zero = TrainSample(0, 2, PairType.ACTIVITY_STATE, 1)
+    assert forward(table, near_one) > 1 - 1e-9
+    assert forward(table, near_zero) < 1e-9
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        batched = _batched_probabilities(table, [near_one, near_zero]).tolist()
+    assert batched == [forward(table, near_one), forward(table, near_zero)]
 
 
 def test_gradient_matches_central_finite_differences():
@@ -275,6 +393,55 @@ def test_training_is_bitwise_deterministic(watch_tv):
     b = train([watch_tv], vocab, cfg)
     assert np.array_equal(a.matrix, b.matrix)
     assert a.loss_history == b.loss_history
+
+
+def _reference_train(graphs, vocab, cfg):
+    """train with scalar batch draws and the allocating Adam update, which
+    the in-place update must reproduce bit for bit."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    matrix = initialize_table(vocab, cfg, rng).matrix
+    m = np.zeros_like(matrix)
+    v = np.zeros_like(matrix)
+    t = 0
+    history = []
+    for _iteration in range(cfg.iterations):
+        batch = Batch.of(_reference_batch(graphs, vocab, cfg, rng))
+        losses = []
+        for _epoch in range(cfg.epochs_per_iteration):
+            loss, grad = batch_loss_and_grad(matrix, batch)
+            t += 1
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
+            m_hat = m / (1.0 - cfg.beta1**t)
+            v_hat = v / (1.0 - cfg.beta2**t)
+            matrix -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            losses.append(loss)
+        history.append(sum(losses) / len(losses) if losses else 0.0)
+    return matrix, history
+
+
+def _assert_trains_like_reference(graphs, cfg):
+    vocab = build_vocabulary(graphs)
+    table = train(graphs, vocab, cfg)
+    matrix, history = _reference_train(graphs, vocab, cfg)
+    assert table.matrix.tobytes() == matrix.tobytes()
+    assert table.loss_history == history
+
+
+def test_training_matches_allocating_reference(watch_tv):
+    cfg = TrainConfig(
+        dimension=16, iterations=20, epochs_per_iteration=3, batch_size=48, rng_seed=8
+    )
+    _assert_trains_like_reference([watch_tv], cfg)
+
+
+def test_desk_training_exports_pinned_tsv_bytes(graph_list, tmp_path):
+    vocab = build_vocabulary(graph_list)
+    table = train(graph_list, vocab, TrainConfig(**DESK_SCALE, rng_seed=42))
+    vectors, metadata = tmp_path / "v.tsv", tmp_path / "m.tsv"
+    export_tsv(table, vocab, vectors, metadata)
+    assert hashlib.sha256(vectors.read_bytes()).hexdigest() == DESK_TSV_SHA256["vectors"]
+    assert hashlib.sha256(metadata.read_bytes()).hexdigest() == DESK_TSV_SHA256["metadata"]
 
 
 def _toy_graphs():
@@ -373,6 +540,21 @@ def test_odd_batch_size_rejected():
         TrainConfig(batch_size=7)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("batch_size", 0, "batch_size must be positive"),
+        ("batch_size", -2, "batch_size must be positive"),
+        ("dimension", 0, "dimension must be positive"),
+        ("iterations", -3, "iterations must not be negative"),
+        ("epochs_per_iteration", -1, "epochs_per_iteration must not be negative"),
+    ],
+)
+def test_out_of_range_config_rejected(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+
+
 # --- property tests ------------------------------------------------------
 
 from hypothesis import given, settings
@@ -388,3 +570,38 @@ def test_every_batch_is_exactly_half_positive(half, seed):
     batch = generate_batch(pair_pools([graph], vocab), cfg, np.random.default_rng(seed))
     assert len(batch.labels) == 2 * half
     assert batch.labels.sum() == half
+
+
+_routines = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10_000)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    _routines,
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_training_matches_allocating_reference_on_synthetic_corpora(
+    routines, dimension, iterations, epochs, half, seed
+):
+    scripts = dedupe_activity_names(
+        [
+            parse_script(synthetic_script_text(f"Routine {k}", length, offset))
+            for k, (length, offset) in enumerate(routines)
+        ]
+    )
+    cfg = TrainConfig(
+        dimension=dimension,
+        iterations=iterations,
+        epochs_per_iteration=epochs,
+        batch_size=2 * half,
+        rng_seed=seed,
+    )
+    _assert_trains_like_reference([script_to_kg(s) for s in scripts], cfg)
