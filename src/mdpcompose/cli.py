@@ -19,10 +19,14 @@ from .bench import mean_commit_radius, radius_rows, run_benchmark
 from .composer import ComposerConfig, compose, policy_table_json
 from .embedding import DESK_SCALE, TrainConfig, build_vocabulary, export_tsv, train
 from .errors import (
+    ActivityTerminatedError,
     CompositionFailureError,
     GraphValidationError,
     RuleSyntaxError,
     SchemaError,
+    StartupError,
+    StepLimitExceededError,
+    TrainingDivergenceError,
     TurtleSyntaxError,
     UnknownEntityError,
     UnknownSituationError,
@@ -30,7 +34,7 @@ from .errors import (
 from .hmm import fit_hmm, hmm_to_kg, read_log_csv
 from .service import BadRequest, resolve_policy_request, serve
 from .space import load_tsv
-from .store import activity_index, load_store, save_store
+from .store import load_store, save_store
 from .turtle_io import write_turtle
 from .vhome import load_corpus, script_to_kg
 
@@ -73,7 +77,7 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    graphs = load_store(args.store)
+    graphs = load_store(args.store).graphs
     vocab = build_vocabulary(graphs)
     if args.config:
         cfg = TrainConfig.from_file(args.config)
@@ -102,7 +106,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    graphs = load_store(args.store)
+    store = load_store(args.store)
     space = _load_space(args.embeddings)
     request_text = args.state
     if request_text.startswith("@"):
@@ -112,7 +116,7 @@ def _cmd_compose(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"bad --state JSON: {exc}", file=sys.stderr)
         return 1
-    graph, state = resolve_policy_request(graphs, body)
+    graph, state = resolve_policy_request(store, body)
     cfg = ComposerConfig(max_distance=args.max_distance)
     table, _trace = compose(graph, space, state, cfg)
     print(policy_table_json(table))
@@ -120,12 +124,11 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    graphs = load_store(args.store)
-    index = activity_index(graphs)
+    store = load_store(args.store)
     space = _load_space(args.embeddings)
     caps = [int(c) for c in args.caps.split(",") if c.strip()]
-    activities = sorted(index)
-    metrics = run_benchmark(index, space, activities, caps, seed=args.seed, out_dir=args.out)
+    activities = sorted(store.activities)
+    metrics = run_benchmark(store.activities, space, activities, caps, seed=args.seed, out_dir=args.out)
     mean_radius = mean_commit_radius(radius_rows(metrics))
     successes = sum(1 for m in metrics if m.success)
     print(f"wrote {len(metrics)} rows to {args.out} ({successes} successful cells)")
@@ -197,14 +200,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Errors that bad input or a failing request can raise; any other
+# exception is a bug and propagates with its traceback. ValueError stays
+# whole because input parsers such as load_tsv and TrainConfig raise it.
 _EXPECTED_ERRORS = (
+    ActivityTerminatedError,
     BadRequest,
     CompositionFailureError,
     GraphValidationError,
     OSError,
     RuleSyntaxError,
-    RuntimeError,
     SchemaError,
+    StartupError,
+    StepLimitExceededError,
+    TrainingDivergenceError,
     TurtleSyntaxError,
     UnknownEntityError,
     UnknownSituationError,

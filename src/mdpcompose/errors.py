@@ -89,6 +89,10 @@ class CompositionFailureError(Exception):
     """Policy composition could not finish for this activity."""
 
 
+class StartupError(RuntimeError):
+    """The service cannot load its store or embeddings."""
+
+
 class TrainingDivergenceError(_Rebuilt, RuntimeError):
     """An optimizer produced a non-finite loss."""
 

@@ -9,7 +9,7 @@ across activities the way real household data does.
 from __future__ import annotations
 
 from .kg import KnowledgeGraph
-from .vhome import VhCorpus, VhScript, dedupe_activity_names, parse_script, script_to_kg
+from .vhome import VhCorpus, dedupe_activity_names, parse_script, script_to_kg
 
 WATCH_TV_TEXT = """\
 Watch TV 49
@@ -81,12 +81,3 @@ def mini_corpus() -> VhCorpus:
 def corpus_graphs(corpus: VhCorpus | None = None) -> dict[str, KnowledgeGraph]:
     corpus = corpus or mini_corpus()
     return {s.activity_name: script_to_kg(s) for s in corpus.scripts}
-
-
-def watch_tv_49_script() -> VhScript:
-    corpus = mini_corpus()
-    return next(s for s in corpus.scripts if s.activity_name == "Watch_TV_49")
-
-
-def watch_tv_49_graph() -> KnowledgeGraph:
-    return script_to_kg(watch_tv_49_script())

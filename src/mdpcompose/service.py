@@ -6,9 +6,10 @@ POST /policies with either {"featureValues": {...}} or {"stateName": "..."}
 the radius cap are rejected with 422; malformed bodies get 400, bodies over
 MAX_BODY_BYTES get 413, and any other failure gets 500. A body that stalls
 for _Handler.timeout seconds counts as malformed. GET /health
-reports readiness. Shared graphs and embeddings are read-only; every
-request composes on its own copies of the state, so requests never
-interleave state.
+reports readiness. The store (see ``store``) is built once at start-up and,
+like the embeddings, only read: a request finds its graph and starting
+state in the store's indexes and composes on its own copies of the state,
+so requests never interleave state.
 
 The server speaks HTTP/1.1 with persistent connections: one handler thread
 serves every request of a connection, one after another, and closes it when
@@ -28,11 +29,16 @@ import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .composer import ComposerConfig, compose, policy_table_json
-from .errors import CompositionFailureError, UnknownSituationError
+from .errors import (
+    CompositionFailureError,
+    GraphValidationError,
+    StartupError,
+    UnknownSituationError,
+)
 from .kg import KnowledgeGraph
 from .simulation import SimState, state_features
 from .space import load_tsv
-from .store import graph_of_state, load_store, recognize_across
+from .store import Store, graph_of_state, load_store, recognize_across
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +49,7 @@ class BadRequest(ValueError):
     pass
 
 
-def resolve_policy_request(graphs: list[KnowledgeGraph], body) -> tuple[KnowledgeGraph, SimState]:
+def resolve_policy_request(store: Store, body) -> tuple[KnowledgeGraph, SimState]:
     """Map a request body to (owning graph, starting state).
 
     Raises BadRequest for malformed bodies and UnknownSituationError when
@@ -61,7 +67,7 @@ def resolve_policy_request(graphs: list[KnowledgeGraph], body) -> tuple[Knowledg
         state_name = body["stateName"]
         if not isinstance(state_name, str):
             raise BadRequest("stateName must be a string")
-        graph = graph_of_state(graphs, state_name)
+        graph = graph_of_state(store, state_name)
         features = state_features(graph, state_name)
         return graph, SimState(feature_values=features, state_label=state_name)
     features = body["featureValues"]
@@ -69,20 +75,19 @@ def resolve_policy_request(graphs: list[KnowledgeGraph], body) -> tuple[Knowledg
         raise BadRequest("featureValues must be an object")
     if any(value is None or isinstance(value, (list, dict)) for value in features.values()):
         raise BadRequest("featureValues values must be numbers")
-    graph, state = recognize_across(graphs, features)
-    return graph, state
+    return recognize_across(store, features)
 
 
 class PolicyService:
     """Request-independent context shared by all handler threads."""
 
-    def __init__(self, graphs, space, composer_cfg=None):
-        self.graphs = graphs
+    def __init__(self, store: Store, space, composer_cfg=None):
+        self.store = store
         self.space = space
         self.composer_cfg = composer_cfg or ComposerConfig()
 
     def policies_for(self, body) -> bytes:
-        graph, state = resolve_policy_request(self.graphs, body)
+        graph, state = resolve_policy_request(self.store, body)
         table, _trace = compose(graph, self.space, state, self.composer_cfg)
         return policy_table_json(table).encode("utf-8")
 
@@ -155,22 +160,25 @@ class _Handler(BaseHTTPRequestHandler):
         log.debug("%s " + fmt, self.address_string(), *args)
 
 
-def build_server(graphs, space, bind: str = "127.0.0.1:0", composer_cfg=None) -> ThreadingHTTPServer:
+def build_server(store: Store, space, bind: str = "127.0.0.1:0", composer_cfg=None) -> ThreadingHTTPServer:
     host, _, port_text = bind.partition(":")
     port = int(port_text) if port_text else 0
     server = ThreadingHTTPServer((host or "127.0.0.1", port), _Handler)
-    server.policy_service = PolicyService(graphs, space, composer_cfg)
+    server.policy_service = PolicyService(store, space, composer_cfg)
     return server
 
 
 def serve(store_path, vectors_path, metadata_path, bind: str = "127.0.0.1:8080", composer_cfg=None):
-    """Load the store and embeddings, then serve until interrupted."""
+    """Load the store and embeddings, then serve until interrupted.
+
+    Raises StartupError when a file is missing, unreadable or malformed.
+    """
     try:
-        graphs = load_store(store_path)
+        store = load_store(store_path)
         space = load_tsv(vectors_path, metadata_path)
-    except Exception as exc:
-        raise RuntimeError(f"startup failed: {exc}") from exc
-    server = build_server(graphs, space, bind, composer_cfg)
+    except (OSError, ValueError, GraphValidationError) as exc:
+        raise StartupError(f"startup failed: {exc}") from exc
+    server = build_server(store, space, bind, composer_cfg)
     host, port = server.server_address[:2]
     log.info("serving on %s:%s", host, port)
     try:

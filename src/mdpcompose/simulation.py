@@ -97,6 +97,12 @@ def recognize_state(graph: KnowledgeGraph, feature_values) -> SimState:
     state = _first_match(graph.recognition_order(), feature_values)
     if state is None:
         raise UnknownSituationError("observed features match no known state")
+    return _recognized(state, feature_values)
+
+
+def _recognized(state: State, feature_values) -> SimState:
+    """The simulation state of a recognized ``state``: a copy of the
+    observed features, no reward yet, and the state's goal and final flags."""
     return SimState(
         feature_values=dict(feature_values),
         state_label=state.name,

@@ -21,6 +21,8 @@ from mdpcompose.kg import (
 )
 from mdpcompose.sample_corpus import corpus_graphs, mini_corpus
 from mdpcompose.space import space_from_table
+from mdpcompose.store import Store
+from mdpcompose.vhome import VhScript, script_to_kg
 
 # Hand-written Turtle document for the Watch_TV_49 activity, in the style
 # real dataset exports use: mixed-case property names, terse numeric
@@ -327,6 +329,11 @@ def graph_list(corpus, graphs):
 
 
 @pytest.fixture(scope="session")
+def desk_store(graph_list):
+    return Store(graph_list)
+
+
+@pytest.fixture(scope="session")
 def vocab(graph_list):
     return build_vocabulary(graph_list)
 
@@ -339,6 +346,31 @@ def desk_table(graph_list, vocab):
 @pytest.fixture(scope="session")
 def desk_space(vocab, desk_table):
     return space_from_table(vocab, desk_table)
+
+
+def watch_tv_49_script() -> VhScript:
+    return next(s for s in mini_corpus().scripts if s.activity_name == "Watch_TV_49")
+
+
+def watch_tv_49_graph() -> KnowledgeGraph:
+    return script_to_kg(watch_tv_49_script())
+
+
+_OPS = ["==", "!=", "<", "<=", ">", ">="]
+_CONSTANTS = ["0", "1", "0.5", "2", '"on"']
+
+
+def random_rule(rng: random.Random, features: list[str]) -> str:
+    """A disjunction of conjunctions over ``features`` with every operator
+    and both constant kinds, so rules can hold through a later clause and
+    can raise EvaluationError."""
+    return " OR ".join(
+        " AND ".join(
+            f"{rng.choice(features)} {rng.choice(_OPS)} {rng.choice(_CONSTANTS)}"
+            for _ in range(rng.randint(1, 3))
+        )
+        for _ in range(rng.randint(1, 3))
+    )
 
 
 def make_random_graph(rng: random.Random) -> KnowledgeGraph:

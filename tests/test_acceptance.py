@@ -417,8 +417,8 @@ def test_criterion_8_radius_behavior(bench_run):
     )
 
 
-def test_criterion_9_service_fidelity(graph_list, graphs, desk_space):
-    server = build_server(graph_list, desk_space, "127.0.0.1:0")
+def test_criterion_9_service_fidelity(desk_store, graphs, desk_space):
+    server = build_server(desk_store, desk_space, "127.0.0.1:0")
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

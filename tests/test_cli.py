@@ -1,8 +1,16 @@
 import json
+import random
 
 import pytest
 
+from conftest import make_random_graph
+from mdpcompose import cli
 from mdpcompose.cli import main
+from mdpcompose.errors import (
+    ActivityTerminatedError,
+    StepLimitExceededError,
+    TrainingDivergenceError,
+)
 from mdpcompose.sample_corpus import script_texts
 
 
@@ -166,3 +174,34 @@ def test_bench_subcommand(pipeline, capsys):
     assert code == 0
     assert (out / "steps.csv").exists()
     assert "mean commit radius" in capsys.readouterr().out
+
+
+def test_serve_startup_failure_reports_error(tmp_path, capsys):
+    code = main(
+        ["serve", "--store", str(tmp_path / "missing"), "--embeddings", str(tmp_path / "none")]
+    )
+    assert code == 1
+    assert "error: startup failed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error", [ActivityTerminatedError, StepLimitExceededError, TrainingDivergenceError]
+)
+def test_typed_runtime_errors_report_error(tmp_path, capsys, monkeypatch, error):
+    def fail(_path):
+        raise error("expected failure")
+
+    monkeypatch.setattr(cli, "load_store", fail)
+    code = main(["train", "--store", str(tmp_path), "--out", str(tmp_path / "emb")])
+    assert code == 1
+    assert "error: expected failure" in capsys.readouterr().err
+
+
+def test_bug_in_a_command_propagates(tmp_path, monkeypatch):
+    def add_to_a_frozen_graph(_path):
+        graph = make_random_graph(random.Random(0))
+        graph.add(graph.states[0])
+
+    monkeypatch.setattr(cli, "load_store", add_to_a_frozen_graph)
+    with pytest.raises(RuntimeError, match="frozen"):
+        main(["train", "--store", str(tmp_path), "--out", str(tmp_path / "emb")])

@@ -20,6 +20,7 @@ EXAMPLES = {
     errors.ActivityTerminatedError: ("final state reached",),
     errors.StepLimitExceededError: ("more than 1000 steps",),
     errors.CompositionFailureError: ("no candidate improves the reward",),
+    errors.StartupError: ("startup failed: no .ttl files in store directory store",),
     errors.TrainingDivergenceError: ("non-finite loss", 3),
 }
 

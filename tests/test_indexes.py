@@ -10,7 +10,7 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_graph
+from conftest import make_random_graph, random_rule
 from mdpcompose.composer import compose, policy_table_json
 from mdpcompose.errors import (
     EvaluationError,
@@ -83,22 +83,7 @@ def _reference_relabel(graph, target, features, scope):
 
 # --- fuzzed graphs with richer rules -------------------------------------
 
-_OPS = ["==", "!=", "<", "<=", ">", ">="]
-_CONSTANTS = ["0", "1", "0.5", "2", '"on"']
 _VALUES = [0, 1, 0.0, 1.0, 0.5, 2, -1, True, False, "on", "off", None]
-
-
-def _random_rule(rng, features):
-    """A disjunction of conjunctions over ``features`` with every operator
-    and both constant kinds, so rules can hold through a later clause and
-    can raise EvaluationError."""
-    return " OR ".join(
-        " AND ".join(
-            f"{rng.choice(features)} {rng.choice(_OPS)} {rng.choice(_CONSTANTS)}"
-            for _ in range(rng.randint(1, 3))
-        )
-        for _ in range(rng.randint(1, 3))
-    )
 
 
 def fuzzed_document(seed):
@@ -137,7 +122,7 @@ def fuzzed_document(seed):
     for entity in entities:
         if entity["concept"] == "State" and rng.random() < 0.5:
             declared = entity["properties"]["hasObservationFeature"]
-            entity["properties"]["hasExpression"] = _random_rule(rng, declared)
+            entity["properties"]["hasExpression"] = random_rule(rng, declared)
     rng.shuffle(entities)  # insertion order must not matter to the indexes
     return {"entities": entities, "x-triples": triples}
 
@@ -306,37 +291,37 @@ def test_unfrozen_lookups_need_no_parsable_rules():
 # --- concurrent readers --------------------------------------------------
 
 
-def _requests(graph_list):
+def _requests(graphs):
     out = []
-    for graph in graph_list:
+    for graph in graphs:
         activity = graph.activities[0]
         initial = next(s for s in activity.states if graph.get(s).is_initial_state)
         out.append((graph, initial_features(graph, activity.name), initial))
     return out
 
 
-def _serve(graph_list, space, requests, order):
+def _serve(store, space, requests, order):
     """What a request thread computes, by request: the matched graph, the
     recognized state and the policy JSON."""
     out = {}
     for k in order:
         graph, features, label = requests[k]
-        matched, state = recognize_across(graph_list, features)
+        matched, state = recognize_across(store, features)
         table, _trace = compose(graph, space, SimState(feature_values=features, state_label=label))
-        out[k] = (graph_list.index(matched), state.state_label, policy_table_json(table))
+        out[k] = (store.graphs.index(matched), state.state_label, policy_table_json(table))
     return out
 
 
-def test_concurrent_readers_match_a_sequential_run(graph_list, desk_space):
-    requests = _requests(graph_list)
-    expected = _serve(graph_list, desk_space, requests, range(len(requests)))
+def test_concurrent_readers_match_a_sequential_run(desk_store, desk_space):
+    requests = _requests(desk_store.graphs)
+    expected = _serve(desk_store, desk_space, requests, range(len(requests)))
     results: dict[int, dict] = {}
     errors: list[BaseException] = []
 
     def worker(k):
         order = [(k + i) % len(requests) for i in range(len(requests))]
         try:
-            results[k] = _serve(graph_list, desk_space, requests, order)
+            results[k] = _serve(desk_store, desk_space, requests, order)
         except BaseException as exc:  # reported below, not lost in the thread
             errors.append(exc)
 

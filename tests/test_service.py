@@ -22,8 +22,8 @@ from mdpcompose.simulation import SimState, initial_features
 
 
 @pytest.fixture(scope="module")
-def server(graph_list, desk_space):
-    srv = build_server(graph_list, desk_space, "127.0.0.1:0")
+def server(desk_store, desk_space):
+    srv = build_server(desk_store, desk_space, "127.0.0.1:0")
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv
@@ -293,13 +293,13 @@ def test_concurrent_requests_do_not_interleave(server, graphs):
         assert len(document["policies"][0]["actions"]) == expected_length
 
 
-def test_resolve_policy_request_validation(graph_list):
+def test_resolve_policy_request_validation(desk_store):
     with pytest.raises(BadRequest):
-        resolve_policy_request(graph_list, ["not", "an", "object"])
+        resolve_policy_request(desk_store, ["not", "an", "object"])
     with pytest.raises(BadRequest):
-        resolve_policy_request(graph_list, {"stateName": 7})
+        resolve_policy_request(desk_store, {"stateName": 7})
     with pytest.raises(BadRequest):
-        resolve_policy_request(graph_list, {"featureValues": "text"})
+        resolve_policy_request(desk_store, {"featureValues": "text"})
 
 
 # --- every body gets exactly one JSON response ------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import watch_tv_49_graph, watch_tv_49_script
 from mdpcompose.errors import (
     ActivityTerminatedError,
     EvaluationError,
@@ -21,7 +22,6 @@ from mdpcompose.kg import (
     State,
     Transition,
 )
-from mdpcompose.sample_corpus import watch_tv_49_graph, watch_tv_49_script
 from mdpcompose.simulation import (
     SimConfig,
     SimState,

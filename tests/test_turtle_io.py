@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from conftest import WATCH_TV_49_TTL, make_random_graph
+from conftest import WATCH_TV_49_TTL, make_random_graph, watch_tv_49_graph
 from mdpcompose.errors import GraphValidationError, TurtleSyntaxError
 from mdpcompose.kg import KnowledgeGraph, Parameter, isomorphic
-from mdpcompose.sample_corpus import watch_tv_49_graph
 from mdpcompose.turtle_io import parse_turtle, write_turtle
 
 PREFIX_ONLY = """\
