@@ -1,15 +1,20 @@
 """On-demand policy composition by ensembles of agents.
 
 Starting from a recognized state, each round finds the actions whose
-embeddings lie within the current search radius, spawns one agent per
-candidate, and keeps the reward-maximising outcome. The state the agents
+embeddings lie within the current search radius, evaluates one agent step
+per candidate, and keeps the reward-maximising outcome. The state the agents
 start from is validated once per commit, by ``start_state`` at the first
-candidate that the graph knows, so an invalid state fails at the same agent
-as a per-agent check would. Each agent is then a ``make_simulation``
-closure over that validated ``Start`` and steps its own copy of the state.
-A candidate that makes no transition is charged the wrong-step penalty, and
-one absent from the graph is charged it without a simulation. The agents of
-a round run one after another in candidate order: an agent step is pure
+candidate that the graph knows, and ``scoped_transitions`` makes each
+candidate's checks in the order ``step_state`` makes them, so an invalid
+state or action fails at the same candidate as a per-agent check would.
+Only a candidate with a scoped transition runs an agent: a
+``make_simulation`` closure over the validated ``Start`` that steps its own
+copy of the state. A candidate without one, or absent from the graph, is
+charged the wrong-step penalty without a simulation and still counts as an
+agent step. The charged candidates of a commit share one penalty state (of
+the start state, or of the current state for one absent from the graph),
+which a positive increment keeps from ever being committed. The agents of a
+round run one after another in candidate order: an agent step is pure
 Python, so under the GIL threads would add overhead and no parallelism.
 When no candidate improves the reward the radius grows by a fixed step, up
 to the radius cap, which is tried itself even when the steps skip it; a
@@ -23,11 +28,19 @@ ranked policy table together with a trace of every round.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import CompositionFailureError
 from .kg import KnowledgeGraph
-from .simulation import SimConfig, SimState, make_simulation, start_state, wrong_step
+from .simulation import (
+    SimConfig,
+    SimState,
+    make_simulation,
+    scoped_transitions,
+    start_state,
+    wrong_step,
+)
 from .space import EmbeddingSpace
 
 
@@ -41,6 +54,12 @@ class ComposerConfig:
     def __post_init__(self):
         if not (0 < self.max_distance <= self.radius_cap):
             raise ValueError("max_distance must be in (0, radius_cap]")
+        # a radius that cannot grow, or no round at all, could only end in
+        # an exhausted step budget
+        if not (math.isfinite(self.radius_step) and self.radius_step > 0):
+            raise ValueError("radius_step must be a finite number > 0")
+        if self.step_budget is not None and self.step_budget < 1:
+            raise ValueError("step_budget must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -95,7 +114,7 @@ class CompositionTrace:
     rounds: list[TraceRound] = field(default_factory=list)
     commit_radii: list[float] = field(default_factory=list)
     steps: int = 0  # coordinator rounds until the goal
-    agent_steps: int = 0  # simulation steps over all ensemble agents
+    agent_steps: int = 0  # candidates evaluated, simulated or charged the penalty
     wrong_decisions: int = 0  # agent steps whose reward dropped
     cumulative_reward: float = 0.0  # sum of the running reward at each commit
     episodes: int = 1
@@ -134,6 +153,10 @@ def compose(
     # one fails there
     start = start_state(graph, initial_state, sim_cfg)
     current = start.state
+    # the shared outcome of a candidate that makes no transition: `absent`
+    # for one absent from the graph, `stay` for one in it
+    absent = wrong_step(current.clone(), sim_cfg)
+    stay = wrong_step(start.state.clone(), sim_cfg)
 
     budget = cfg.step_budget if cfg.step_budget is not None else 50 * max(
         1, len(graph.states)
@@ -164,11 +187,13 @@ def compose(
                 if graph.find(action) is None:
                     # known to the embedding space but absent from this
                     # activity graph: penalized like a transition-less action
-                    state = wrong_step(current.clone(), sim_cfg)
+                    state = absent
                 else:
                     if start is None:
                         start = start_state(graph, current, sim_cfg)
-                    state = make_simulation(graph, start, sim_cfg)(action)
+                        stay = wrong_step(start.state.clone(), sim_cfg)
+                    _action, moves = scoped_transitions(graph, start, start.state, action)
+                    state = make_simulation(graph, start, sim_cfg)(action) if moves else stay
                 result = simulated[action] = AgentResult(action, distance, state)
             results.append(result)
         trace.agent_steps += len(results)
@@ -201,6 +226,7 @@ def compose(
         committed_rewards.append(best.state.reward)
         current = best.state
         start = None
+        absent = wrong_step(current.clone(), sim_cfg)
         simulated.clear()
         radius = cfg.max_distance
 

@@ -2,16 +2,20 @@
 
 ``start_state`` validates a starting state once and returns a ``Start``:
 the state, the activity that scopes its steps and the step limit.
-``step_state`` performs one action on a copy of that state in place: it
-looks up the matching transition for (current state label, action), applies
-the action's effects, re-derives the state label and updates the running
-reward (+increment for a matched transition, -increment otherwise);
-``wrong_step`` charges that penalty for a step that makes no transition.
-``make_simulation`` wraps the pair in a closure that owns its state across
-steps. It validates a given state itself, or steps a copy of a ``Start``
-without validating again, which is how the composer runs one agent per
-candidate from a state it validated once per commit. Any number of
-callers can read the same frozen graph.
+``scoped_transitions`` makes the checks that come before a step, in a fixed
+order, and returns the action's transitions from the state within that
+scope. ``step_state`` performs one action on a copy of that state in place:
+it takes the matching transition, applies the action's effects, re-derives
+the state label and updates the running reward (+increment for a matched
+transition, -increment otherwise); ``wrong_step`` charges that penalty for
+a step that makes no transition. ``make_simulation`` wraps the pair in a
+closure that owns its state across steps. It validates a given state
+itself, or steps a copy of a ``Start`` without validating again, which is
+how the composer runs an agent from a state it validated once per commit.
+The composer runs one only for a candidate with a scoped transition: a
+candidate without one is charged the penalty without a simulation, and
+still counts as an agent step. Any number of callers can read the same
+frozen graph.
 
 Lookups read the indexes a graph builds when it freezes (see ``kg``): the
 owning activity of a state, the transitions by (state, action), each
@@ -26,6 +30,7 @@ first comparison) is absent from the feature map. The skip is exact:
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -38,7 +43,15 @@ from .errors import (
     UnknownEntityError,
     UnknownSituationError,
 )
-from .kg import Action, Activity, ImpactType, KnowledgeGraph, RecognitionEntry, State
+from .kg import (
+    Action,
+    Activity,
+    ImpactType,
+    KnowledgeGraph,
+    RecognitionEntry,
+    State,
+    Transition,
+)
 
 UNKNOWN_STATE = "UNKNOWN"
 
@@ -49,6 +62,13 @@ class SimConfig:
     stochastic: bool = False
     rng_seed: int = 0
     max_steps: int | None = None  # defaults to 50 x number of states
+
+    def __post_init__(self):
+        # at an increment <= 0 a wrong step loses no reward and a sequential
+        # transition gains none, so a composition could only spin until its
+        # step budget
+        if not (math.isfinite(self.reward_increment) and self.reward_increment > 0):
+            raise ValueError("reward_increment must be a finite number > 0")
 
 
 @dataclass(slots=True)
@@ -251,6 +271,34 @@ def start_state(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None 
     return Start(state, scope, names, max_steps)
 
 
+def scoped_transitions(
+    graph: KnowledgeGraph, start: Start, state: SimState, action_name: str
+) -> tuple[Action, list[Transition]]:
+    """The action ``action_name`` and its transitions from ``state``, a copy
+    of ``start.state`` or a state that steps from it reached, kept to the
+    activity that scopes ``start``. An empty list means that performing the
+    action makes no transition, which ``wrong_step`` charges.
+
+    Raises ActivityTerminatedError in a final state, StepLimitExceededError
+    at the step limit and UnknownEntityError for a name that is not an
+    action, in that order.
+    """
+    if state.is_final:
+        raise ActivityTerminatedError(f"activity terminated in state {state.state_label!r}")
+    if state.step_index >= start.max_steps:
+        raise StepLimitExceededError(f"exceeded {start.max_steps} steps")
+    action = graph.find(action_name)
+    if not isinstance(action, Action):
+        raise UnknownEntityError(f"unknown action {action_name!r}")
+    matching = graph.transitions_from(state.state_label, action_name)
+    if start.names is not None:
+        scope_states, scope_actions = start.names
+        matching = [
+            t for t in matching if t.next_state in scope_states and t.action in scope_actions
+        ]
+    return action, matching
+
+
 def wrong_step(state: SimState, cfg: SimConfig) -> SimState:
     """Charge a step that makes no transition: the label stays and the
     reward drops by one increment. Mutates and returns ``state``."""
@@ -272,24 +320,10 @@ def step_state(
     ``state``.
 
     A stochastic walk draws its transitions from ``rng``; with None the
-    most probable transition is taken. Raises ActivityTerminatedError in a
-    final state, StepLimitExceededError at the step limit and
-    UnknownEntityError for a name that is not an action, in that order.
+    most probable transition is taken. Raises what ``scoped_transitions``
+    raises, before any change to ``state``.
     """
-    if state.is_final:
-        raise ActivityTerminatedError(f"activity terminated in state {state.state_label!r}")
-    if state.step_index >= start.max_steps:
-        raise StepLimitExceededError(f"exceeded {start.max_steps} steps")
-    entity = graph.find(performed_action)
-    if not isinstance(entity, Action):
-        raise UnknownEntityError(f"unknown action {performed_action!r}")
-
-    matching = graph.transitions_from(state.state_label, performed_action)
-    if start.names is not None:
-        scope_states, scope_actions = start.names
-        matching = [
-            t for t in matching if t.next_state in scope_states and t.action in scope_actions
-        ]
+    entity, matching = scoped_transitions(graph, start, state, performed_action)
     if not matching:
         return wrong_step(state, cfg)
     if rng is not None:

@@ -51,3 +51,21 @@ def test_policy_requests_reach_the_traced_store_lookups(tracing, desk_store):
         "store.recognize_across",
         "service.resolve_policy_request",
     ]
+
+
+def test_a_composed_request_reaches_the_traced_agent_and_search_calls(tracing, desk_store, desk_space):
+    # the benchmark reads the simulation and search layers from these spans,
+    # so a composition routed around them must fail here, not read 0 there
+    recorder = tracing.Recorder()
+    graph = desk_store.graphs[0]
+    initial = next(s for s in graph.activities[0].states if graph.get(s).is_initial_state)
+    with recorder.active():
+        payload = service.PolicyService(desk_store, desk_space).policies_for({"stateName": initial})
+    assert payload.startswith(b'{"policies":')
+    names = {span[tracing.NAME] for span in recorder.spans}
+    assert {
+        "composer.compose",
+        "simulation.make_simulation",
+        "simulation.step",
+        "space.find_closest_actions",
+    } <= names

@@ -139,7 +139,7 @@ def test_no_state_leaks_between_compositions(graphs, desk_space):
     assert tables[0] != tables[1]
 
 
-# --- one agent per (commit, action) --------------------------------------
+# --- one agent per (commit, action with a transition) ------------------
 
 
 def _repeated_candidates(trace) -> int:
@@ -177,7 +177,8 @@ def _check_against_fresh_agents(graph, start, trace, sim_cfg):
 
 def _fuzzed_cases(graphs, desk_space):
     for name, graph in graphs.items():
-        yield graph, desk_space, _start(graph, name), SimConfig()
+        for sim_cfg in (SimConfig(), SimConfig(stochastic=True, rng_seed=7)):
+            yield graph, desk_space, _start(graph, name), sim_cfg
     for seed in range(40):
         graph = make_random_graph(random.Random(seed))
         vocab = build_vocabulary([graph])
@@ -187,38 +188,73 @@ def _fuzzed_cases(graphs, desk_space):
             yield graph, space, start, sim_cfg
 
 
+def _moves(graph, start: Start, action: str) -> bool:
+    """Whether ``action`` names an action with a transition from the start
+    state that stays in the start's activity, read from the graph's full
+    transition list rather than its index."""
+    if not isinstance(graph.find(action), Action):
+        return False
+    scope = start.scope
+    return any(
+        t.previous_state == start.state.state_label
+        and t.action == action
+        and (scope is None or (t.next_state in scope.states and t.action in scope.actions))
+        for t in graph.transitions
+    )
+
+
+def _commit_runs(trace):
+    """The rounds between two commits, each run ending in its commit."""
+    runs = [[]]
+    for rnd in trace.rounds:
+        runs[-1].append(rnd)
+        if rnd.committed:
+            runs.append([])
+    return runs[:-1]  # a composition ends with a commit
+
+
 def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeypatch):
-    validations = []  # one entry per start_state call: a commit's start
+    """An agent runs once per commit for every candidate with a scoped
+    transition from that commit's start, and for no other candidate."""
+    starts = []  # one entry per start_state call: a commit's start
     steps = Counter()  # (start_state calls so far, action) -> agent steps
     validate, make = composer.start_state, composer.make_simulation
 
     def counting_start(graph, initial, cfg=None):
-        validations.append(initial.state_label)
-        return validate(graph, initial, cfg)
+        starts.append(validate(graph, initial, cfg))
+        return starts[-1]
 
     def counting_make(graph, initial, cfg=None):
         assert isinstance(initial, Start)  # validated by start_state above
         step = make(graph, initial, cfg)
 
         def counted(action):
-            steps[len(validations), action] += 1
+            steps[len(starts), action] += 1
             return step(action)
 
         return counted
 
     monkeypatch.setattr(composer, "start_state", counting_start)
     monkeypatch.setattr(composer, "make_simulation", counting_make)
-    reused = 0
+    reused = charged = 0
     for graph, space, start, sim_cfg in _fuzzed_cases(graphs, desk_space):
-        validations.clear()
+        starts.clear()
         steps.clear()
         _table, trace = compose(graph, space, start, sim_cfg=sim_cfg)
         assert steps and set(steps.values()) == {1}
         # the initial state, then the state of every commit but the last
-        assert len(validations) == max(1, len(trace.commit_radii))
+        assert len(starts) == max(1, len(trace.commit_radii))
+        runs = _commit_runs(trace)
+        assert len(runs) == len(starts)
+        for index, (run, run_start) in enumerate(zip(runs, starts), start=1):
+            candidates = {action for rnd in run for action, _distance in rnd.candidates}
+            moving = {action for action in candidates if _moves(graph, run_start, action)}
+            assert {action for n, action in steps if n == index} == moving
+            charged += len(candidates - moving)
         reused += _repeated_candidates(trace)
         _check_against_fresh_agents(graph, start, trace, sim_cfg)
     assert reused > 0  # some candidates did come back after the radius grew
+    assert charged > 0  # and some were charged without a simulation
 
 
 # --- the reference composition: a fresh closure per agent ----------------
@@ -574,6 +610,18 @@ def test_invalid_config_rejected():
         ComposerConfig(max_distance=3.0, radius_cap=2.0)
 
 
+@pytest.mark.parametrize("radius_step", [0.0, -0.25, float("nan"), float("inf")])
+def test_radius_step_must_be_finite_and_positive(radius_step):
+    with pytest.raises(ValueError, match="radius_step"):
+        ComposerConfig(radius_step=radius_step)
+
+
+@pytest.mark.parametrize("step_budget", [0, -1])
+def test_step_budget_must_allow_a_round(step_budget):
+    with pytest.raises(ValueError, match="step_budget"):
+        ComposerConfig(step_budget=step_budget)
+
+
 # --- error paths against the reference -----------------------------------
 
 
@@ -639,6 +687,97 @@ def test_candidate_naming_a_non_action_fails_like_the_reference(max_steps, error
     )
     start = SimState(feature_values={"IsPressed": 0.0}, state_label="Ready")
     outcome = _assert_matches_reference(g, space, start, sim_cfg=SimConfig(max_steps=max_steps))
+    assert _error_of(outcome) is error
+
+
+def _three_step_graph():
+    """A -> B -> C (the goal) by Step_1 then Step_2, each raising Pos by
+    one; D is a final state that no goal follows."""
+    g = KnowledgeGraph()
+    g.add(
+        ObservationFeature(
+            name="Pos", range_start=0.0, range_end=10.0,
+            feature_type=FeatureType.NUMERICAL, unit="",
+        )
+    )
+    for value, name in enumerate("ABCD"):
+        g.add(
+            State(
+                name=name, is_initial_state=name == "A", is_final_state=name in "CD",
+                is_goal=name == "C", reward=0.0, expression=f"Pos == {value}",
+                observation_features=["Pos"],
+            )
+        )
+    g.add(Effect(name="Advance", target_features=["Pos"], impact_type=ImpactType.INCREASE))
+    for action, previous, following in (("Step_1", "A", "B"), ("Step_2", "B", "C")):
+        g.add(
+            Transition(
+                name=f"T_{action}", previous_state=previous, next_state=following,
+                action=action, probability=1.0,
+            )
+        )
+        g.add(Action(name=action, effects=["Advance"], transitions=[f"T_{action}"]))
+    g.add(
+        Activity(
+            name="Walk", is_sequential=True, number_of_actors=1,
+            communication_type=CommunicationType.ASYNCHRONOUS,
+            states=list("ABCD"), actions=["Step_1", "Step_2"],
+            observation_features=["Pos"],
+        )
+    )
+    g.validate()
+    return g
+
+
+def _at(degrees):
+    return [math.cos(math.radians(degrees)), math.sin(math.radians(degrees))]
+
+
+# Within radius 0.5 (60 degrees) A sees, closest first: Foreign (absent from
+# the graph), Step_2 (no transition from A) and Step_1 (a transition). After
+# the commit B sees Step_1 (no transition from B), Step_2 (a transition),
+# Foreign, and then Pos and Advance, which the graph knows as a feature and
+# an effect: the round fails at Pos.
+_MIXED_SPACE = [
+    ("A", Concept.STATE, _at(0)),
+    ("B", Concept.STATE, _at(90)),
+    ("D", Concept.STATE, _at(0)),
+    ("Foreign", Concept.ACTION, _at(40)),
+    ("Step_2", Concept.ACTION, _at(45)),
+    ("Step_1", Concept.ACTION, _at(50)),
+    ("Pos", Concept.ACTION, _at(145)),
+    ("Advance", Concept.ACTION, _at(148)),
+]
+
+
+def test_rounds_mixing_every_kind_of_candidate_fail_like_the_reference():
+    g, space = _three_step_graph(), _space_with(_MIXED_SPACE)
+    assert [a for a, _d in space.find_closest_actions("A", 0.5)] == ["Foreign", "Step_2", "Step_1"]
+    assert [a for a, _d in space.find_closest_actions("B", 0.5)] == [
+        "Step_1", "Step_2", "Foreign", "Pos", "Advance",
+    ]
+    start = SimState(feature_values={"Pos": 0.0}, state_label="A")
+    for stochastic in (False, True):
+        outcome = _assert_matches_reference(
+            g, space, start, ComposerConfig(max_distance=0.5),
+            SimConfig(stochastic=stochastic, rng_seed=5),
+        )
+        assert outcome == (UnknownEntityError, "unknown action 'Pos'")
+
+
+@pytest.mark.parametrize(
+    "label, step_index, error",
+    [("D", 0, ActivityTerminatedError), ("A", 3, StepLimitExceededError)],
+)
+def test_mixed_rounds_from_a_stuck_start_fail_like_the_reference(label, step_index, error):
+    # from a final non-goal state, and from a state at the step limit: the
+    # candidate absent from the graph is charged, the next one fails
+    g, space = _three_step_graph(), _space_with(_MIXED_SPACE)
+    features = {"Pos": 3.0 if label == "D" else 0.0}
+    start = SimState(feature_values=features, state_label=label, step_index=step_index)
+    outcome = _assert_matches_reference(
+        g, space, start, ComposerConfig(max_distance=0.5), SimConfig(max_steps=3)
+    )
     assert _error_of(outcome) is error
 
 

@@ -144,6 +144,12 @@ def test_max_steps_guard(watch_tv):
         sim("Find_couch_1")
 
 
+@pytest.mark.parametrize("increment", [0.0, -0.25, float("nan"), float("inf")])
+def test_reward_increment_must_be_finite_and_positive(increment):
+    with pytest.raises(ValueError, match="reward_increment"):
+        SimConfig(reward_increment=increment)
+
+
 # --- a hand-built graph exercising every effect type -------------------
 
 
