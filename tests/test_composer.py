@@ -363,31 +363,72 @@ def test_fuzzed_compositions_match_the_reference(seed, radius, stochastic, max_s
     _assert_matches_reference(graph, space, _start(graph, graph.activities[0].name), cfg, sim_cfg)
 
 
-# --- the desk policy bytes ------------------------------------------------
+# --- the desk policy bytes and traces ------------------------------------
 
 DESK_POLICY_SHA256 = "83870c8380050e0528ee8f20f387b0362078d5deaa547910c8d2103c44899b8d"
+DESK_TRACE_SHA256 = "891943ab5f5f48e97d102f2e36956053439d7fa57bc50c8963f27f626906e36f"
+
+_DESK_ERRORS = (
+    ActivityTerminatedError,
+    CompositionFailureError,
+    StepLimitExceededError,
+    UnknownEntityError,
+    UnknownSituationError,
+)
+
+
+def _desk_digest(graphs, space, render, sim_cfgs):
+    """Every state of the 12 desk activities, labelled and with its
+    features, under each of ``sim_cfgs``: ``render(table, trace)``, or the
+    error's class, hashed in order."""
+    digest = hashlib.sha256()
+    for sim_cfg in sim_cfgs:
+        for name in sorted(graphs):
+            graph = graphs[name]
+            for state in graph.get(name).states:
+                start = SimState(feature_values=state_features(graph, state), state_label=state)
+                try:
+                    payload = render(*compose(graph, space, start, sim_cfg=sim_cfg))
+                except _DESK_ERRORS as exc:
+                    payload = type(exc).__name__
+                digest.update(f"{name}\t{state}\t{payload}\n".encode())
+    return digest.hexdigest()
+
+
+def _trace_json(trace: CompositionTrace) -> str:
+    """The canonical JSON of a trace: every round, and the totals."""
+    return json.dumps(
+        {
+            "rounds": [
+                {
+                    "radius": rnd.radius,
+                    "candidates": rnd.candidates,
+                    "results": rnd.results,
+                    "chosen": rnd.chosen,
+                    "committed": rnd.committed,
+                }
+                for rnd in trace.rounds
+            ],
+            "steps": trace.steps,
+            "agent_steps": trace.agent_steps,
+            "wrong_decisions": trace.wrong_decisions,
+            "commit_radii": trace.commit_radii,
+            "cumulative_reward": trace.cumulative_reward,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
 
 
 def test_desk_policy_bytes_are_pinned(graphs, desk_space):
-    """Every state of the 12 desk activities, labelled and with its
-    features: the policy JSON, or the error's class, hashed in order."""
-    digest = hashlib.sha256()
-    for name in sorted(graphs):
-        graph = graphs[name]
-        for state in graph.get(name).states:
-            start = SimState(feature_values=state_features(graph, state), state_label=state)
-            try:
-                payload = policy_table_json(compose(graph, desk_space, start)[0])
-            except (
-                ActivityTerminatedError,
-                CompositionFailureError,
-                StepLimitExceededError,
-                UnknownEntityError,
-                UnknownSituationError,
-            ) as exc:
-                payload = type(exc).__name__
-            digest.update(f"{name}\t{state}\t{payload}\n".encode())
-    assert digest.hexdigest() == DESK_POLICY_SHA256
+    digest = _desk_digest(graphs, desk_space, lambda table, _trace: policy_table_json(table), [None])
+    assert digest == DESK_POLICY_SHA256
+
+
+def test_desk_traces_are_pinned(graphs, desk_space):
+    sim_cfgs = [SimConfig(), SimConfig(stochastic=True, rng_seed=3)]
+    digest = _desk_digest(graphs, desk_space, lambda _table, trace: _trace_json(trace), sim_cfgs)
+    assert digest == DESK_TRACE_SHA256
 
 
 # --- crafted fixtures ----------------------------------------------------
