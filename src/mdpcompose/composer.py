@@ -1,28 +1,26 @@
 """On-demand policy composition by ensembles of agents.
 
 Starting from a recognized state, each round finds the actions whose
-embeddings lie within the current search radius, evaluates one agent step
-per candidate, and keeps the reward-maximising outcome. The state the agents
-start from is validated once per commit, by ``start_state`` at the first
-candidate that the graph knows, and ``scoped_transitions`` makes each
-candidate's checks in the order ``step_state`` makes them, so an invalid
-state or action fails at the same candidate as a per-agent check would.
-Only a candidate with a scoped transition runs an agent: a
-``make_simulation`` closure over the validated ``Start`` that steps its own
-copy of the state. A candidate without one, or absent from the graph, is
-charged the wrong-step penalty without a simulation and still counts as an
-agent step. The charged candidates of a commit share one penalty state (of
-the start state, or of the current state for one absent from the graph),
-which a positive increment keeps from ever being committed. The agents of a
-round run one after another in candidate order: an agent step is pure
-Python, so under the GIL threads would add overhead and no parallelism.
-When no candidate improves the reward the radius grows by a fixed step, up
-to the radius cap, which is tried itself even when the steps skip it; a
-commit resets it. An agent is a pure function of (state, action), so a
-candidate that an earlier round already simulated from the same state reuses
-that result instead of running again; the trace still counts it in every
-round it was a candidate. The loop ends at a goal state and returns the
-ranked policy table together with a trace of every round.
+embeddings lie within the current search radius, gives each candidate one
+agent step, and keeps the reward-maximising outcome. When none improves the
+reward the radius grows by a fixed step, up to the radius cap, which is
+tried itself even when the steps skip it; a commit resets it. The loop ends
+at a goal state and returns the ranked policy table and a trace of every
+round.
+
+The work is done once per commit. The radius only grows and hits come in
+(distance, name) order, so a round's candidates extend the last round's
+and only the new ones are classified, in order. At the commit's first
+candidate in the graph, ``start_state`` validates the agents' start and
+``check_state`` checks it; the movers are the actions of its transition
+index entry that ``scoped_transitions`` keeps in scope. A candidate absent
+from the graph is charged the wrong-step penalty, one that ``as_action``
+rejects fails, a mover runs a ``make_simulation`` agent over the validated
+``Start``, and any other is charged. So an error comes from the candidate
+where a per-agent check fails. A charged candidate counts as an agent step
+but never wins, its reward being below the current one, so the first mover
+with the highest reward is the (reward, distance, name) argmax. Agents run
+one after another: under the GIL, threads would add no parallelism.
 """
 
 from __future__ import annotations
@@ -36,10 +34,11 @@ from .kg import KnowledgeGraph
 from .simulation import (
     SimConfig,
     SimState,
+    as_action,
+    check_state,
     make_simulation,
     scoped_transitions,
     start_state,
-    wrong_step,
 )
 from .space import EmbeddingSpace
 
@@ -52,6 +51,8 @@ class ComposerConfig:
     step_budget: int | None = None  # rounds per episode; default 50 x states
 
     def __post_init__(self):
+        if not math.isfinite(self.radius_cap):  # never passed: only the budget would end it
+            raise ValueError("radius_cap must be a finite number")
         if not (0 < self.max_distance <= self.radius_cap):
             raise ValueError("max_distance must be in (0, radius_cap]")
         # a radius that cannot grow, or no round at all, could only end in
@@ -93,18 +94,11 @@ def policy_table_json(table: PolicyTable) -> str:
     return json.dumps(table.to_dict(), separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class AgentResult:
-    action: str
-    distance: float
-    state: SimState
-
-
 @dataclass
 class TraceRound:
     radius: float
     candidates: list[tuple[str, float]]
-    results: list[tuple[str, float]]  # (action, resulting reward)
+    results: list[tuple[str, float]]  # (action, reward): a mover's agent, else the penalty
     chosen: str | None
     committed: bool
 
@@ -114,22 +108,14 @@ class CompositionTrace:
     rounds: list[TraceRound] = field(default_factory=list)
     commit_radii: list[float] = field(default_factory=list)
     steps: int = 0  # coordinator rounds until the goal
-    agent_steps: int = 0  # candidates evaluated, simulated or charged the penalty
-    wrong_decisions: int = 0  # agent steps whose reward dropped
+    agent_steps: int = 0  # candidates of every round, simulated or charged the penalty
+    wrong_decisions: int = 0  # agent steps whose reward dropped, in every round
     cumulative_reward: float = 0.0  # sum of the running reward at each commit
     episodes: int = 1
 
     @property
     def radii(self) -> list[float]:
         return [r.radius for r in self.rounds]
-
-
-def select_best(results: list[AgentResult]) -> AgentResult:
-    """Deterministic argmax: reward, then smaller embedding distance, then
-    lexicographic action name."""
-    if not results:
-        raise ValueError("no agent results to select from")
-    return min(results, key=lambda r: (-r.state.reward, r.distance, r.action))
 
 
 def compose(
@@ -148,16 +134,9 @@ def compose(
     cfg = cfg or ComposerConfig()
     sim_cfg = sim_cfg or SimConfig()
 
-    # what the agents start from: after a commit it is None until the first
-    # candidate found in the graph validates the new state, so an invalid
-    # one fails there
+    # after a commit, None until the first candidate found in the graph
     start = start_state(graph, initial_state, sim_cfg)
     current = start.state
-    # the shared outcome of a candidate that makes no transition: `absent`
-    # for one absent from the graph, `stay` for one in it
-    absent = wrong_step(current.clone(), sim_cfg)
-    stay = wrong_step(start.state.clone(), sim_cfg)
-
     budget = cfg.step_budget if cfg.step_budget is not None else 50 * max(
         1, len(graph.states)
     )
@@ -165,8 +144,14 @@ def compose(
     committed_actions: list[str] = []
     committed_rewards: list[float] = []
     alternatives: dict[tuple[str, ...], tuple[tuple[float, ...], float]] = {}
-    simulated: dict[str, AgentResult] = {}  # action -> result from `current`
     radius = cfg.max_distance
+    # the commit in progress: its candidates classified so far, those
+    # charged the penalty and the movers whose reward dropped
+    seen = charged = wrong_moves = 0
+    movers: set[str] | None = None  # actions with a scoped transition from `start`
+    moved: dict[str, float] = {}  # mover -> reward its agent reached
+    goals: list[tuple[str, float]] = []  # in-graph candidates reaching a goal
+    best: tuple[str, SimState] | None = None  # first mover with the highest reward
 
     while not current.is_goal:
         if trace.steps >= budget:
@@ -175,33 +160,45 @@ def compose(
             )
         trace.steps += 1
         candidates = space.find_closest_actions(current.state_label, radius)
-        round_record = TraceRound(
-            radius=radius, candidates=candidates, results=[], chosen=None, committed=False
-        )
+        penalty = current.reward - sim_cfg.reward_increment  # as wrong_step charges
+        for action, _distance in candidates[seen:]:
+            entity = graph.find(action)
+            if entity is None:
+                # known to the embedding space but absent from this
+                # activity graph: penalized like a transition-less action
+                charged += 1
+                continue
+            if movers is None:
+                if start is None:
+                    start = start_state(graph, current, sim_cfg)
+                check_state(start, start.state)
+                movers = {
+                    a for a in graph.actions_from(start.state.state_label)
+                    if scoped_transitions(graph, start, start.state, a)
+                }
+            as_action(entity, action)
+            if action in movers:
+                state = make_simulation(graph, start, sim_cfg)(action)
+                moved[action] = state.reward
+                wrong_moves += state.reward < current.reward
+                if best is None or state.reward > best[1].reward:
+                    best = action, state
+                if state.is_goal:
+                    goals.append((action, state.reward))
+            else:
+                charged += 1
+                # a start re-recognised from an UNKNOWN label can be a goal
+                if start.state.is_goal:
+                    goals.append((action, penalty))
+        seen = len(candidates)
+        results = [(action, moved.get(action, penalty)) for action, _d in candidates]
+        round_record = TraceRound(radius, candidates, results, chosen=None, committed=False)
         trace.rounds.append(round_record)
+        trace.agent_steps += seen
+        # a huge reward can absorb the increment, and then nothing is lost
+        trace.wrong_decisions += wrong_moves + (charged if penalty < current.reward else 0)
 
-        results = []
-        for action, distance in candidates:
-            result = simulated.get(action)
-            if result is None:
-                if graph.find(action) is None:
-                    # known to the embedding space but absent from this
-                    # activity graph: penalized like a transition-less action
-                    state = absent
-                else:
-                    if start is None:
-                        start = start_state(graph, current, sim_cfg)
-                        stay = wrong_step(start.state.clone(), sim_cfg)
-                    _action, moves = scoped_transitions(graph, start, start.state, action)
-                    state = make_simulation(graph, start, sim_cfg)(action) if moves else stay
-                result = simulated[action] = AgentResult(action, distance, state)
-            results.append(result)
-        trace.agent_steps += len(results)
-        trace.wrong_decisions += sum(1 for r in results if r.state.reward < current.reward)
-        round_record.results = [(r.action, r.state.reward) for r in results]
-
-        best = select_best(results) if results else None
-        if best is None or best.state.reward <= current.reward:
+        if best is None or best[1].reward <= current.reward:
             grown = radius + cfg.radius_step
             if grown > cfg.radius_cap + 1e-12:
                 if radius >= cfg.radius_cap - 1e-12:
@@ -213,21 +210,22 @@ def compose(
             radius = grown
             continue
 
-        for result in results:
-            if result is not best and result.state.is_goal:
-                actions = tuple(committed_actions) + (result.action,)
-                rewards = tuple(committed_rewards) + (result.state.reward,)
+        chosen, current = best
+        for action, reward in goals:
+            if action != chosen:
+                actions = tuple(committed_actions) + (action,)
+                rewards = tuple(committed_rewards) + (reward,)
                 alternatives.setdefault(actions, (rewards, sum(rewards)))
 
-        round_record.chosen = best.action
+        round_record.chosen = chosen
         round_record.committed = True
         trace.commit_radii.append(radius)
-        committed_actions.append(best.action)
-        committed_rewards.append(best.state.reward)
-        current = best.state
-        start = None
-        absent = wrong_step(current.clone(), sim_cfg)
-        simulated.clear()
+        committed_actions.append(chosen)
+        committed_rewards.append(current.reward)
+        start = movers = best = None
+        seen = charged = wrong_moves = 0
+        moved.clear()
+        goals.clear()
         radius = cfg.max_distance
 
     trace.cumulative_reward = sum(committed_rewards)

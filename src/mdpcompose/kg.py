@@ -12,7 +12,7 @@ as immutable (safe for concurrent readers).
 
 ``validate()`` freezes a graph and builds its lookup indexes once: in
 ``_build_index`` the owning activities of each state, the transitions by
-(state, action) and each activity's state and action names, and in
+state, then action, and each activity's state and action names, and in
 ``_build_recognition`` the states in name order with their parsed rules and
 lead features. After that, lookups only read and no request thread writes
 to a shared graph. An unfrozen graph calls the same builders on each
@@ -22,6 +22,7 @@ rules, so the other lookups work before the rules are validated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -379,7 +380,7 @@ class RecognitionEntry(NamedTuple):
 @dataclass(frozen=True)
 class _Index:
     owners: dict[str, tuple[Activity, ...]]  # state name -> owning activities
-    transitions: dict[tuple[str, str], list[Transition]]  # (state, action)
+    transitions: dict[str, dict[str, list[Transition]]]  # state -> action -> list
     scope_names: dict[str, tuple[frozenset[str], frozenset[str]]]  # states, actions
 
 
@@ -459,7 +460,12 @@ class KnowledgeGraph:
         return self.by_concept(Concept.TRANSITION)
 
     def transitions_from(self, state_name: str, action_name: str) -> list[Transition]:
-        return self._indexes().transitions.get((state_name, action_name), [])
+        return self._indexes().transitions.get(state_name, {}).get(action_name, [])
+
+    def actions_from(self, state_name: str) -> tuple[str, ...]:
+        """The names of the actions with any transition from a state, in
+        the order of their first transition."""
+        return tuple(self._indexes().transitions.get(state_name, ()))
 
     def activities_of_state(self, state_name: str) -> list[Activity]:
         return list(self._indexes().owners.get(state_name, ()))
@@ -480,9 +486,9 @@ class KnowledgeGraph:
     def _build_index(self) -> _Index:
         """Derive the lookup indexes that need no rules from the entities.
         Runs once in validate() and on each lookup of an unfrozen graph."""
-        transitions: dict[tuple[str, str], list[Transition]] = {}
+        transitions: dict[str, dict[str, list[Transition]]] = {}
         for t in self.transitions:
-            transitions.setdefault((t.previous_state, t.action), []).append(t)
+            transitions.setdefault(t.previous_state, {}).setdefault(t.action, []).append(t)
         owners: dict[str, list[Activity]] = {}
         scope_names = {}
         for activity in self.activities:
@@ -603,6 +609,9 @@ class KnowledgeGraph:
 
         for state in self.states:
             label = f"State {state.name!r}"
+            # compose compares rewards, and a NaN has no order
+            if state.reward is not None and not math.isfinite(state.reward):
+                problems.append(f"{label}: hasReward {state.reward!r} is not finite")
             if state.expression is None:
                 continue
             try:

@@ -2,23 +2,23 @@
 
 ``start_state`` validates a starting state once and returns a ``Start``:
 the state, the activity that scopes its steps and the step limit.
-``scoped_transitions`` makes the checks that come before a step, in a fixed
-order, and returns the action's transitions from the state within that
-scope. ``step_state`` performs one action on a copy of that state in place:
-it takes the matching transition, applies the action's effects, re-derives
-the state label and updates the running reward (+increment for a matched
-transition, -increment otherwise); ``wrong_step`` charges that penalty for
-a step that makes no transition. ``make_simulation`` wraps the pair in a
-closure that owns its state across steps. It validates a given state
-itself, or steps a copy of a ``Start`` without validating again, which is
-how the composer runs an agent from a state it validated once per commit.
-The composer runs one only for a candidate with a scoped transition: a
-candidate without one is charged the penalty without a simulation, and
-still counts as an agent step. Any number of callers can read the same
-frozen graph.
+``check_state`` makes the checks on a state before a step, in a fixed
+order, ``as_action`` the check on the action, and ``scoped_transitions``
+returns the action's transitions from the state within that scope.
+``step_state`` makes all three and performs one action on a copy of that
+state in place: it takes the matching transition, applies the action's
+effects, re-derives the state label and updates the running reward
+(+increment for a matched transition, -increment otherwise); ``wrong_step``
+charges that penalty for a step that makes no transition.
+``make_simulation`` wraps the pair in a closure that owns its state across
+steps. It validates a given state itself, or steps a copy of a ``Start``
+without validating again, which is how the composer runs an agent from a
+state it validated once per commit. The composer makes the state checks
+once per commit too, and runs an agent only for a candidate with a scoped
+transition. Any number of callers can read the same frozen graph.
 
 Lookups read the indexes a graph builds when it freezes (see ``kg``): the
-owning activity of a state, the transitions by (state, action), each
+owning activity of a state, the transitions by state, then action, each
 activity's state and action names, and the states in name order with
 their rules. Recognition scans that name order and skips, without
 evaluating it, every state whose lead feature (the feature of its rule's
@@ -46,6 +46,7 @@ from .errors import (
 from .kg import (
     Action,
     Activity,
+    Entity,
     ImpactType,
     KnowledgeGraph,
     RecognitionEntry,
@@ -271,32 +272,38 @@ def start_state(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None 
     return Start(state, scope, names, max_steps)
 
 
-def scoped_transitions(
-    graph: KnowledgeGraph, start: Start, state: SimState, action_name: str
-) -> tuple[Action, list[Transition]]:
-    """The action ``action_name`` and its transitions from ``state``, a copy
-    of ``start.state`` or a state that steps from it reached, kept to the
-    activity that scopes ``start``. An empty list means that performing the
-    action makes no transition, which ``wrong_step`` charges.
-
-    Raises ActivityTerminatedError in a final state, StepLimitExceededError
-    at the step limit and UnknownEntityError for a name that is not an
-    action, in that order.
-    """
+def check_state(start: Start, state: SimState) -> None:
+    """The checks on ``state``, a copy of ``start.state`` or a state that
+    steps from it reached, before any step from it: ActivityTerminatedError
+    in a final state, then StepLimitExceededError at the step limit."""
     if state.is_final:
         raise ActivityTerminatedError(f"activity terminated in state {state.state_label!r}")
     if state.step_index >= start.max_steps:
         raise StepLimitExceededError(f"exceeded {start.max_steps} steps")
-    action = graph.find(action_name)
-    if not isinstance(action, Action):
+
+
+def as_action(entity: Entity | None, action_name: str) -> Action:
+    """The check on a performed action: ``entity`` is what the graph holds
+    under ``action_name``. Raises UnknownEntityError unless it is an
+    action."""
+    if not isinstance(entity, Action):
         raise UnknownEntityError(f"unknown action {action_name!r}")
+    return entity
+
+
+def scoped_transitions(
+    graph: KnowledgeGraph, start: Start, state: SimState, action_name: str
+) -> list[Transition]:
+    """The transitions of ``action_name`` from ``state``, kept to the
+    activity that scopes ``start``. An empty list means that performing the
+    action makes no transition, which ``wrong_step`` charges."""
     matching = graph.transitions_from(state.state_label, action_name)
     if start.names is not None:
         scope_states, scope_actions = start.names
         matching = [
             t for t in matching if t.next_state in scope_states and t.action in scope_actions
         ]
-    return action, matching
+    return matching
 
 
 def wrong_step(state: SimState, cfg: SimConfig) -> SimState:
@@ -320,10 +327,12 @@ def step_state(
     ``state``.
 
     A stochastic walk draws its transitions from ``rng``; with None the
-    most probable transition is taken. Raises what ``scoped_transitions``
-    raises, before any change to ``state``.
+    most probable transition is taken. Raises what ``check_state`` and
+    ``as_action`` raise, in that order, before any change to ``state``.
     """
-    entity, matching = scoped_transitions(graph, start, state, performed_action)
+    check_state(start, state)
+    entity = as_action(graph.find(performed_action), performed_action)
+    matching = scoped_transitions(graph, start, state, performed_action)
     if not matching:
         return wrong_step(state, cfg)
     if rng is not None:

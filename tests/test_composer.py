@@ -3,6 +3,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import make_random_graph
 from mdpcompose import composer
 from mdpcompose.composer import (
-    AgentResult,
     ComposerConfig,
     CompositionTrace,
     PolicyRow,
@@ -20,12 +20,12 @@ from mdpcompose.composer import (
     TraceRound,
     compose,
     policy_table_json,
-    select_best,
 )
 from mdpcompose.embedding import Vocabulary, build_vocabulary
 from mdpcompose.errors import (
     ActivityTerminatedError,
     CompositionFailureError,
+    EvaluationError,
     StepLimitExceededError,
     UnknownEntityError,
     UnknownSituationError,
@@ -36,10 +36,12 @@ from mdpcompose.kg import (
     CommunicationType,
     Concept,
     Effect,
+    Equation,
     FeatureType,
     ImpactType,
     KnowledgeGraph,
     ObservationFeature,
+    Parameter,
     State,
     Transition,
 )
@@ -63,7 +65,22 @@ def _start(graph, name):
     return SimState(feature_values=initial_features(graph, name), state_label=initial)
 
 
-# --- select_best ---------------------------------------------------------
+# --- the fresh-agent reference's pick -----------------------------------
+
+
+@dataclass(frozen=True)
+class AgentResult:
+    action: str
+    distance: float
+    state: SimState
+
+
+def select_best(results: list[AgentResult]) -> AgentResult:
+    """Deterministic argmax: reward, then smaller embedding distance, then
+    lexicographic action name."""
+    if not results:
+        raise ValueError("no agent results to select from")
+    return min(results, key=lambda r: (-r.state.reward, r.distance, r.action))
 
 
 def _result(action, distance, reward, goal=False):
@@ -215,10 +232,14 @@ def _commit_runs(trace):
 
 def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeypatch):
     """An agent runs once per commit for every candidate with a scoped
-    transition from that commit's start, and for no other candidate."""
+    transition from that commit's start, and for no other candidate. The
+    scoped transition check runs at most once per commit and action, and
+    only for an action with a transition from that commit's start."""
     starts = []  # one entry per start_state call: a commit's start
     steps = Counter()  # (start_state calls so far, action) -> agent steps
+    checks = Counter()  # (start_state calls so far, action) -> scoped checks
     validate, make = composer.start_state, composer.make_simulation
+    scoped = composer.scoped_transitions
 
     def counting_start(graph, initial, cfg=None):
         starts.append(validate(graph, initial, cfg))
@@ -234,14 +255,21 @@ def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeyp
 
         return counted
 
+    def counting_scoped(graph, start, state, action):
+        checks[len(starts), action] += 1
+        return scoped(graph, start, state, action)
+
     monkeypatch.setattr(composer, "start_state", counting_start)
     monkeypatch.setattr(composer, "make_simulation", counting_make)
+    monkeypatch.setattr(composer, "scoped_transitions", counting_scoped)
     reused = charged = 0
     for graph, space, start, sim_cfg in _fuzzed_cases(graphs, desk_space):
         starts.clear()
         steps.clear()
+        checks.clear()
         _table, trace = compose(graph, space, start, sim_cfg=sim_cfg)
         assert steps and set(steps.values()) == {1}
+        assert set(checks.values()) == {1}
         # the initial state, then the state of every commit but the last
         assert len(starts) == max(1, len(trace.commit_radii))
         runs = _commit_runs(trace)
@@ -250,6 +278,9 @@ def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeyp
             candidates = {action for rnd in run for action, _distance in rnd.candidates}
             moving = {action for action in candidates if _moves(graph, run_start, action)}
             assert {action for n, action in steps if n == index} == moving
+            label = run_start.state.state_label
+            with_transition = {t.action for t in graph.transitions if t.previous_state == label}
+            assert {action for n, action in checks if n == index} <= with_transition
             charged += len(candidates - moving)
         reused += _repeated_candidates(trace)
         _check_against_fresh_agents(graph, start, trace, sim_cfg)
@@ -657,6 +688,12 @@ def test_radius_step_must_be_finite_and_positive(radius_step):
         ComposerConfig(radius_step=radius_step)
 
 
+@pytest.mark.parametrize("radius_cap", [float("inf"), float("nan")])
+def test_radius_cap_must_be_finite(radius_cap):
+    with pytest.raises(ValueError, match="radius_cap"):
+        ComposerConfig(radius_cap=radius_cap)
+
+
 @pytest.mark.parametrize("step_budget", [0, -1])
 def test_step_budget_must_allow_a_round(step_budget):
     with pytest.raises(ValueError, match="step_budget"):
@@ -820,6 +857,179 @@ def test_mixed_rounds_from_a_stuck_start_fail_like_the_reference(label, step_ind
         g, space, start, ComposerConfig(max_distance=0.5), SimConfig(max_steps=3)
     )
     assert _error_of(outcome) is error
+
+
+def _dividing_graph():
+    """A -> B (the goal) by Step, which raises Pos by one, or by Divide,
+    whose COMPUTE effect divides Pos by a parameter bound to zero."""
+    g = KnowledgeGraph()
+    g.add(
+        ObservationFeature(
+            name="Pos", range_start=0.0, range_end=10.0,
+            feature_type=FeatureType.NUMERICAL, unit="",
+        )
+    )
+    for value, name in enumerate("AB"):
+        g.add(
+            State(
+                name=name, is_initial_state=name == "A", is_final_state=name == "B",
+                is_goal=name == "B", reward=0.0, expression=f"Pos == {value}",
+                observation_features=["Pos"],
+            )
+        )
+    g.add(Parameter(name="Zero", parameter_name="z", value=0.0))
+    g.add(Equation(name="Ratio", expression="Pos / z", parameters=["Zero"]))
+    g.add(Effect(name="Advance", target_features=["Pos"], impact_type=ImpactType.INCREASE))
+    g.add(
+        Effect(
+            name="Halt", target_features=["Pos"],
+            impact_type=ImpactType.COMPUTE, equation="Ratio",
+        )
+    )
+    for action, effects in (("Step", ["Advance"]), ("Divide", ["Halt", "Advance"])):
+        g.add(
+            Transition(
+                name=f"T_{action}", previous_state="A", next_state="B",
+                action=action, probability=1.0,
+            )
+        )
+        g.add(Action(name=action, effects=effects, transitions=[f"T_{action}"]))
+    g.add(
+        Activity(
+            name="Walk", is_sequential=True, number_of_actors=1,
+            communication_type=CommunicationType.ASYNCHRONOUS,
+            states=["A", "B"], actions=["Step", "Divide"],
+            observation_features=["Pos"],
+        )
+    )
+    g.validate()
+    return g
+
+
+@pytest.mark.parametrize("divide_at, error", [(55, EvaluationError), (70, None)])
+def test_a_raising_mover_first_found_at_a_grown_radius_fails_like_the_reference(
+    divide_at, error
+):
+    # radius 0.25 (41 degrees) finds only Foreign, absent from the graph;
+    # 0.5 (60 degrees) adds Step, which reaches the goal, and Divide at 55
+    # degrees, whose agent raises. At 70 degrees Divide lies beyond the
+    # radius that commits Step, so no agent ever runs it.
+    g = _dividing_graph()
+    space = _space_with(
+        [
+            ("A", Concept.STATE, _at(0)),
+            ("B", Concept.STATE, _at(90)),
+            ("Foreign", Concept.ACTION, _at(30)),
+            ("Step", Concept.ACTION, _at(50)),
+            ("Divide", Concept.ACTION, _at(divide_at)),
+        ]
+    )
+    assert [a for a, _d in space.find_closest_actions("A", 0.25)] == ["Foreign"]
+    start = SimState(feature_values={"Pos": 0.0}, state_label="A")
+    for stochastic in (False, True):
+        outcome = _assert_matches_reference(
+            g, space, start, sim_cfg=SimConfig(stochastic=stochastic, rng_seed=5)
+        )
+        if error is None:
+            assert json.loads(outcome[0])["policies"][0]["actions"] == ["Step"]
+            assert outcome[1].radii == [0.25, 0.5]
+        else:
+            assert _error_of(outcome) is error
+            assert outcome[1].startswith("division by zero")
+
+
+def _graph(activities, rewards=None):
+    """One feature Pos in [0, 10]: A holds at Pos == 0, C and G at 1, D
+    and H at 2, and B never. ``activities`` maps an activity to
+    (sequential, states, initial, finals, goals, steps), each step
+    (action, from, to) raising Pos by one."""
+    g = KnowledgeGraph()
+    g.add(
+        ObservationFeature(
+            name="Pos", range_start=0.0, range_end=10.0,
+            feature_type=FeatureType.NUMERICAL, unit="",
+        )
+    )
+    g.add(Effect(name="Advance", target_features=["Pos"], impact_type=ImpactType.INCREASE))
+    for activity, (sequential, states, initial, finals, goals, steps) in activities.items():
+        for name in states:
+            value = {"A": 0, "C": 1, "G": 1, "D": 2, "H": 2}.get(name)
+            g.add(
+                State(
+                    name=name, is_initial_state=name == initial, is_final_state=name in finals,
+                    is_goal=name in goals, reward=(rewards or {}).get(name, 0.0),
+                    expression="Pos > 20" if name == "B" else f"Pos == {value}",
+                    observation_features=["Pos"],
+                )
+            )
+        for action, previous, following in steps:
+            g.add(
+                Transition(
+                    name=f"T_{action}", previous_state=previous, next_state=following,
+                    action=action, probability=1.0,
+                )
+            )
+            g.add(Action(name=action, effects=["Advance"], transitions=[f"T_{action}"]))
+        g.add(
+            Activity(
+                name=activity, is_sequential=sequential, number_of_actors=1,
+                communication_type=CommunicationType.ASYNCHRONOUS, states=list(states),
+                actions=[action for action, _p, _f in steps], observation_features=["Pos"],
+            )
+        )
+    g.validate()
+    return g
+
+
+def test_a_charged_candidate_from_a_start_recognised_as_a_goal_is_an_alternative():
+    # Step_1 leaves A for B, whose rule never holds, and Walk has no other
+    # state for Pos == 1, so the commit lands on UNKNOWN. The next start is
+    # recognised across the graph as G, a goal of Run: Step_1 is charged
+    # from there, and reaches that goal, while Go moves on to H
+    g = _graph(
+        {
+            "Walk": (True, "AB", "A", "B", "", [("Step_1", "A", "B")]),
+            "Run": (True, "GH", "G", "H", "GH", [("Go", "G", "H")]),
+        }
+    )
+    space = _space_with(
+        [
+            ("A", Concept.STATE, _at(0)),
+            ("UNKNOWN", Concept.STATE, _at(20)),
+            ("Step_1", Concept.ACTION, _at(10)),
+            ("Go", Concept.ACTION, _at(50)),
+        ]
+    )
+    start = SimState(feature_values={"Pos": 0.0}, state_label="A")
+    outcome = _assert_matches_reference(g, space, start)
+    assert json.loads(outcome[0])["policies"] == [
+        {"rank": 1, "actions": ["Step_1", "Go"], "rewards": [0.25, 0.5], "cumulative": 0.75},
+        {"rank": 2, "actions": ["Step_1", "Step_1"], "rewards": [0.25, 0.0], "cumulative": 0.25},
+    ]
+
+
+def test_a_penalty_lost_beside_a_huge_reward_is_no_wrong_decision():
+    # in a non-sequential activity B's reward of 1e20 absorbs the
+    # increment, so a candidate charged from B loses no reward
+    g = _graph(
+        {"Climb": (False, "ACD", "A", "D", "D", [("Up_1", "A", "C"), ("Up_2", "C", "D")])},
+        rewards={"C": 1e20, "D": 1e21},
+    )
+    space = _space_with(
+        [
+            ("A", Concept.STATE, _at(0)),
+            ("C", Concept.STATE, _at(0)),
+            ("Up_1", Concept.ACTION, _at(10)),
+            ("Up_2", Concept.ACTION, _at(20)),
+        ]
+    )
+    start = SimState(feature_values={"Pos": 0.0}, state_label="A")
+    _table, trace = _assert_matches_reference(g, space, start)
+    assert [rnd.results for rnd in trace.rounds] == [
+        [("Up_1", 1e20), ("Up_2", -0.25)],
+        [("Up_1", 1e20), ("Up_2", 1e20 + 1e21)],
+    ]
+    assert trace.wrong_decisions == 1
 
 
 # --- properties over fuzzed graphs ---------------------------------------

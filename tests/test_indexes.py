@@ -219,6 +219,20 @@ def test_recognize_state_equals_the_sorted_scan(seed, data):
         assert got == want, features
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_transitions_by_state_equal_the_transition_scan(seed):
+    frozen = make_random_graph(random.Random(seed))
+    for graph in (frozen, unfrozen_copy(frozen)):
+        for state in [s.name for s in graph.states] + ["NotAState"]:
+            scan = [t for t in graph.transitions if t.previous_state == state]
+            assert graph.actions_from(state) == tuple(dict.fromkeys(t.action for t in scan))
+            for action in [a.name for a in graph.actions] + ["NotAnAction"]:
+                assert _identical(
+                    graph.transitions_from(state, action), [t for t in scan if t.action == action]
+                )
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.data())
 def test_unfrozen_graph_gives_the_same_answers(seed, data):

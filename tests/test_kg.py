@@ -184,3 +184,16 @@ def test_rule_and_equation_caches(watch_tv):
     rule = watch_tv.rule("InitialState_Watch_TV_49")
     assert rule is watch_tv.rule("InitialState_Watch_TV_49")
     assert rule.evaluate({f: 0 for f in rule.feature_names()})
+
+
+@pytest.mark.parametrize("reward", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_state_reward_rejected(watch_tv, reward):
+    document = json.loads(to_json(watch_tv))
+    state = next(e for e in document["entities"] if e["name"] == "Sit_couch_1_Done")
+    state["properties"]["hasReward"] = reward
+    with pytest.raises(GraphValidationError) as err:
+        from_json(json.dumps(document))
+    assert any(
+        "State 'Sit_couch_1_Done'" in p and "hasReward" in p and "not finite" in p
+        for p in err.value.problems
+    )
