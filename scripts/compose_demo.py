@@ -11,7 +11,7 @@ import sys
 from mdpcompose.composer import ComposerConfig, compose, policy_table_json
 from mdpcompose.embedding import DESK_SCALE, TrainConfig, build_vocabulary, train
 from mdpcompose.sample_corpus import corpus_graphs, mini_corpus
-from mdpcompose.simulation import SimState, initial_features
+from mdpcompose.simulation import initial_state
 from mdpcompose.space import space_from_table
 
 
@@ -24,11 +24,7 @@ def main() -> int:
     space = space_from_table(vocab, table)
 
     graph = graphs["Watch_TV_49"]
-    start = SimState(
-        feature_values=initial_features(graph, "Watch_TV_49"),
-        state_label="InitialState_Watch_TV_49",
-    )
-    policy, trace = compose(graph, space, start, ComposerConfig())
+    policy, trace = compose(graph, space, initial_state(graph, "Watch_TV_49"), ComposerConfig())
 
     print("policy table:")
     print(policy_table_json(policy))

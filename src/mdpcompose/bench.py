@@ -31,7 +31,7 @@ from .composer import ComposerConfig, compose
 from .dqn import DqnConfig, train_dqn
 from .errors import CompositionFailureError, UnknownSituationError
 from .kg import KnowledgeGraph
-from .simulation import SimState, initial_features
+from .simulation import initial_state
 from .space import EmbeddingSpace
 
 log = logging.getLogger(__name__)
@@ -67,19 +67,11 @@ def _cell_seed(base: int, activity: str, method: str, cap: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _initial_state(graph: KnowledgeGraph, activity_name: str) -> SimState:
-    activity = graph.get(activity_name)
-    initial = next(s for s in activity.states if graph.get(s).is_initial_state)
-    return SimState(
-        feature_values=initial_features(graph, activity_name), state_label=initial
-    )
-
-
 def _run_ensemble_cell(graph, space, activity_name, composer_cfg):
     sequence_length = len(graph.get(activity_name).actions)
     try:
         _table, trace = compose(
-            graph, space, _initial_state(graph, activity_name), composer_cfg
+            graph, space, initial_state(graph, activity_name), composer_cfg
         )
         return RunMetrics(
             activity_name=activity_name,

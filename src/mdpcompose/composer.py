@@ -39,6 +39,7 @@ from .simulation import (
     make_simulation,
     scoped_transitions,
     start_state,
+    wrong_step_reward,
 )
 from .space import EmbeddingSpace
 
@@ -96,26 +97,43 @@ def policy_table_json(table: PolicyTable) -> str:
 
 @dataclass
 class TraceRound:
+    """One round of a composition. The rounds are a trace's only record:
+    its totals are counted from their fields."""
+
     radius: float
+    reward: float  # the running reward the round starts from
     candidates: list[tuple[str, float]]
     results: list[tuple[str, float]]  # (action, reward): a mover's agent, else the penalty
-    chosen: str | None
-    committed: bool
+    chosen: str | None = None
+    committed: bool = False
 
 
 @dataclass
 class CompositionTrace:
+    """Every round of a composition, in order. The totals are properties
+    derived from the rounds."""
+
     rounds: list[TraceRound] = field(default_factory=list)
-    commit_radii: list[float] = field(default_factory=list)
-    steps: int = 0  # coordinator rounds until the goal
-    agent_steps: int = 0  # candidates of every round, simulated or charged the penalty
-    wrong_decisions: int = 0  # agent steps whose reward dropped, in every round
     cumulative_reward: float = 0.0  # sum of the running reward at each commit
     episodes: int = 1
 
     @property
-    def radii(self) -> list[float]:
-        return [r.radius for r in self.rounds]
+    def steps(self) -> int:  # coordinator rounds until the goal
+        return len(self.rounds)
+
+    @property
+    def agent_steps(self) -> int:  # candidates of every round, simulated or charged
+        return sum(len(rnd.results) for rnd in self.rounds)
+
+    @property
+    def wrong_decisions(self) -> int:
+        # agent steps whose reward fell below their round's; a huge reward
+        # can absorb the increment, and then a charged one loses nothing
+        return sum(reward < rnd.reward for rnd in self.rounds for _a, reward in rnd.results)
+
+    @property
+    def commit_radii(self) -> list[float]:
+        return [rnd.radius for rnd in self.rounds if rnd.committed]
 
 
 def compose(
@@ -145,28 +163,24 @@ def compose(
     committed_rewards: list[float] = []
     alternatives: dict[tuple[str, ...], tuple[tuple[float, ...], float]] = {}
     radius = cfg.max_distance
-    # the commit in progress: its candidates classified so far, those
-    # charged the penalty and the movers whose reward dropped
-    seen = charged = wrong_moves = 0
+    penalty = wrong_step_reward(current.reward, sim_cfg)  # of every charged candidate
+    seen = 0  # the commit's candidates classified so far
     movers: set[str] | None = None  # actions with a scoped transition from `start`
     moved: dict[str, float] = {}  # mover -> reward its agent reached
     goals: list[tuple[str, float]] = []  # in-graph candidates reaching a goal
     best: tuple[str, SimState] | None = None  # first mover with the highest reward
 
     while not current.is_goal:
-        if trace.steps >= budget:
+        if len(trace.rounds) >= budget:
             raise CompositionFailureError(
                 f"step budget {budget} exhausted before reaching a goal"
             )
-        trace.steps += 1
         candidates = space.find_closest_actions(current.state_label, radius)
-        penalty = current.reward - sim_cfg.reward_increment  # as wrong_step charges
         for action, _distance in candidates[seen:]:
             entity = graph.find(action)
             if entity is None:
                 # known to the embedding space but absent from this
                 # activity graph: penalized like a transition-less action
-                charged += 1
                 continue
             if movers is None:
                 if start is None:
@@ -180,23 +194,17 @@ def compose(
             if action in movers:
                 state = make_simulation(graph, start, sim_cfg)(action)
                 moved[action] = state.reward
-                wrong_moves += state.reward < current.reward
                 if best is None or state.reward > best[1].reward:
                     best = action, state
                 if state.is_goal:
                     goals.append((action, state.reward))
-            else:
-                charged += 1
+            elif start.state.is_goal:
                 # a start re-recognised from an UNKNOWN label can be a goal
-                if start.state.is_goal:
-                    goals.append((action, penalty))
+                goals.append((action, penalty))
         seen = len(candidates)
         results = [(action, moved.get(action, penalty)) for action, _d in candidates]
-        round_record = TraceRound(radius, candidates, results, chosen=None, committed=False)
+        round_record = TraceRound(radius, current.reward, candidates, results)
         trace.rounds.append(round_record)
-        trace.agent_steps += seen
-        # a huge reward can absorb the increment, and then nothing is lost
-        trace.wrong_decisions += wrong_moves + (charged if penalty < current.reward else 0)
 
         if best is None or best[1].reward <= current.reward:
             grown = radius + cfg.radius_step
@@ -219,11 +227,11 @@ def compose(
 
         round_record.chosen = chosen
         round_record.committed = True
-        trace.commit_radii.append(radius)
         committed_actions.append(chosen)
         committed_rewards.append(current.reward)
         start = movers = best = None
-        seen = charged = wrong_moves = 0
+        seen = 0
+        penalty = wrong_step_reward(current.reward, sim_cfg)
         moved.clear()
         goals.clear()
         radius = cfg.max_distance

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import TrainingDivergenceError
 from .kg import KnowledgeGraph
-from .simulation import SimConfig, SimState, initial_features, make_simulation
+from .simulation import SimConfig, initial_state, make_simulation
 
 
 @dataclass
@@ -43,6 +43,10 @@ class DqnConfig:
             raise ValueError("epsilon must be in [0, 1]")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must be in [0, 1)")
+
+    def episode_steps(self, sequence_length: int) -> int:
+        """The step limit of a training or evaluation episode."""
+        return self.max_steps_per_episode or 50 * max(1, sequence_length)
 
 
 @dataclass
@@ -91,9 +95,6 @@ class QNetwork:
         if hidden is None:
             hidden = self.hidden_table()
         return hidden[state_indices] @ self.w2 + self.b2
-
-    def parameters(self):
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
 
 class ReplayBuffer:
@@ -178,21 +179,11 @@ def _activity_layout(graph: KnowledgeGraph, activity_name: str):
     return activity, states, actions
 
 
-def _episode_start(graph, activity_name) -> SimState:
-    features = initial_features(graph, activity_name)
-    activity = graph.get(activity_name)
-    initial = next(
-        s for s in activity.states if graph.get(s).is_initial_state
-    )
-    return SimState(feature_values=features, state_label=initial)
-
-
 def train_dqn(graph: KnowledgeGraph, activity_name: str, cfg: DqnConfig | None = None):
     """Train a Q-network for one activity; returns (network, record)."""
     cfg = cfg or DqnConfig()
     activity, states, actions = _activity_layout(graph, activity_name)
-    sequence_length = len(actions)
-    max_steps = cfg.max_steps_per_episode or 50 * max(1, sequence_length)
+    max_steps = cfg.episode_steps(len(actions))
 
     rng = np.random.default_rng(cfg.rng_seed)
     net = QNetwork(states, actions, cfg.hidden_units, rng)
@@ -202,7 +193,7 @@ def train_dqn(graph: KnowledgeGraph, activity_name: str, cfg: DqnConfig | None =
     for _episode in range(cfg.episode_cap):
         record.episodes_used += 1
         stats = EpisodeStats()
-        start = _episode_start(graph, activity_name)
+        start = initial_state(graph, activity_name)
         closure = make_simulation(graph, start, SimConfig())
         current = start
         s_idx = net.state_index[current.state_label]
@@ -268,11 +259,10 @@ def evaluate_greedy(
     cfg = cfg or DqnConfig()
     _activity, _states, actions = _activity_layout(graph, activity_name)
     sequence_length = len(actions)
-    max_steps = cfg.max_steps_per_episode or 50 * max(1, sequence_length)
     # steps only grow, so a walk not final after sequence_length steps fails
-    limit = min(max_steps, sequence_length)
+    limit = min(cfg.episode_steps(sequence_length), sequence_length)
 
-    start = _episode_start(graph, activity_name)
+    start = initial_state(graph, activity_name)
     closure = make_simulation(graph, start, SimConfig())
     current = start
     steps = 0

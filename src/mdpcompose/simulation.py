@@ -141,6 +141,13 @@ def initial_features(graph: KnowledgeGraph, activity_name: str) -> dict[str, flo
     }
 
 
+def initial_state(graph: KnowledgeGraph, activity_name: str) -> SimState:
+    """An activity's start: its initial state, with range-start features."""
+    activity = graph.get(activity_name)
+    label = next(s for s in activity.states if graph.get(s).is_initial_state)
+    return SimState(feature_values=initial_features(graph, activity_name), state_label=label)
+
+
 def state_features(graph: KnowledgeGraph, state_name: str) -> dict[str, float | str]:
     """A feature map consistent with one state: range-start defaults for the
     owning activity overlaid with the values pinned by the state's rule."""
@@ -306,10 +313,15 @@ def scoped_transitions(
     return matching
 
 
+def wrong_step_reward(reward: float, cfg: SimConfig) -> float:
+    """The running reward after a step from ``reward`` that makes no transition."""
+    return reward - cfg.reward_increment
+
+
 def wrong_step(state: SimState, cfg: SimConfig) -> SimState:
     """Charge a step that makes no transition: the label stays and the
-    reward drops by one increment. Mutates and returns ``state``."""
-    state.reward -= cfg.reward_increment
+    reward drops to ``wrong_step_reward``. Mutates and returns ``state``."""
+    state.reward = wrong_step_reward(state.reward, cfg)
     state.step_index += 1
     return state
 

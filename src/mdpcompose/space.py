@@ -45,9 +45,6 @@ class EmbeddingSpace:
         self._name_rank = np.empty(len(names), dtype=np.int64)
         self._name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
 
-    def vector(self, name: str) -> np.ndarray:
-        return self.matrix[self.vocab.index(name)]
-
     def distance(self, a: str, b: str) -> float:
         ia, ib = self.vocab.index(a), self.vocab.index(b)
         if self.metric is Metric.EUCLIDEAN:

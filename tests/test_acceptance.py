@@ -401,7 +401,7 @@ def test_criterion_8_radius_behavior(bench_run):
     _, trace = compose(
         g, space, SimState(feature_values={"IsPressed": 0.0}, state_label="Ready")
     )
-    assert trace.radii == [0.25, 0.5, 0.75]
+    assert [r.radius for r in trace.rounds] == [0.25, 0.5, 0.75]
 
     _, out = bench_run
     density = out / "radius_density.csv"

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mdpcompose import service
-from mdpcompose.simulation import initial_features
+from mdpcompose import composer, service
+from mdpcompose.simulation import initial_features, initial_state
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -69,3 +69,36 @@ def test_a_composed_request_reaches_the_traced_agent_and_search_calls(tracing, d
         "simulation.step",
         "space.find_closest_actions",
     } <= names
+
+
+def _round_counts(trace) -> dict:
+    rounds = trace.rounds
+    return {
+        "rounds": len(rounds),
+        "agent_steps": sum(len(rnd.results) for rnd in rounds),
+        "wrong_decisions": sum(reward < rnd.reward for rnd in rounds for _a, reward in rnd.results),
+        "commits": sum(rnd.committed for rnd in rounds),
+    }
+
+
+def test_the_compose_spans_count_what_the_trace_rounds_hold(tracing, desk_store, desk_space):
+    # the benchmark reads these span attributes by name: each must keep
+    # counting what the returned trace's rounds hold
+    recorder = tracing.Recorder()
+    with recorder.active():
+        traces = [
+            composer.compose(graph, desk_space, initial_state(graph, graph.activities[0].name))[1]
+            for graph in desk_store.graphs
+        ]
+    expected = [_round_counts(trace) for trace in traces]
+    read = [
+        {key: span[tracing.ATTRS][key] for key in expected[0]}
+        for span in recorder.spans
+        if span[tracing.NAME] == "composer.compose"
+    ]
+    assert read == expected
+    # some rounds grow the radius and some agent steps lose reward, so no
+    # count is trivially equal to another
+    totals = {key: sum(counts[key] for counts in expected) for key in expected[0]}
+    assert 0 < totals["commits"] < totals["rounds"]
+    assert 0 < totals["wrong_decisions"] < totals["agent_steps"]

@@ -304,19 +304,16 @@ def _reference_compose(graph, space, initial_state, cfg=None, sim_cfg=None):
     simulated = {}
     radius = cfg.max_distance
     while not current.is_goal:
-        if trace.steps >= budget:
+        if len(trace.rounds) >= budget:
             raise CompositionFailureError(f"step budget {budget} exhausted before reaching a goal")
-        trace.steps += 1
         candidates = space.find_closest_actions(current.state_label, radius)
-        record = TraceRound(radius=radius, candidates=candidates, results=[], chosen=None, committed=False)
+        record = TraceRound(radius=radius, reward=current.reward, candidates=candidates, results=[])
         trace.rounds.append(record)
         results = []
         for action, distance in candidates:
             if action not in simulated:
                 simulated[action] = _run_agent(graph, current, sim_cfg, action, distance)
             results.append(simulated[action])
-        trace.agent_steps += len(results)
-        trace.wrong_decisions += sum(1 for r in results if r.state.reward < current.reward)
         record.results = [(r.action, r.state.reward) for r in results]
         best = select_best(results) if results else None
         if best is None or best.state.reward <= current.reward:
@@ -336,7 +333,6 @@ def _reference_compose(graph, space, initial_state, cfg=None, sim_cfg=None):
                 rewards = tuple(committed_rewards) + (result.state.reward,)
                 alternatives.setdefault(actions, (rewards, sum(rewards)))
         record.chosen, record.committed = best.action, True
-        trace.commit_radii.append(radius)
         committed_actions.append(best.action)
         committed_rewards.append(best.state.reward)
         current = best.state
@@ -361,6 +357,7 @@ def _outcome(run, *args, **kwargs):
 
 
 def _assert_matches_reference(*args, **kwargs):
+    # trace equality compares every field of every round, its starting reward too
     outcome = _outcome(compose, *args, **kwargs)
     assert outcome == _outcome(_reference_compose, *args, **kwargs)
     return outcome
@@ -544,7 +541,7 @@ def test_radius_expansion_sequence_for_distant_action():
         ]
     )
     _, trace = compose(g, space, SimState(feature_values={"IsPressed": 0.0}, state_label="Ready"))
-    assert trace.radii == [0.25, 0.5, 0.75]
+    assert [r.radius for r in trace.rounds] == [0.25, 0.5, 0.75]
     assert trace.commit_radii == [0.75]
     assert trace.steps == 3
 
@@ -932,7 +929,7 @@ def test_a_raising_mover_first_found_at_a_grown_radius_fails_like_the_reference(
         )
         if error is None:
             assert json.loads(outcome[0])["policies"][0]["actions"] == ["Step"]
-            assert outcome[1].radii == [0.25, 0.5]
+            assert [r.radius for r in outcome[1].rounds] == [0.25, 0.5]
         else:
             assert _error_of(outcome) is error
             assert outcome[1].startswith("division by zero")
@@ -1106,4 +1103,11 @@ def _check_composition_invariants(seed, max_distance, radius_step):
             assert current.radius == pytest.approx(min(previous.radius + radius_step, cfg.radius_cap))
     assert trace.commit_radii == [r.radius for r in committed]
     assert trace.rounds[-1].committed
+    # each round starts from the start's reward or from the reward its last
+    # commit chose
+    expected = _start(g, name).reward
+    for rnd in trace.rounds:
+        assert rnd.reward == expected
+        if rnd.committed:
+            expected = dict(rnd.results)[rnd.chosen]
     return trace

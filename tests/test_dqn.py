@@ -14,7 +14,7 @@ from mdpcompose.dqn import (
     td_targets,
     train_dqn,
 )
-from mdpcompose.simulation import SimConfig, make_simulation
+from mdpcompose.simulation import SimConfig, initial_state, make_simulation
 from mdpcompose.vhome import VhScript, VhStep, script_to_kg
 
 
@@ -206,7 +206,7 @@ def _full_greedy_walk(net, graph, activity_name) -> bool:
     """A greedy episode that walks the whole 50 x L step budget."""
     activity = graph.get(activity_name)
     actions = sorted(activity.actions)
-    start = dqn._episode_start(graph, activity_name)
+    start = initial_state(graph, activity_name)
     closure = make_simulation(graph, start, SimConfig())
     current, steps = start, 0
     while not current.is_final and steps < 50 * len(actions):
@@ -220,7 +220,7 @@ def _full_greedy_walk(net, graph, activity_name) -> bool:
 
 def _stuck(net, graph, activity_name) -> bool:
     """True when the greedy action at the initial state leaves it unchanged."""
-    start = dqn._episode_start(graph, activity_name)
+    start = initial_state(graph, activity_name)
     actions = sorted(graph.get(activity_name).actions)
     action = actions[int(np.argmax(net.q_values(net.state_index[start.state_label])))]
     return make_simulation(graph, start, SimConfig())(action).state_label == start.state_label
