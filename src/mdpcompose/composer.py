@@ -36,6 +36,7 @@ from .simulation import (
     SimState,
     as_action,
     check_state,
+    default_step_limit,
     make_simulation,
     scoped_transitions,
     start_state,
@@ -155,9 +156,7 @@ def compose(
     # after a commit, None until the first candidate found in the graph
     start = start_state(graph, initial_state, sim_cfg)
     current = start.state
-    budget = cfg.step_budget if cfg.step_budget is not None else 50 * max(
-        1, len(graph.states)
-    )
+    budget = cfg.step_budget if cfg.step_budget is not None else default_step_limit(graph)
     trace = CompositionTrace()
     committed_actions: list[str] = []
     committed_rewards: list[float] = []

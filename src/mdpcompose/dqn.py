@@ -174,15 +174,13 @@ def td_loss_and_grads(net: QNetwork, batch, gamma: float, targets=None):
 
 def _activity_layout(graph: KnowledgeGraph, activity_name: str):
     activity = graph.get(activity_name)
-    states = sorted(activity.states)
-    actions = sorted(activity.actions)
-    return activity, states, actions
+    return sorted(activity.states), sorted(activity.actions)
 
 
 def train_dqn(graph: KnowledgeGraph, activity_name: str, cfg: DqnConfig | None = None):
     """Train a Q-network for one activity; returns (network, record)."""
     cfg = cfg or DqnConfig()
-    activity, states, actions = _activity_layout(graph, activity_name)
+    states, actions = _activity_layout(graph, activity_name)
     max_steps = cfg.episode_steps(len(actions))
 
     rng = np.random.default_rng(cfg.rng_seed)
@@ -257,7 +255,7 @@ def evaluate_greedy(
     """One greedy episode; success means the final state is reached in
     exactly as many steps as the activity has actions."""
     cfg = cfg or DqnConfig()
-    _activity, _states, actions = _activity_layout(graph, activity_name)
+    _states, actions = _activity_layout(graph, activity_name)
     sequence_length = len(actions)
     # steps only grow, so a walk not final after sequence_length steps fails
     limit = min(cfg.episode_steps(sequence_length), sequence_length)

@@ -439,6 +439,10 @@ class KnowledgeGraph:
         """The entities of one concept, in insertion order."""
         return list(self._by_concept[concept].values())
 
+    def count(self, concept: Concept) -> int:
+        """The number of entities of one concept, without listing them."""
+        return len(self._by_concept[concept])
+
     @property
     def activities(self) -> list[Activity]:
         return self.by_concept(Concept.ACTIVITY)

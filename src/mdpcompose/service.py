@@ -6,10 +6,12 @@ POST /policies with either {"featureValues": {...}} or {"stateName": "..."}
 the radius cap are rejected with 422; malformed bodies get 400, bodies over
 MAX_BODY_BYTES get 413, and any other failure gets 500. A body that stalls
 for _Handler.timeout seconds counts as malformed. GET /health
-reports readiness. The store (see ``store``) is built once at start-up and,
-like the embeddings, only read: a request finds its graph and starting
-state in the store's indexes and composes on its own copies of the state,
-so requests never interleave state.
+reports readiness. The store (see ``store``) is built once at start-up and
+only read: a request finds its graph and starting state in the store's
+indexes and composes on its own copies of the state, so requests never
+interleave state. The embedding space keeps the sorted action row of each
+state it has searched from (see ``space``); the handler threads share those
+rows, which are never changed once kept.
 
 The server speaks HTTP/1.1 with persistent connections: one handler thread
 serves every request of a connection, one after another, and closes it when

@@ -46,6 +46,7 @@ from .errors import (
 from .kg import (
     Action,
     Activity,
+    Concept,
     Entity,
     ImpactType,
     KnowledgeGraph,
@@ -273,10 +274,14 @@ def start_state(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None 
                 f"missing {missing}"
             )
     names = graph.scope_names(scope.name) if scope is not None else None
-    max_steps = cfg.max_steps if cfg.max_steps is not None else 50 * max(
-        1, len(graph.states)
-    )
+    max_steps = cfg.max_steps if cfg.max_steps is not None else default_step_limit(graph)
     return Start(state, scope, names, max_steps)
+
+
+def default_step_limit(graph: KnowledgeGraph) -> int:
+    """50 per state of the graph: an episode's default step limit and a
+    composition's default round budget."""
+    return 50 * max(1, graph.count(Concept.STATE))
 
 
 def check_state(start: Start, state: SimState) -> None:

@@ -1,15 +1,23 @@
 """Distance and neighborhood queries over trained entity embeddings.
 
-The neighborhood search computes the distances to every action row in one
-array expression, then builds result tuples only for the actions inside the
-radius. The action rows, their norms, their names and each name's rank in
-string order are gathered once, when the space is built; a space is never
-modified afterwards. At the vocabulary sizes this system works with (a few
-thousand entities) a full scan is tens of microseconds and needs no index.
+The action rows, their norms, their names and each name's rank in string
+order are gathered once, when the space is built. The first search from a
+query entity computes its distances to every action in one array
+expression and sorts them on (distance, name); that row is kept for the
+life of the space, so a later search from the same entity, at any radius,
+is a binary search for the radius and a list of the prefix's tuples. A
+composition searches again from the same state as its radius grows, and a
+service sees the same states in request after request, so the scan runs
+once per state instead of once per search. A row is never changed once it
+is kept, and rows are published with ``dict.setdefault``, so handler
+threads may share a space. A row holds each action's distance as a float64
+and its position in the smallest unsigned integer type that fits: 10 bytes
+per action for up to 65,536 actions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
 from pathlib import Path
 
@@ -44,32 +52,41 @@ class EmbeddingSpace:
         # rank) is sorting on (distance, name)
         self._name_rank = np.empty(len(names), dtype=np.int64)
         self._name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-
-    def distance(self, a: str, b: str) -> float:
-        ia, ib = self.vocab.index(a), self.vocab.index(b)
-        if self.metric is Metric.EUCLIDEAN:
-            return float(np.linalg.norm(self.matrix[ia] - self.matrix[ib]))
-        na, nb = self._norms[ia], self._norms[ib]
-        if na == 0.0 or nb == 0.0:
-            raise ValueError("cosine distance is undefined for zero-norm vectors")
-        cos = float(self.matrix[ia] @ self.matrix[ib]) / float(na * nb)
-        return 1.0 - cos
+        self._order_type = np.min_scalar_type(max(len(names) - 1, 0))
+        # query entity name -> its sorted row, built on the first search
+        self._rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def find_closest_actions(self, state_name: str, radius: float) -> list[tuple[str, float]]:
         """All actions within ``radius`` of a state, closest first; ties
         break on the action name. An empty result signals the caller to
         widen the radius."""
+        row = self._rows.get(state_name)
+        if row is None:
+            row = self._rows.setdefault(state_name, self._sorted_row(state_name))
+        distances, order = row
+        if radius != radius:  # NaN: no distance is within it
+            return []
+        end = bisect_right(distances, radius)
+        names = self._action_names
+        return [(names[i], d) for i, d in zip(order[:end].tolist(), distances[:end].tolist())]
+
+    def _sorted_row(self, state_name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The distances from a state to every action, sorted on (distance,
+        name), and the positions of those actions; a NaN distance is never
+        within a radius and is left out. Raises UnknownSituationError for an
+        entity without an embedding and ValueError for a zero-norm query
+        under the cosine distance."""
         try:
             idx = self.vocab.index(state_name)
         except UnknownEntityError:
             raise UnknownSituationError(
                 f"state {state_name!r} has no embedding; request rejected"
             ) from None
-        if not self._action_names:
-            return []
         query = self.matrix[idx]
         rows = self._action_rows
-        if self.metric is Metric.EUCLIDEAN:
+        if not self._action_names:
+            distances = np.empty(0)
+        elif self.metric is Metric.EUCLIDEAN:
             distances = np.linalg.norm(rows - query, axis=1)
         else:
             qn = self._norms[idx]
@@ -79,10 +96,12 @@ class EmbeddingSpace:
             with np.errstate(divide="ignore", invalid="ignore"):
                 distances = 1.0 - (rows @ query) / (norms * qn)
             distances[norms == 0.0] = np.inf  # zero vectors are never neighbors
-        hits = np.flatnonzero(distances <= radius)
-        hits = hits[np.lexsort((self._name_rank[hits], distances[hits]))]
-        names = self._action_names
-        return [(names[i], d) for i, d in zip(hits.tolist(), distances[hits].tolist())]
+        order = np.lexsort((self._name_rank, distances))  # NaNs sort last
+        order = order[: len(order) - int(np.isnan(distances).sum())]
+        distances = distances[order]
+        order = order.astype(self._order_type)
+        distances.flags.writeable = order.flags.writeable = False
+        return distances, order
 
 
 def load_tsv(path_vectors, path_metadata, metric: Metric = Metric.COSINE_DISTANCE) -> EmbeddingSpace:

@@ -9,6 +9,7 @@ from mdpcompose.json_io import from_json, to_json
 from mdpcompose.kg import (
     Activity,
     CommunicationType,
+    Concept,
     KnowledgeGraph,
     Parameter,
     State,
@@ -24,6 +25,13 @@ def watch_tv():
 def test_get_unknown_entity(watch_tv):
     with pytest.raises(UnknownEntityError):
         watch_tv.get("Missing_Thing")
+
+
+def test_count_is_the_length_of_each_concept_list(watch_tv):
+    for concept in Concept:
+        assert watch_tv.count(concept) == len(watch_tv.by_concept(concept))
+    assert watch_tv.count(Concept.STATE) == 9
+    assert KnowledgeGraph().count(Concept.STATE) == 0
 
 
 def test_frozen_after_validation(watch_tv):

@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -34,32 +37,44 @@ def _basic_space(metric=Metric.COSINE_DISTANCE):
     )
 
 
+def _distances_from(space, name):
+    """The distance from ``name`` to every action, read from the search."""
+    return dict(space.find_closest_actions(name, np.inf))
+
+
 def test_identical_vectors_distance_zero():
-    assert _basic_space().distance("S", "A1") == pytest.approx(0.0)
+    assert _distances_from(_basic_space(), "S")["A1"] == pytest.approx(0.0)
 
 
 def test_orthogonal_vectors_distance_one():
-    assert _basic_space().distance("S", "A2") == pytest.approx(1.0)
+    assert _distances_from(_basic_space(), "S")["A2"] == pytest.approx(1.0)
 
 
 def test_antipodal_vectors_distance_two():
-    assert _basic_space().distance("S", "A3") == pytest.approx(2.0)
+    assert _distances_from(_basic_space(), "S")["A3"] == pytest.approx(2.0)
 
 
 def test_distance_symmetric():
     space = _basic_space()
-    assert space.distance("A1", "A2") == space.distance("A2", "A1")
+    assert _distances_from(space, "A1")["A2"] == _distances_from(space, "A2")["A1"]
 
 
 def test_unknown_entity_errors():
+    # the vocabulary lookup the search builds on, and the search itself,
+    # which rejects the unknown query on every call: nothing is kept
+    space = _basic_space()
     with pytest.raises(UnknownEntityError):
-        _basic_space().distance("S", "Nope")
+        space.vocab.index("Nope")
+    for _ in range(2):
+        with pytest.raises(UnknownSituationError):
+            space.find_closest_actions("Nope", 1.0)
 
 
 def test_zero_norm_vector_errors():
     space = _space([("S", Concept.STATE), ("A", Concept.ACTION)], [[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        space.distance("S", "A")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            space.find_closest_actions("S", 1.0)
 
 
 def test_find_closest_full_radius_returns_all_actions_sorted():
@@ -155,12 +170,13 @@ def test_euclidean_triangle_inequality():
         [(f"E{k}", Concept.ACTION) for k in range(6)], rng.normal(size=(6, 4)), Metric.EUCLIDEAN
     )
     names = [f"E{k}" for k in range(6)]
+    distance = {a: _distances_from(space, a) for a in names}
     for a in names:
-        assert space.distance(a, a) == 0.0
+        assert distance[a][a] == 0.0
         for b in names:
-            assert space.distance(a, b) == pytest.approx(space.distance(b, a))
+            assert distance[a][b] == pytest.approx(distance[b][a])
             for c in names:
-                assert space.distance(a, c) <= space.distance(a, b) + space.distance(b, c) + 1e-12
+                assert distance[a][c] <= distance[a][b] + distance[b][c] + 1e-12
 
 
 def test_load_tsv_row_count_mismatch(tmp_path):
@@ -253,7 +269,8 @@ def _comprehension_reference(space, state_name, radius):
 @st.composite
 def _fuzzed_spaces(draw):
     """Spaces whose action names sort differently from vocabulary order,
-    with duplicated rows (tied distances), zero rows and a zero query."""
+    with duplicated rows (tied distances), zero rows, NaN rows and a zero
+    query."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     names = draw(
         st.lists(st.text(alphabet="aAbZ_9é", min_size=1, max_size=3), max_size=14, unique=True)
@@ -266,13 +283,15 @@ def _fuzzed_spaces(draw):
     dimension = draw(st.integers(1, 5))
     matrix = rng.normal(size=(len(rows), dimension))
     for k in range(1, len(rows)):
-        kind = draw(st.sampled_from(["random", "duplicate", "query", "zero"]))
+        kind = draw(st.sampled_from(["random", "duplicate", "query", "zero", "nan"]))
         if kind == "duplicate":
             matrix[k] = matrix[draw(st.integers(1, len(rows) - 1))]
         elif kind == "query":
             matrix[k] = matrix[0]
         elif kind == "zero":
             matrix[k] = 0.0
+        elif kind == "nan":
+            matrix[k, 0] = np.nan
     if draw(st.integers(0, 3)) == 0:
         matrix[0] = 0.0
     metric = draw(st.sampled_from(list(Metric)))
@@ -311,7 +330,8 @@ def test_array_search_equals_the_comprehension_on_ties_and_name_order():
     matrix = [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
     for metric in Metric:
         space = _space(rows, matrix, metric)
-        for radius in (0.0, 0.5, 1.0, 1.5, 2.0, np.inf):
+        # growing, then shrinking and repeated radii: later ones read a kept row
+        for radius in (0.0, 0.5, 1.0, 1.5, 2.0, np.inf, 1.0, 0.0, 0.0, 1e308):
             expected = _comprehension_reference(space, "S", radius)
             assert space.find_closest_actions("S", radius) == expected
         assert [n for n, _ in space.find_closest_actions("S", np.inf)] == ["C", "B", "a", "A_2"]
@@ -329,3 +349,74 @@ def test_zero_norm_query_is_rejected_only_with_actions():
         [("S", Concept.STATE), ("A", Concept.ACTION)], [[0.0, 0.0], [1.0, 0.0]], Metric.EUCLIDEAN
     )
     assert euclidean.find_closest_actions("S", 1.0) == [("A", 1.0)]
+
+
+# --- the kept row: later searches from a state read what the first built ---
+
+_RADIUS_SEQUENCES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.5, np.inf, np.nan, 0.25, 1.0]), st.floats(0.0, 6.0)),
+    min_size=2,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzzed_spaces(), _RADIUS_SEQUENCES)
+def test_a_warm_row_equals_the_comprehension_at_every_radius(space, radii):
+    # growing, shrinking and repeated radii against one space and state
+    for radius in radii + sorted(r for r in radii if r == r) + radii[::-1]:
+        try:
+            expected = _comprehension_reference(space, "Query", radius)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                space.find_closest_actions("Query", radius)
+            continue
+        assert space.find_closest_actions("Query", radius) == expected
+
+
+def test_mutating_a_result_leaves_the_next_search_unchanged():
+    space = _basic_space()
+    first = space.find_closest_actions("S", 2.0)
+    expected = list(first)
+    first.clear()
+    space.find_closest_actions("S", 0.5).append(("X", -1.0))
+    assert space.find_closest_actions("S", 2.0) == expected
+    assert space.find_closest_actions("S", 2.0) is not space.find_closest_actions("S", 2.0)
+
+
+def test_threads_searching_one_cold_state_all_get_the_reference():
+    rng = np.random.default_rng(11)
+    rows = [("S", Concept.STATE)] + [(f"A{k:03d}", Concept.ACTION) for k in range(300)]
+    space = _space(rows, rng.normal(size=(301, 8)))
+    expected = _comprehension_reference(space, "S", 1.0)
+    barrier = threading.Barrier(8)
+
+    def search():
+        barrier.wait()
+        return space.find_closest_actions("S", 1.0)
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(pool.map(lambda _: search(), range(8)))
+    assert all(result == expected for result in results)
+    assert space.find_closest_actions("S", 1.0) == expected
+
+
+def test_the_row_is_built_once_per_state(monkeypatch):
+    built = []
+    sorted_row = EmbeddingSpace._sorted_row
+
+    def counting(self, state_name):
+        built.append(state_name)
+        return sorted_row(self, state_name)
+
+    monkeypatch.setattr(EmbeddingSpace, "_sorted_row", counting)
+    space = _basic_space()
+    for radius in (0.25, 0.5, 2.0, 0.0, np.nan, np.inf, 0.5):
+        space.find_closest_actions("S", radius)
+        space.find_closest_actions("A2", radius)
+    assert built == ["S", "A2"]
+    with pytest.raises(UnknownSituationError):
+        space.find_closest_actions("Nope", 1.0)
+    with pytest.raises(UnknownSituationError):
+        space.find_closest_actions("Nope", 1.0)
+    assert built == ["S", "A2", "Nope", "Nope"]  # a failed build keeps nothing
