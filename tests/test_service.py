@@ -1,11 +1,14 @@
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from email.utils import parsedate_to_datetime
+from http.server import ThreadingHTTPServer
 
 import pytest
 
@@ -117,6 +120,7 @@ def _post_head(length, path: bytes = b"/policies") -> bytes:
 
 
 MALFORMED = b'{"reason":"malformed request body"}'
+_UNKNOWN_17 = b'{"stateName":"x"}'  # 17 bytes; an unknown state gets a 422
 
 
 def test_negative_content_length_rejected_400(server):
@@ -150,13 +154,244 @@ def test_oversized_body_rejected_413_unread(server):
             b"200",
             b'{"status":"ok"}',
         ),
+        (_post_head("+17") + _UNKNOWN_17, b"400", MALFORMED),
+        (_post_head("1_7") + _UNKNOWN_17, b"400", MALFORMED),
+        (
+            b"POST /policies HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Content-Length: 17\r\nContent-Length: 3\r\n\r\n" + _UNKNOWN_17,
+            b"400",
+            MALFORMED,
+        ),
+        (_post_head(100_000) + b"[" * 100_000, b"400", MALFORMED),
     ],
-    ids=["text-length", "undecodable", "bad-json", "post-404", "chunked", "get-with-body"],
+    ids=[
+        "text-length",
+        "undecodable",
+        "bad-json",
+        "post-404",
+        "chunked",
+        "get-with-body",
+        "signed-length",
+        "underscored-length",
+        "conflicting-lengths",
+        "nested-too-deep",
+    ],
 )
 def test_responses_that_may_leave_unread_bytes_close_the_connection(server, request_bytes, status, body):
     got_status, headers, got_body = _raw_exchange(server, request_bytes, timeout=5)
     assert (got_status, got_body) == (status, body)
     assert b"connection: close" in headers
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [[b"17"], [b"17", b"17"], [b" 17\t"], [b"017"]],
+    ids=["one", "repeated", "padded", "leading-zero"],
+)
+def test_digit_content_lengths_frame_the_body(server, lengths):
+    fields = b"".join(b"Content-Length:%s\r\n" % length for length in lengths)
+    request = b"POST /policies HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n%s\r\n" % fields
+    status, headers, body = _raw_exchange(server, request + _UNKNOWN_17, timeout=5)
+    assert (status, body) == (b"422", b'{"reason":"unknown state"}')
+    assert b"connection: close" not in headers
+
+
+_POST = b"POST /policies HTTP/1.1\r\n"
+
+
+@pytest.mark.parametrize(
+    "request_bytes",
+    [
+        _POST + b"Host: 127.0.0.1\r\nno colon here\r\nContent-Length: 2\r\n\r\n{}",
+        _POST + b"Host: 127.0.0.1\r\nX-Note: a\r\n  folded: b\r\nContent-Length: 2\r\n\r\n{}",
+        _POST + b"Host: 127.0.0.1\r\nX-Note: a\r\n\tfolded: b\r\nContent-Length: 2\r\n\r\n{}",
+        _POST + b"Host: 127.0.0.1\r\nContent-Length : 2\r\n\r\n{}",
+        # email.parser ended a line at a bare CR, so these hid a Content-Length
+        _POST + b"Host: 127.0.0.1\r\nX-Note: a\rContent-Length: 2\r\n\r\n{}",
+        b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\nX-Note: a\rContent-Length: 40\r\n\r\n"
+        + b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+        _POST + b"Host: 127.0.0.1\r\nX-Note: a\r\r\nContent-Length: 2\r\n\r\n{}",
+        _POST + b"Host: 127.0.0.1\r\nX-Note: a\x00b\r\nContent-Length: 2\r\n\r\n{}",
+    ],
+    ids=[
+        "no-colon",
+        "obs-fold-space",
+        "obs-fold-tab",
+        "space-before-colon",
+        "bare-cr",
+        "bare-cr-on-get",
+        "cr-before-line-end",
+        "nul-in-value",
+    ],
+)
+def test_header_syntax_errors_get_400_and_close(server, request_bytes):
+    status, headers, body = _raw_exchange(server, request_bytes, timeout=5)
+    assert status == b"400"
+    assert b"connection: close" in headers
+    assert b"Bad header line" in body
+
+
+@pytest.mark.parametrize(
+    "version, answer",
+    [
+        (b"HTTP/01.1", b'{"status":"ok"}'),
+        (b"HTTP/1_1.1", b"Bad request version"),
+        (b"HTTP/+1.1", b"Bad request version"),
+        (b"HTTP/1.12345678901", b"Bad request version"),
+    ],
+    ids=["leading-zero", "underscore", "plus-sign", "eleven-digits"],
+)
+def test_version_numbers_must_be_digits(server, version, answer):
+    # the rule of newer standard libraries (3.11.7's and 3.13's have it,
+    # 3.11.2's has not), kept on every interpreter: int() alone would read
+    # 1_1 as 11 and +1 as 1
+    port = server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(b"GET /health " + version + b"\r\nConnection: close\r\n\r\n")
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    assert answer in response
+
+
+def test_the_first_of_repeated_fields_wins(server):
+    # a server that took the second field would keep the connection open
+    request = (
+        b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        b"Connection: close\r\nConnection: keep-alive\r\n\r\n"
+    )
+    status, _, body = _raw_exchange(server, request, timeout=5)
+    assert (status, body) == (b"200", b'{"status":"ok"}')
+
+
+@pytest.mark.parametrize(
+    "fields, status",
+    [
+        (b"X-Note: a\r\n" * 98, b"200"),  # 99 header lines with Connection
+        (b"X-Note: a\r\n" * 99, b"431"),
+        (b"X-Note: " + b"a" * 65_526 + b"\r\n", b"200"),  # a 65,536-byte line
+        (b"X-Note: " + b"a" * 65_527 + b"\r\n", b"431"),
+    ],
+    ids=["99-lines", "100-lines", "longest-line", "line-too-long"],
+)
+def test_header_block_keeps_the_http_client_limits(server, fields, status):
+    request = b"GET /health HTTP/1.1\r\nConnection: close\r\n" + fields + b"\r\n"
+    got_status, headers, _ = _raw_exchange(server, request, timeout=5)
+    assert got_status == status
+    assert (status == b"431") == (b"connection: close" in headers)
+
+
+# --- each response in one write ----------------------------------------------
+
+
+class _CountingHandler(_Handler):
+    """Records every write to the socket in ``server.writes``."""
+
+    def setup(self):
+        super().setup()
+        write, writes = self.wfile.write, self.server.writes
+
+        def counted(data):
+            writes.append(bytes(data))
+            return write(data)
+
+        self.wfile.write = counted
+
+
+@pytest.fixture(scope="module")
+def counting_server(desk_store, desk_space):
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), _CountingHandler)
+    srv.policy_service = PolicyService(desk_store, desk_space)
+    srv.writes = []
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+def _closing_request(method: bytes, path: bytes, body: bytes = b"", extra: bytes = b"") -> bytes:
+    return b"%s %s HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n%sContent-Length: %d\r\n\r\n%s" % (
+        method, path, extra, len(body), body
+    )
+
+
+HEAD_FIELDS = [b"server", b"date", b"content-type", b"content-length"]
+_FEED_CAT = b'{"stateName":"InitialState_Feed_cat"}'
+_HEALTH = b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n"
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status, fields",
+    [
+        (_closing_request(b"POST", b"/policies", _FEED_CAT), b"200", HEAD_FIELDS),
+        (_closing_request(b"POST", b"/policies", b"{}"), b"400", HEAD_FIELDS),
+        (_closing_request(b"POST", b"/policies", b"{this"), b"400", HEAD_FIELDS + [b"connection"]),
+        (_closing_request(b"POST", b"/nope", b"{}"), b"404", HEAD_FIELDS + [b"connection"]),
+        (_post_head(MAX_BODY_BYTES + 1), b"413", HEAD_FIELDS + [b"connection"]),
+        (_closing_request(b"POST", b"/policies", _UNKNOWN_17), b"422", HEAD_FIELDS),
+        (_HEALTH, b"200", HEAD_FIELDS),
+    ],
+    ids=["200", "400", "400-malformed", "404", "413", "422", "health"],
+)
+def test_each_response_goes_out_in_one_write(counting_server, request_bytes, status, fields):
+    counting_server.writes.clear()
+    port = counting_server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request_bytes)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    assert counting_server.writes == [response]
+    head, _, _ = response.partition(b"\r\n\r\n")
+    status_line, *lines = head.split(b"\r\n")
+    assert status_line.split()[:2] == [b"HTTP/1.1", status]
+    assert [line.partition(b":")[0].lower() for line in lines] == fields
+    date = next(line for line in lines if line.startswith(b"Date: "))[6:].decode()
+    assert parsedate_to_datetime(date).tzinfo is not None
+
+
+def test_expect_100_continue_precedes_the_response(server):
+    port = server.server_address[1]
+    head = (
+        b"POST /policies HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n"
+        b"Expect: 100-continue\r\nContent-Length: 17\r\n\r\n"
+    )
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head)
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            chunk = sock.recv(1)
+            assert chunk, "the server closed before 100 Continue"
+            interim += chunk
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(_UNKNOWN_17)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    assert response.startswith(b"HTTP/1.1 422 ")
+    assert response.endswith(b'{"reason":"unknown state"}')
+
+
+def test_requests_do_not_use_the_email_header_parser(server, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("http.client.parse_headers called")
+
+    monkeypatch.setattr(http.client, "parse_headers", fail)
+    status, _, payload = _raw_exchange(server, _closing_request(b"POST", b"/policies", _FEED_CAT), timeout=5)
+    assert status == b"200" and json.loads(payload)["policies"]
+    status, _, payload = _raw_exchange(server, _HEALTH, timeout=5)
+    assert (status, payload) == (b"200", b'{"status":"ok"}')
+
+
+def test_debug_logging_keeps_one_access_line_per_request(server, caplog):
+    with caplog.at_level(logging.DEBUG, logger="mdpcompose.service"):
+        for _ in range(3):
+            _raw_exchange(server, _HEALTH, timeout=5)
+        _raw_exchange(server, _closing_request(b"POST", b"/policies", _UNKNOWN_17), timeout=5)
+    lines = [r.getMessage() for r in caplog.records if r.name == "mdpcompose.service"]
+    assert sum(line.endswith('"GET /health HTTP/1.1" 200 -') for line in lines) == 3
+    assert sum(line.endswith('"POST /policies HTTP/1.1" 422 -') for line in lines) == 1
 
 
 def test_stalled_body_rejected_within_timeout(server, monkeypatch):
@@ -354,3 +589,83 @@ def test_every_body_gets_one_json_response_on_a_persistent_connection(server, gr
             assert (connection.sock is None) == closes
     finally:
         connection.close()
+
+
+# --- raw request bytes never hang the server -----------------------------------
+
+_RAW_TEXT = st.text(alphabet="aZ09:;- \t\r\n", max_size=10)
+_REQUEST_LINES = st.tuples(
+    st.sampled_from(["GET", "POST", "POST", "PUT"]),
+    st.sampled_from(["/health", "/policies", "/policies", "//health", "/nope"]),
+    st.sampled_from(["HTTP/1.1", "HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/1.x"]),
+).map(list)
+_FIELD_NAMES = st.sampled_from(
+    ["Host", "Content-Length", "content-length", "Transfer-Encoding", "Connection", "Expect"]
+)
+_FIELD_VALUES = st.sampled_from(
+    ["0", "2", "17", "99", "+17", "1_7", "-1", " 17 ", "close", "keep-alive", "100-continue", "chunked"]
+)
+
+
+@st.composite
+def _raw_requests(draw) -> bytes:
+    # mostly well-formed heads, so that bodies get framed and read too
+    words = draw(st.one_of(_REQUEST_LINES, _REQUEST_LINES, st.lists(_RAW_TEXT, max_size=4)))
+    fields = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(_FIELD_NAMES, _FIELD_NAMES, _FIELD_NAMES, _RAW_TEXT),
+                st.sampled_from([": ", ": ", ": ", ":", " : ", "", "\r\n "]),
+                st.one_of(_FIELD_VALUES, _FIELD_VALUES, _FIELD_VALUES, _RAW_TEXT),
+            ),
+            max_size=5,
+        )
+    )
+    head = " ".join(words) + "\r\n" + "".join(name + sep + value + "\r\n" for name, sep, value in fields)
+    end = draw(st.sampled_from(["\r\n", "\n", ""]))
+    return (head + end).encode("latin-1") + draw(st.binary(max_size=24))
+
+
+def _final_response_complete(data: bytes) -> bool:
+    """Whether ``data`` holds a whole final (not 1xx) response framed by
+    Content-Length."""
+    while True:
+        head, blank, rest = data.partition(b"\r\n\r\n")
+        if not blank or not head.startswith(b"HTTP/1.1 "):
+            return False
+        if not head.startswith(b"HTTP/1.1 1"):
+            break
+        data = rest
+    lengths = [line[15:] for line in head.lower().split(b"\r\n") if line.startswith(b"content-length:")]
+    return bool(lengths) and len(rest) >= int(lengths[0])
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(request_bytes=_raw_requests(), half_close=st.booleans())
+def test_raw_request_bytes_get_a_response_or_a_close(server, monkeypatch, request_bytes, half_close):
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    deadline = time.monotonic() + 0.5 + 2
+    port = server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        try:
+            sock.sendall(request_bytes)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+        except OSError:  # the server answered and closed before the last byte
+            pass
+        response = b""
+        while not _final_response_complete(response):
+            sock.settimeout(max(deadline - time.monotonic(), 0.001))
+            try:
+                chunk = sock.recv(65536)  # a timeout here is a hung exchange
+            except ConnectionResetError:  # closed with request bytes unread
+                break
+            if not chunk:
+                break
+            response += chunk
+    status, _, payload = _raw_exchange(server, _HEALTH, timeout=5)
+    assert (status, payload) == (b"200", b'{"status":"ok"}')
