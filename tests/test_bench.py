@@ -1,8 +1,13 @@
+import hashlib
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mdpcompose import bench
@@ -142,3 +147,49 @@ def test_run_metrics_invariant_fields():
     row = RunMetrics("A", ENSEMBLE, 1, 1, 5, 2, 3.75, True, 5)
     assert row.steps_until_success >= row.sequence_length
     assert row.wrong_decisions >= 0
+
+
+# SHA-256 of the five CSVs of run_benchmark on all 12 mini-corpus activities
+# with seed 42, caps 1, 10 and 100 and the session desk_space. Their rows
+# are counts and rewards in steps of 0.25, so the bytes change only when
+# a rounding difference flips a greedy or a replay decision.
+DESK_CSV_SHA256 = {
+    "cumulative_reward.csv": "619733fa26420a6e680c83d19fb011c3576767760fd10ea642b3317c0b9a3457",
+    "radius_density.csv": "fcaa4daf089f5ece00c3b8b225b452f9cbc1077f3babf5419f08eca1549369f8",
+    "steps.csv": "532c08552b9fb35ec71e8957ae8aac419d3df1867beff950ffbaa0af9950a8b9",
+    "success_by_length.csv": "a68ab0144f995619a5f2e366a4e971436de87fd634c1ea81e8975fcbe67621f8",
+    "wrong_decisions.csv": "5fc24985a38727842241def06b252c05fb3ce29db943211f9019e17cb6466137",
+}
+
+
+def test_desk_benchmark_writes_pinned_csv_bytes(corpus, graphs, desk_space, tmp_path):
+    activities = [s.activity_name for s in corpus.scripts]
+    assert len(activities) == 12
+    run_benchmark(graphs, desk_space, activities, caps=[1, 10, 100], seed=42, out_dir=tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DESK_CSV_SHA256
+    }
+    assert digests == DESK_CSV_SHA256
+
+
+def _blas_name() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.mark.skipif("openblas" not in _blas_name().lower(), reason="numpy's BLAS is not OpenBLAS")
+def test_pinned_csv_bytes_hold_on_another_blas_kernel():
+    # Prescott's kernels round the same matmuls differently from the
+    # kernels OpenBLAS picks for a current CPU
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    test = f"{Path(__file__).resolve()}::test_desk_benchmark_writes_pinned_csv_bytes"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
