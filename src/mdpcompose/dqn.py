@@ -8,8 +8,11 @@ The per-step reward signal is the change of the simulation's running
 reward, so correct moves yield +0.25 and wrong ones -0.25.
 
 A minibatch draws its rows from only the activity's few states, so each TD
-update computes one hidden-activation table per state, tanh(w1 + b1), and
-both the forward pass and the bootstrap targets read their rows from it.
+update works on per-state tables: one hidden table tanh(w1 + b1) and one Q
+table, from which it reads both the taken-action values and the bootstrap
+maxima. The loss gradient of the batch rows is summed per (state, action)
+cell, and the weight gradients are products of that cell table with the
+hidden table and w2.
 Greedy evaluation stops at the sequence length: success means reaching the
 final state in exactly that many steps, so a longer walk cannot succeed.
 """
@@ -84,17 +87,11 @@ class QNetwork:
         hidden = np.tanh(self.w1[state_idx] + self.b1)
         return hidden @ self.w2 + self.b2
 
-    def hidden_table(self) -> np.ndarray:
-        """Hidden activations of every state, one row per state index."""
-        return np.tanh(self.w1 + self.b1)
-
-    def q_batch(self, state_indices: np.ndarray, hidden: np.ndarray | None = None) -> np.ndarray:
-        """Q-values of a batch of states; ``hidden`` is a precomputed
-        hidden_table(). The product runs on the gathered batch rows, not
-        per state, because a matmul's rounding depends on its shape."""
-        if hidden is None:
-            hidden = self.hidden_table()
-        return hidden[state_indices] @ self.w2 + self.b2
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations and Q-values of every state, one row per
+        state index."""
+        hidden = np.tanh(self.w1 + self.b1)
+        return hidden, hidden @ self.w2 + self.b2
 
 
 class ReplayBuffer:
@@ -124,12 +121,15 @@ class ReplayBuffer:
         return rng.integers(0, self.size, size=count)
 
 
-def td_targets(net: QNetwork, batch, gamma: float, hidden: np.ndarray | None = None) -> np.ndarray:
-    """Bootstrapped targets r + gamma * max_a' Q(s', a'), r alone on
-    terminal moves. ``hidden`` is a precomputed net.hidden_table()."""
+def _bootstrap(q: np.ndarray, batch, gamma: float) -> np.ndarray:
     _s, _a, r, s_next, terminal = batch
-    q_next = net.q_batch(s_next, hidden)
-    return r + gamma * (1.0 - terminal) * q_next.max(axis=1)
+    return r + gamma * (1.0 - terminal) * q.max(axis=1)[s_next]
+
+
+def td_targets(net: QNetwork, batch, gamma: float) -> np.ndarray:
+    """Bootstrapped targets r + gamma * max_a' Q(s', a'), r alone on
+    terminal moves."""
+    return _bootstrap(net.tables()[1], batch, gamma)
 
 
 def td_loss_and_grads(net: QNetwork, batch, gamma: float, targets=None):
@@ -140,35 +140,17 @@ def td_loss_and_grads(net: QNetwork, batch, gamma: float, targets=None):
     bootstrap); pass precomputed ``targets`` to hold them fixed while
     perturbing parameters.
     """
-    s, a, r, s_next, terminal = batch
-    n = len(s)
-    rows = np.arange(n)
-
-    hidden = net.hidden_table()
+    s, a, _r, _s_next, _terminal = batch
+    hidden, q = net.tables()
     if targets is None:
-        targets = td_targets(net, batch, gamma, hidden)
-
-    h = hidden[s]
-    q = h @ net.w2 + net.b2
-    taken = q[rows, a]
-    errors = taken - targets
+        targets = _bootstrap(q, batch, gamma)
+    errors = q[s, a] - targets
     loss = float((errors**2).mean())
 
-    coeff = 2.0 * errors / n
-    dq = np.zeros_like(q)
-    dq[rows, a] = coeff
-    grads = {
-        "w2": h.T @ dq,
-        "b2": dq.sum(axis=0),
-    }
-    # dq has one nonzero per row, so dq @ w2.T is that entry times a row of w2.T
-    dh = coeff[:, None] * net.w2.T[a]
-    dz1 = dh * (1.0 - h**2)
-    # a matmul, not a row scatter: a scatter would sum the rows in another order
-    x = np.zeros((n, len(net.states)))
-    x[rows, s] = 1.0
-    grads["w1"] = x.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
+    cells = s * q.shape[1] + a
+    dq = np.bincount(cells, weights=2.0 * errors / len(s), minlength=q.size).reshape(q.shape)
+    dz1 = (dq @ net.w2.T) * (1.0 - hidden**2)
+    grads = {"w2": hidden.T @ dq, "b2": dq.sum(axis=0), "w1": dz1, "b1": dz1.sum(axis=0)}
     return loss, grads
 
 
