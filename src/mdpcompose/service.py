@@ -165,6 +165,8 @@ class _Handler(BaseHTTPRequestHandler):
         if not words:
             return False
         if len(words) >= 3:  # enough to determine the protocol version
+            # not an HTTP/0.9 request, so an error reply gets a status line and headers
+            self.request_version = self.protocol_version
             version = words[-1]
             try:
                 if not version.startswith("HTTP/"):

@@ -232,16 +232,18 @@ def test_header_syntax_errors_get_400_and_close(server, request_bytes):
 
 
 @pytest.mark.parametrize(
-    "version, answer",
+    "version, status, answer",
     [
-        (b"HTTP/01.1", b'{"status":"ok"}'),
-        (b"HTTP/1_1.1", b"Bad request version"),
-        (b"HTTP/+1.1", b"Bad request version"),
-        (b"HTTP/1.12345678901", b"Bad request version"),
+        (b"HTTP/01.1", b"200", b'{"status":"ok"}'),
+        (b"HTTP/1_1.1", b"400", b"Bad request version"),
+        (b"HTTP/+1.1", b"400", b"Bad request version"),
+        (b"HTTP/1.12345678901", b"400", b"Bad request version"),
+        (b"HTTP/1.x", b"400", b"Bad request version"),
+        (b"HTTP/2.0", b"505", b"Invalid HTTP version"),
     ],
-    ids=["leading-zero", "underscore", "plus-sign", "eleven-digits"],
+    ids=["leading-zero", "underscore", "plus-sign", "eleven-digits", "letter-minor", "major-2"],
 )
-def test_version_numbers_must_be_digits(server, version, answer):
+def test_version_numbers_must_be_digits(server, version, status, answer):
     # the rule of newer standard libraries (3.11.7's and 3.13's have it,
     # 3.11.2's has not), kept on every interpreter: int() alone would read
     # 1_1 as 11 and +1 as 1
@@ -251,7 +253,12 @@ def test_version_numbers_must_be_digits(server, version, answer):
         response = b""
         while chunk := sock.recv(4096):
             response += chunk
-    assert answer in response
+    head, _, body = response.partition(b"\r\n\r\n")
+    status_line, *headers = head.split(b"\r\n")
+    assert status_line.split()[:2] == [b"HTTP/1.1", status]
+    assert answer in body
+    if status != b"200":
+        assert b"connection: close" in [h.lower() for h in headers]
 
 
 def test_the_first_of_repeated_fields_wins(server):
