@@ -78,6 +78,57 @@ def test_unexpected_character_position():
     assert err.value.column == 1
 
 
+# One document per place the reader raises a TurtleSyntaxError, with the
+# message, line, column and expectation each must keep.
+P = PREFIX_ONLY
+SYNTAX_ERRORS = {
+    "character": ("@prefix entity: <x> .\n!", "unexpected character '!'", 2, 1, None),
+    "end-after-prefix": ("@prefix", "unexpected end of document", 1, 1, "prefix:"),
+    "end-after-name": ("@prefix e:", "unexpected end of document", 1, 9, "<iri>"),
+    "end-after-iri": ("@prefix e: <x>", "unexpected end of document", 1, 12, "."),
+    "prefix-name": ("@prefix <x> .", "unexpected token '<x>'", 1, 9, "prefix:"),
+    "iri": ("@prefix e: e:x .", "unexpected token 'e:x'", 1, 12, "<iri>"),
+    "prefix-dot-token": ("@prefix e: <x> e:y", "unexpected token 'e:y'", 1, 16, "."),
+    "prefix-dot": ("@prefix e: <x> ;", "unexpected ';'", 1, 16, "."),
+    "subject": (P + "<x> a concept:S .", "unexpected token '<x>'", 5, 1, "subject"),
+    "predicate": (P + 'entity:X "l" concept:S .', "unexpected token '\"l\"'", 5, 10,
+                  "predicate"),
+    "object": (P + "entity:X a ; .", "unexpected token ';'", 5, 12, "object"),
+    "separator": (P + "entity:X a concept:S entity:Y .", "unexpected token 'entity:Y'",
+                  5, 22, "';' or '.'"),
+    "end-after-subject": (P + "entity:X", "unexpected end of statement", 5, 1,
+                          "predicate"),
+    "end-after-predicate": (P + "entity:X a", "unexpected end of statement", 5, 10,
+                            "object"),
+    "end-at-separator": (P + "entity:X a concept:State", "unexpected end of document",
+                         5, 12, "';' or '.'"),
+    "subject-prefix": (P + "x:X a concept:S .", "unknown prefix 'x'", 5, 1, None),
+    "predicate-prefix": (P + "entity:X x:p concept:S .", "unknown prefix 'x'",
+                         5, 10, None),
+    "object-prefix": (P + "entity:X a x:S .", "unknown prefix 'x'", 5, 12, None),
+    "after-multiline-literal": (P + '# c\nentity:X property:p "a\nb"^^xsd:string ;\n ?',
+                                "unexpected character '?'", 8, 2, None),
+    "after-crlf-comment": ("\t@prefix e: <x> .\n# c\r\n e:s a e:t ;\n e:p ,",
+                           "unexpected token ','", 4, 6, "object"),
+}
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column, expected",
+    list(SYNTAX_ERRORS.values()),
+    ids=list(SYNTAX_ERRORS),
+)
+def test_syntax_errors_are_pinned(text, message, line, column, expected):
+    with pytest.raises(TurtleSyntaxError) as err:
+        parse_turtle(text)
+    detail = f"line {line}, column {column}: {message}"
+    if expected:
+        detail += f" (expected {expected})"
+    assert (str(err.value), err.value.line, err.value.column, err.value.expected) == (
+        detail, line, column, expected
+    )
+
+
 def test_write_empty_graph_is_prefix_block_only():
     text = write_turtle(KnowledgeGraph())
     assert "@prefix entity:" in text
