@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from .kg import (
     ObservationFeature,
     State,
     Transition,
+    transition_name,
 )
 
 LABEL_FEATURE = "state_label"
@@ -305,10 +305,6 @@ def viterbi_path(model: HmmModel, observation_seq: list[dict]) -> list[str]:
     return [states[i] for i in path]
 
 
-def _transition_name(prev, action, nxt):
-    return str(uuid.uuid5(uuid.NAMESPACE_URL, f"transition:{prev}:{action}:{nxt}"))
-
-
 def hmm_to_kg(model: HmmModel, activity_name: str = "DerivedActivity") -> KnowledgeGraph:
     """Lower a fitted model into an activity knowledge graph.
 
@@ -396,7 +392,7 @@ def hmm_to_kg(model: HmmModel, activity_name: str = "DerivedActivity") -> Knowle
     action_transitions: dict = {a: [] for a in action_names}
     for (state, action), dist in sorted(model.transition_prob.items()):
         for nxt, p in dist.items():
-            name = _transition_name(state, action, nxt)
+            name = transition_name(state, action, nxt)
             graph.add(
                 Transition(
                     name=name,

@@ -77,6 +77,8 @@ def from_json(text: str) -> KnowledgeGraph:
             raise SchemaError(
                 f"entities[{i}]: unknown concept {row['concept']!r}"
             ) from None
+        if not isinstance(row["properties"], dict):
+            raise SchemaError(f'entities[{i}]: "properties" must be an object')
         entity = new_entity(concept, str(row["name"]))
         spec = PROPERTIES[concept]
         seen = set()
@@ -107,7 +109,10 @@ def from_json(text: str) -> KnowledgeGraph:
                 )
         graph.add(entity)
 
-    for triple in document.get("x-triples", []):
+    triples = document.get("x-triples", [])
+    if not isinstance(triples, list):
+        raise SchemaError('"x-triples" must be a list')
+    for triple in triples:
         if not (isinstance(triple, list) and len(triple) == 3):
             raise SchemaError('"x-triples" rows must hold [subject, predicate, object]')
         graph.add_extra_triple(*[str(part) for part in triple])

@@ -23,6 +23,7 @@ rules, so the other lookups work before the rules are validated.
 from __future__ import annotations
 
 import math
+import uuid
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -142,6 +143,11 @@ class Transition:
     probability: float | None = None
 
     concept = Concept.TRANSITION
+
+
+def transition_name(prev: str, action: str, nxt: str) -> str:
+    """The stable name of the transition from `prev` by `action` to `nxt`."""
+    return str(uuid.uuid5(uuid.NAMESPACE_URL, f"transition:{prev}:{action}:{nxt}"))
 
 
 @dataclass

@@ -6,6 +6,13 @@ string}`` and ``#`` comments. No blank nodes, no collections. Entity
 identity is the local name behind the ``entity:`` prefix; the namespaces
 are fixed. Properties of unknown names (and subjects of unknown concepts)
 are preserved as opaque triples and written back out unchanged.
+
+The reader scans the text once into a flat list of (kind, text, offset)
+tokens and parses that list; a token's line and column are computed only
+when an error is raised. An object token that starts with ``"`` is a
+literal whose lexical form runs to its last ``"``, whatever its datatype's
+prefix. A subject may name one type, repeated or not: a known concept
+together with any other type is a ``GraphValidationError``.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ _XSD_FOR_KIND = {
     "impact": "string",
 }
 
+_CONCEPTS = {concept.value for concept in Concept}
+
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<comment>#[^\n]*)"
@@ -57,159 +66,101 @@ _TOKEN = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+def _position(text, offset):
+    """The 1-based line and column of `offset` in `text`."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def _tokenize(text):
+    """Returns the (kind, text, offset) of every token, comments and
+    whitespace left out, then an ("end", "", offset) mark at the last one."""
     tokens = []
     pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            raise TurtleSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
+            break
         kind = m.lastgroup
-        chunk = m.group(0)
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, pos - line_start + 1))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + chunk.rfind("\n") + 1
+        if kind != "ws" and kind != "comment":
+            tokens.append((kind, m.group(), pos))
         pos = m.end()
+    if pos < len(text):
+        line, column = _position(text, pos)
+        raise TurtleSyntaxError(f"unexpected character {text[pos]!r}", line, column)
+    tokens.append(("end", "", tokens[-1][2] if tokens else 0))
     return tokens
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
         self.prefixes: dict[str, str] = {}
 
-    def _peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
+    def _error(self, message, offset, expected=None):
+        line, column = _position(self.text, offset)
+        return TurtleSyntaxError(message, line, column, expected=expected)
 
-    def _take(self, kind=None, expected=None):
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise TurtleSyntaxError(
-                "unexpected end of document",
-                last.line if last else 1,
-                last.column if last else 1,
-                expected=expected,
-            )
-        if kind is not None and tok.kind != kind:
-            raise TurtleSyntaxError(
-                f"unexpected token {tok.text!r}", tok.line, tok.column, expected=expected
-            )
+    def _next(self, kinds, expected, statement_at=None):
+        """Takes the next token, whose kind must be one of `kinds`. At the
+        end mark the error is the end of the document, or the end of the
+        statement at `statement_at` when that is given."""
+        kind, text, offset = self.tokens[self.idx]
+        if kind == "end":
+            if statement_at is None:
+                raise self._error("unexpected end of document", offset, expected)
+            raise self._error("unexpected end of statement", statement_at, expected)
+        if kind not in kinds:
+            raise self._error(f"unexpected token {text!r}", offset, expected)
         self.idx += 1
-        return tok
+        return kind, text, offset
 
-    def _split_pname(self, tok):
-        prefix, local = tok.text.split(":", 1)
+    def _local(self, text, offset):
+        """The local name of a prefixed name whose prefix is declared."""
+        prefix, local = text.split(":", 1)
         if prefix not in self.prefixes:
-            raise TurtleSyntaxError(f"unknown prefix {prefix!r}", tok.line, tok.column)
-        return prefix, local
+            raise self._error(f"unknown prefix {prefix!r}", offset)
+        return local
 
     def parse(self):
         """Returns raw triples as (subject, predicate, object-token) rows."""
         triples = []
-        while self._peek() is not None:
-            tok = self._peek()
-            if tok.kind == "prefix_kw":
-                self._take()
-                name_tok = self._take("pname_ns", expected="prefix:")
-                iri_tok = self._take("iri", expected="<iri>")
-                dot = self._take("punct", expected=".")
-                if dot.text != ".":
-                    raise TurtleSyntaxError(
-                        f"unexpected {dot.text!r}", dot.line, dot.column, expected="."
-                    )
-                self.prefixes[name_tok.text[:-1]] = iri_tok.text[1:-1]
+        while self.tokens[self.idx][0] != "end":
+            if self.tokens[self.idx][0] == "prefix_kw":
+                self.idx += 1
+                _kind, name, _at = self._next(("pname_ns",), "prefix:")
+                _kind, iri, _at = self._next(("iri",), "<iri>")
+                _kind, dot, dot_at = self._next(("punct",), ".")
+                if dot != ".":
+                    raise self._error(f"unexpected {dot!r}", dot_at, ".")
+                self.prefixes[name[:-1]] = iri[1:-1]
                 continue
             triples.extend(self._statement())
         return triples
 
     def _statement(self):
-        subj_tok = self._take("pname", expected="subject")
-        _prefix, subject = self._split_pname(subj_tok)
+        _kind, subject_text, subject_at = self._next(("pname",), "subject")
+        subject = self._local(subject_text, subject_at)
         out = []
         while True:
-            verb_tok = self._peek()
-            if verb_tok is None:
-                raise TurtleSyntaxError(
-                    "unexpected end of statement",
-                    subj_tok.line,
-                    subj_tok.column,
-                    expected="predicate",
-                )
-            if verb_tok.kind == "kw_a":
-                self._take()
-                predicate = "a"
-            elif verb_tok.kind == "pname":
-                self._take()
-                _p, predicate = self._split_pname(verb_tok)
-            else:
-                raise TurtleSyntaxError(
-                    f"unexpected token {verb_tok.text!r}",
-                    verb_tok.line,
-                    verb_tok.column,
-                    expected="predicate",
-                )
+            kind, verb, verb_at = self._next(("kw_a", "pname"), "predicate", subject_at)
+            predicate = verb if kind == "kw_a" else self._local(verb, verb_at)
             while True:
-                obj_tok = self._peek()
-                if obj_tok is None:
-                    raise TurtleSyntaxError(
-                        "unexpected end of statement",
-                        verb_tok.line,
-                        verb_tok.column,
-                        expected="object",
-                    )
-                if obj_tok.kind == "pname":
-                    self._take()
-                    self._split_pname(obj_tok)
-                    out.append((subject, predicate, obj_tok.text))
-                elif obj_tok.kind == "literal":
-                    self._take()
-                    out.append((subject, predicate, obj_tok.text))
-                else:
-                    raise TurtleSyntaxError(
-                        f"unexpected token {obj_tok.text!r}",
-                        obj_tok.line,
-                        obj_tok.column,
-                        expected="object",
-                    )
-                sep = self._peek()
-                if sep is not None and sep.kind == "punct" and sep.text == ",":
-                    self._take()
-                    continue
-                break
-            sep = self._take("punct", expected="';' or '.'")
-            if sep.text == ".":
+                kind, obj, obj_at = self._next(("pname", "literal"), "object", verb_at)
+                if kind == "pname":
+                    self._local(obj, obj_at)
+                out.append((subject, predicate, obj))
+                if self.tokens[self.idx][1] != ",":
+                    break
+                self.idx += 1
+            # The object loop took every ',', so the separator is '.' or ';'.
+            _kind, sep, _at = self._next(("punct",), "';' or '.'")
+            if sep == ".":
                 return out
-            if sep.text == ";":
-                nxt = self._peek()
-                if nxt is not None and nxt.kind == "punct" and nxt.text == ".":
-                    self._take()
-                    return out
-                continue
-            raise TurtleSyntaxError(
-                f"unexpected {sep.text!r}", sep.line, sep.column, expected="';' or '.'"
-            )
-
-
-_LITERAL = re.compile(r'^"((?:[^"\\]|\\.)*)"(?:\^\^([A-Za-z]+):([A-Za-z0-9_-]+))?$')
+            if self.tokens[self.idx][1] == ".":
+                self.idx += 1
+                return out
 
 
 def _unescape(text):
@@ -218,11 +169,9 @@ def _unescape(text):
 
 def _decode_object(token_text):
     """Returns ("literal", lexical) or ("ref", local name)."""
-    m = _LITERAL.match(token_text)
-    if m:
-        return "literal", _unescape(m.group(1))
-    _prefix, local = token_text.split(":", 1)
-    return "ref", local
+    if token_text.startswith('"'):
+        return "literal", _unescape(token_text[1 : token_text.rindex('"')])
+    return "ref", token_text.split(":", 1)[1]
 
 
 def parse_turtle(text: str) -> KnowledgeGraph:
@@ -231,7 +180,7 @@ def parse_turtle(text: str) -> KnowledgeGraph:
     graph = KnowledgeGraph()
     problems: list[str] = []
 
-    type_of: dict[str, Concept] = {}
+    types: dict[str, list[str]] = {}
     for subject, predicate, obj_text in raw:
         if predicate != "a":
             continue
@@ -239,10 +188,17 @@ def parse_turtle(text: str) -> KnowledgeGraph:
         if obj_kind != "ref":
             problems.append(f"entity {subject!r}: type must be a concept reference")
             continue
-        try:
-            type_of[subject] = Concept(value)
-        except ValueError:
-            pass  # unknown concept, preserved opaquely below
+        names = types.setdefault(subject, [])
+        if value not in names:
+            names.append(value)
+    type_of: dict[str, Concept] = {}
+    for subject, names in types.items():
+        if not _CONCEPTS.intersection(names):
+            continue  # unknown concepts only, preserved opaquely below
+        if len(names) > 1:
+            problems.append(f"entity {subject!r}: typed as {' and '.join(names)}")
+        else:
+            type_of[subject] = Concept(names[0])
 
     entities = {name: new_entity(concept, name) for name, concept in type_of.items()}
 

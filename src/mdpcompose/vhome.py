@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import re
-import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .kg import (
     ObservationFeature,
     State,
     Transition,
+    transition_name,
 )
 
 log = logging.getLogger(__name__)
@@ -108,10 +108,6 @@ def action_sequence(script: VhScript) -> list[str]:
 
 def activity_entity_name(script: VhScript) -> str:
     return script.activity_name.replace(" ", "_")
-
-
-def _transition_name(prev: str, action: str, nxt: str) -> str:
-    return str(uuid.uuid5(uuid.NAMESPACE_URL, f"transition:{prev}:{action}:{nxt}"))
 
 
 def script_to_kg(script: VhScript) -> KnowledgeGraph:
@@ -202,7 +198,7 @@ def script_to_kg(script: VhScript) -> KnowledgeGraph:
     chain_actions = list(ids) + [ids[-1]]
     transition_names: dict[str, list[str]] = {i: [] for i in ids}
     for k in range(n + 1):
-        t_name = _transition_name(chain[k], chain_actions[k], chain[k + 1])
+        t_name = transition_name(chain[k], chain_actions[k], chain[k + 1])
         graph.add(
             Transition(
                 name=t_name,

@@ -76,6 +76,21 @@ def test_bad_value_type_reported():
     assert "hasValue" in str(err.value)
 
 
+@pytest.mark.parametrize("properties", [[1], "ab", 5, None])
+def test_properties_must_be_an_object(properties):
+    row = {"name": "p", "concept": "Parameter", "properties": properties}
+    with pytest.raises(SchemaError) as err:
+        from_json(json.dumps({"entities": [row]}))
+    assert str(err.value) == 'entities[0]: "properties" must be an object'
+
+
+@pytest.mark.parametrize("triples", [5, None, "abc", {"a": 1}])
+def test_x_triples_must_be_a_list(triples):
+    with pytest.raises(SchemaError) as err:
+        from_json(json.dumps({"entities": [], "x-triples": triples}))
+    assert str(err.value) == '"x-triples" must be a list'
+
+
 def test_fuzzed_round_trips():
     rng = random.Random(515)
     for _ in range(25):

@@ -182,3 +182,41 @@ def test_fuzzed_round_trips():
     for _ in range(25):
         g = make_random_graph(rng)
         assert isomorphic(parse_turtle(write_turtle(g)), g)
+
+
+def test_literal_datatype_prefix_may_hold_digits_and_underscores():
+    text = PREFIX_ONLY + (
+        "@prefix xsd_1: <http://www.w3.org/2001/XMLSchema#> .\n"
+        'entity:p a concept:Parameter; property:hasName "a"^^xsd_1:string;\n'
+        '    property:hasValue "2.0"^^xsd:double;\n'
+        '    property:hasColor "red"^^xsd_1:string .\n'
+    )
+    g = parse_turtle(text)
+    assert g.get("p").parameter_name == "a"
+    assert g.extra_triples == [("p", "hasColor", '"red"^^xsd_1:string')]
+    assert isomorphic(parse_turtle(write_turtle(g)), g)
+
+
+PARAMETER_BODY = (
+    'property:hasName "a"^^xsd:string; property:hasValue "2.0"^^xsd:double .\n'
+)
+
+
+@pytest.mark.parametrize(
+    "types, named",
+    [
+        ("concept:Equation, concept:Parameter", "Equation and Parameter"),
+        ("concept:Parameter, concept:Equation", "Parameter and Equation"),
+        ("concept:Parameter; a concept:Gadget", "Parameter and Gadget"),
+    ],
+)
+def test_a_subject_with_two_types_is_reported(types, named):
+    with pytest.raises(GraphValidationError) as err:
+        parse_turtle(PREFIX_ONLY + f"entity:p a {types}; {PARAMETER_BODY}")
+    assert f"entity 'p': typed as {named}" in err.value.problems
+
+
+def test_a_repeated_type_is_one_type():
+    types = "concept:Parameter, concept:Parameter"
+    text = PREFIX_ONLY + f"entity:p a {types}; {PARAMETER_BODY}"
+    assert parse_turtle(text).get("p").parameter_name == "a"
