@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mdpcompose import composer, service
+from mdpcompose import composer, dqn, embedding, service
 from mdpcompose.simulation import initial_features, initial_state
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -102,3 +102,35 @@ def test_the_compose_spans_count_what_the_trace_rounds_hold(tracing, desk_store,
     totals = {key: sum(counts[key] for counts in expected) for key in expected[0]}
     assert 0 < totals["commits"] < totals["rounds"]
     assert 0 < totals["wrong_decisions"] < totals["agent_steps"]
+
+
+def _count_calls(monkeypatch, module, names) -> dict:
+    """Replace each module binding with a counting wrapper, as the recorder
+    does, and return the counts."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_dqn_training_reaches_the_traced_update_and_evaluation(monkeypatch, graphs):
+    # the dqn.* layers time these module bindings; a learner that calls
+    # around them must fail here, not read 0 in a traced run
+    counts = _count_calls(monkeypatch, dqn, ["td_loss_and_grads", "evaluate_greedy"])
+    cfg = dqn.DqnConfig(episode_cap=2, rng_seed=3, stop_on_success=False)
+    _net, record = dqn.train_dqn(graphs["Watch_TV_49"], "Watch_TV_49", cfg)
+    assert counts["td_loss_and_grads"] == record.total_steps - cfg.replay_batch + 1
+    assert counts["evaluate_greedy"] == 1
+
+
+def test_embedding_training_reaches_the_traced_batch_calls(monkeypatch, graph_list, vocab):
+    counts = _count_calls(monkeypatch, embedding, ["generate_batch", "batch_loss_and_grad"])
+    cfg = embedding.TrainConfig(dimension=4, iterations=3, epochs_per_iteration=2, batch_size=8)
+    embedding.train(graph_list, vocab, cfg)
+    assert counts == {"generate_batch": 3, "batch_loss_and_grad": 6}

@@ -7,8 +7,10 @@ from scipy.stats import chi2
 from mdpcompose import dqn
 from mdpcompose.dqn import (
     DqnConfig,
+    EpisodeStats,
     QNetwork,
     ReplayBuffer,
+    TrainingRecord,
     evaluate_greedy,
     td_loss_and_grads,
     td_targets,
@@ -130,6 +132,106 @@ def test_td_update_equals_one_hot_reference(n_states, n_actions):
         for key, want in want_grads.items():
             tolerance = 8 * np.spacing(np.abs(want).max())
             assert np.abs(grads[key] - want).max() <= tolerance, (trial, key)
+
+
+class _ReferenceNetwork:
+    """The Q-network with its four parameters as separate arrays, drawn
+    from the generator in the same order."""
+
+    def __init__(self, states, actions, hidden_units, rng):
+        self.states, self.actions = list(states), list(actions)
+        self.state_index = {s: i for i, s in enumerate(self.states)}
+        self.w1 = rng.uniform(-0.1, 0.1, size=(len(states), hidden_units))
+        self.b1 = np.zeros(hidden_units)
+        self.w2 = rng.uniform(-0.1, 0.1, size=(hidden_units, len(actions)))
+        self.b2 = np.zeros(len(actions))
+
+    def q_values(self, state_idx):
+        hidden = np.tanh(self.w1[state_idx] + self.b1)
+        return hidden @ self.w2 + self.b2
+
+
+def _reference_td(net, batch, gamma):
+    """The per-state-table TD update with allocating products."""
+    s, a, r, s_next, terminal = batch
+    hidden = np.tanh(net.w1 + net.b1)
+    q = hidden @ net.w2 + net.b2
+    targets = r + gamma * (1.0 - terminal) * q.max(axis=1)[s_next]
+    errors = q[s, a] - targets
+    cells = s * q.shape[1] + a
+    dq = np.bincount(cells, weights=2.0 * errors / len(s), minlength=q.size).reshape(q.shape)
+    dz1 = (dq @ net.w2.T) * (1.0 - hidden**2)
+    grads = {"w2": hidden.T @ dq, "b2": dq.sum(axis=0), "w1": dz1, "b1": dz1.sum(axis=0)}
+    return float((errors**2).mean()), grads
+
+
+def _reference_train_dqn(graph, activity_name, cfg):
+    """train_dqn's loop with one update per parameter array."""
+    states = sorted(graph.get(activity_name).states)
+    actions = sorted(graph.get(activity_name).actions)
+    max_steps = cfg.episode_steps(len(actions))
+    rng = np.random.default_rng(cfg.rng_seed)
+    net = _ReferenceNetwork(states, actions, cfg.hidden_units, rng)
+    replay = ReplayBuffer(cfg.replay_capacity)
+    record = TrainingRecord()
+    for _episode in range(cfg.episode_cap):
+        record.episodes_used += 1
+        stats = EpisodeStats()
+        start = initial_state(graph, activity_name)
+        closure = make_simulation(graph, start, SimConfig())
+        current, s_idx = start, net.state_index[start.state_label]
+        while not current.is_final and stats.steps < max_steps:
+            if rng.random() < cfg.epsilon:
+                a_idx = int(rng.integers(len(actions)))
+            else:
+                a_idx = int(np.argmax(net.q_values(s_idx)))
+            result = closure(actions[a_idx])
+            delta = result.reward - current.reward
+            next_idx = net.state_index.get(result.state_label)
+            if next_idx is None:
+                break
+            replay.push(s_idx, a_idx, delta, next_idx, result.is_final)
+            stats.steps += 1
+            stats.reward += delta
+            if delta < 0:
+                stats.wrong += 1
+            if replay.size >= cfg.replay_batch:
+                picks = replay.sample_indices(rng, cfg.replay_batch)
+                batch = (
+                    replay.state[picks],
+                    replay.action[picks],
+                    replay.reward[picks],
+                    replay.next_state[picks],
+                    replay.terminal[picks],
+                )
+                loss, grads = _reference_td(net, batch, cfg.gamma)
+                assert np.isfinite(loss)
+                for key, grad in grads.items():
+                    param = getattr(net, key)
+                    param -= cfg.learning_rate * grad
+            current, s_idx = result, next_idx
+        record.total_steps += stats.steps
+        record.wrong_decisions += stats.wrong
+        record.cumulative_reward += stats.reward
+        record.per_episode.append(stats)
+        if cfg.stop_on_success and evaluate_greedy(net, graph, activity_name, cfg):
+            record.success = True
+            break
+    if not cfg.stop_on_success and record.episodes_used:
+        record.success = evaluate_greedy(net, graph, activity_name, cfg)
+    return net, record
+
+
+@pytest.mark.parametrize("cap", [1, 10])
+@pytest.mark.parametrize("name", ["Watch_TV_49", "Clean_kitchen", "Morning_routine"])
+def test_training_matches_per_parameter_reference_bytes(graphs, name, cap):
+    cfg = DqnConfig(episode_cap=cap, rng_seed=1000 + cap)
+    net, record = train_dqn(graphs[name], name, cfg)
+    want_net, want_record = _reference_train_dqn(graphs[name], name, cfg)
+    assert record == want_record
+    assert record.total_steps >= cfg.replay_batch  # some TD updates ran
+    for key in ("w1", "b1", "w2", "b2"):
+        assert getattr(net, key).tobytes() == getattr(want_net, key).tobytes(), key
 
 
 def _value_iteration_oracle(gamma=0.9):

@@ -36,6 +36,8 @@ DESK_TSV_SHA256 = {
     "vectors": "a9b132e3864859b9f079866282ddac8df4897cb1c8067183bd742b551bc0f15d",
     "metadata": "2acaf98c5e61ff6d50f10fb2b8318948718d832e1f1b6a808d7e03e3999fe34b",
 }
+# SHA-256 of the float64 bytes of that run's loss_history.
+DESK_LOSS_HISTORY_SHA256 = "e94fec6428fa3d071e59f607331ec6add124d09a0935ed1df73022602cd1e720"
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +379,92 @@ def test_bincount_scatter_equals_add_at_exactly(seed):
         assert np.array_equal(grad, want_grad)
 
 
+def _reference_sigmoid(z):
+    """The masked-assignment sigmoid that the batched one replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_batch_loss_and_grad(matrix, samples):
+    """batch_loss_and_grad as it was before a batch's layout was built once:
+    two gathers, the cells and the term table rebuilt on every call."""
+    left, right, labels = samples if isinstance(samples, Batch) else Batch.of(samples)
+    lvec = matrix[left]
+    rvec = matrix[right]
+    p = _reference_sigmoid(np.einsum("ij,ij->i", lvec, rvec))
+    eps = 1e-12
+    losses = -(labels * np.log(p + eps) + (1.0 - labels) * np.log(1.0 - p + eps))
+    coeff = (p - labels)[:, None] / len(labels)
+    rows, dim = matrix.shape
+    cells = np.concatenate([left, right])[:, None] * dim + np.arange(dim)
+    terms = np.concatenate([coeff * rvec, coeff * lvec])
+    grad = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=rows * dim)
+    return float(losses.mean()), grad.reshape(rows, dim)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+# logits whose sigmoid takes each branch, saturates, overflows or is undefined
+_EDGE_LOGITS = [0.0, -0.0, 40.0, -40.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+
+
+def test_sigmoid_matches_masked_reference_bitwise():
+    z = np.concatenate([_EDGE_LOGITS, np.random.default_rng(1).normal(scale=30.0, size=500)])
+    # exp may underflow to 0, but never overflows or divides by zero
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = embedding._sigmoid(z)
+    assert _bits(got) == _bits(_reference_sigmoid(z))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_loss_and_gradient_match_per_call_reference_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    rows, dim, count = [(4, 3, 2), (12, 8, 64), (40, 50, 256), (300, 50, 256)][seed]
+    matrix = rng.normal(scale=0.5, size=(rows, dim))
+    batch = Batch(
+        rng.integers(rows, size=count), rng.integers(rows, size=count), (rng.random(count) < 0.5) * 1.0
+    )
+    want_loss, want_grad = _reference_batch_loss_and_grad(matrix, batch)
+    loss, grad = batch_loss_and_grad(matrix, batch)
+    assert _bits(loss) == _bits(want_loss)
+    assert _bits(grad) == _bits(want_grad)
+
+
+def test_edge_logits_give_the_reference_loss_and_gradient_bitwise():
+    # Row 2k holds the logit in its first cell and zeros elsewhere, row
+    # 2k + 1 is (1, -0.0, ...), so pair (2k, 2k + 1) scores that logit and
+    # its gradient keeps the sign of each zero.
+    dim = 3
+    matrix = np.zeros((2 * len(_EDGE_LOGITS), dim))
+    matrix[0::2, 0] = _EDGE_LOGITS
+    matrix[1::2, 0] = 1.0
+    matrix[1::2, 1:] = -0.0
+    samples = [
+        TrainSample(2 * k + side, 2 * k + 1 - side, PairType.ACTION_STATE, label)
+        for k in range(len(_EDGE_LOGITS))
+        for side in (0, 1)
+        for label in (0, 1)
+    ]
+    # one sample per logit, so a NaN or an infinity does not swamp the rest
+    for sample in samples:
+        with np.errstate(all="ignore"):
+            want_loss, want_grad = _reference_batch_loss_and_grad(matrix, [sample])
+            loss, grad = batch_loss_and_grad(matrix, [sample])
+        assert _bits(loss) == _bits(want_loss), sample
+        assert _bits(grad) == _bits(want_grad), sample
+    finite = [s for s in samples if not {s.left_index, s.right_index} & {12, 13, 14, 15, 16, 17}]
+    want_loss, want_grad = _reference_batch_loss_and_grad(matrix, finite)
+    loss, grad = batch_loss_and_grad(matrix, finite)
+    assert _bits(loss) == _bits(want_loss)
+    assert _bits(grad) == _bits(want_grad)
+
+
 def test_zero_iterations_returns_initialization(watch_tv):
     vocab = build_vocabulary([watch_tv])
     cfg = TrainConfig(dimension=8, iterations=0, batch_size=16, rng_seed=9)
@@ -442,6 +530,8 @@ def test_desk_training_exports_pinned_tsv_bytes(graph_list, tmp_path):
     export_tsv(table, vocab, vectors, metadata)
     assert hashlib.sha256(vectors.read_bytes()).hexdigest() == DESK_TSV_SHA256["vectors"]
     assert hashlib.sha256(metadata.read_bytes()).hexdigest() == DESK_TSV_SHA256["metadata"]
+    history = np.array(table.loss_history, dtype=np.float64).tobytes()
+    assert hashlib.sha256(history).hexdigest() == DESK_LOSS_HISTORY_SHA256
 
 
 def _toy_graphs():
