@@ -13,12 +13,16 @@ table, from which it reads both the taken-action values and the bootstrap
 maxima. The loss gradient of the batch rows is summed per (state, action)
 cell, and the weight gradients are products of that cell table with the
 hidden table and w2.
+The network's four parameters are views into one flat vector, and the
+gradients views into one vector of the same layout, so a training step is
+one array update, elementwise the same p - lr * g as one per parameter.
 Greedy evaluation stops at the sequence length: success means reaching the
 final state in exactly that many steps, so a longer walk cannot succeed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,18 +74,33 @@ class TrainingRecord:
 
 
 class QNetwork:
-    """tanh hidden layer; linear Q-value head; float64 weights."""
+    """tanh hidden layer; linear Q-value head; float64 weights.
+
+    ``params`` holds w1, b1, w2 and b2 back to back; the four attributes are
+    views into it, so an update of ``params`` updates them all.
+    """
 
     def __init__(self, states: list[str], actions: list[str], hidden_units: int, rng):
         self.states = list(states)
         self.actions = list(actions)
         self.state_index = {s: i for i, s in enumerate(self.states)}
         n_s, n_a = len(self.states), len(self.actions)
+        shapes = {"w1": (n_s, hidden_units), "b1": (hidden_units,), "w2": (hidden_units, n_a), "b2": (n_a,)}
+        # (name, start, end, shape) of each parameter in the flat vector
+        self._layout, start = [], 0
+        for key, shape in shapes.items():
+            self._layout.append((key, start, start + math.prod(shape), shape))
+            start += math.prod(shape)
+        self.params = np.zeros(start)
+        for key, view in self.unflatten(self.params).items():
+            setattr(self, key, view)
         scale = 0.1
-        self.w1 = rng.uniform(-scale, scale, size=(n_s, hidden_units))
-        self.b1 = np.zeros(hidden_units)
-        self.w2 = rng.uniform(-scale, scale, size=(hidden_units, n_a))
-        self.b2 = np.zeros(n_a)
+        self.w1[:] = rng.uniform(-scale, scale, size=self.w1.shape)
+        self.w2[:] = rng.uniform(-scale, scale, size=self.w2.shape)
+
+    def unflatten(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of w1, b1, w2 and b2 in a vector laid out like ``params``."""
+        return {key: vector[start:end].reshape(shape) for key, start, end, shape in self._layout}
 
     def q_values(self, state_idx: int) -> np.ndarray:
         hidden = np.tanh(self.w1[state_idx] + self.b1)
@@ -91,7 +110,9 @@ class QNetwork:
         """Hidden activations and Q-values of every state, one row per
         state index."""
         hidden = np.tanh(self.w1 + self.b1)
-        return hidden, hidden @ self.w2 + self.b2
+        q = hidden @ self.w2
+        q += self.b2
+        return hidden, q
 
 
 class ReplayBuffer:
@@ -144,13 +165,18 @@ def td_loss_and_grads(net: QNetwork, batch, gamma: float, targets=None):
     hidden, q = net.tables()
     if targets is None:
         targets = _bootstrap(q, batch, gamma)
-    errors = q[s, a] - targets
-    loss = float((errors**2).mean())
-
     cells = s * q.shape[1] + a
+    errors = q.take(cells) - targets
+    loss = float(errors @ errors) / len(s)
+
     dq = np.bincount(cells, weights=2.0 * errors / len(s), minlength=q.size).reshape(q.shape)
-    dz1 = (dq @ net.w2.T) * (1.0 - hidden**2)
-    grads = {"w2": hidden.T @ dq, "b2": dq.sum(axis=0), "w1": dz1, "b1": dz1.sum(axis=0)}
+    # The gradients are views into one fresh vector laid out like params.
+    grads = net.unflatten(np.empty_like(net.params))
+    np.matmul(dq, net.w2.T, out=grads["w1"])
+    grads["w1"] *= 1.0 - hidden * hidden
+    dq.sum(axis=0, out=grads["b2"])
+    grads["w1"].sum(axis=0, out=grads["b1"])
+    np.matmul(hidden.T, dq, out=grads["w2"])
     return loss, grads
 
 
@@ -206,13 +232,12 @@ def train_dqn(graph: KnowledgeGraph, activity_name: str, cfg: DqnConfig | None =
                     replay.terminal[picks],
                 )
                 loss, grads = td_loss_and_grads(net, batch, cfg.gamma)
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise TrainingDivergenceError(
                         f"non-finite TD loss in episode {record.episodes_used}"
                     )
-                for key, grad in grads.items():
-                    param = getattr(net, key)
-                    param -= cfg.learning_rate * grad
+                # the four gradients share one vector laid out like params
+                net.params -= cfg.learning_rate * grads["w1"].base
 
             current = result
             s_idx = next_idx

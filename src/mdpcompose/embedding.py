@@ -369,39 +369,56 @@ def _scalar_negatives(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|z|) never overflows, and each branch is the stable form for
+    # its sign; minimum(z, -z) is -|z| that keeps the sign of a NaN
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def batch_loss_and_grad(matrix: np.ndarray, batch):
+class BatchLayout(NamedTuple):
+    """Index arrays of a batch that stay fixed while the table changes:
+    the rows to gather, right rows then left rows, and the flattened
+    (row, column) gradient cell of every gathered term."""
+
+    gather: np.ndarray
+    cells: np.ndarray
+
+    @classmethod
+    def of(cls, batch: Batch, dim: int) -> "BatchLayout":
+        # All left-side terms come before all right-side ones, sample by
+        # sample, so each cell sums its terms in the same order as two
+        # sequential np.add.at calls would.
+        cells = np.concatenate([batch.left, batch.right])[:, None] * dim + np.arange(dim)
+        return cls(np.concatenate([batch.right, batch.left]), cells.ravel())
+
+
+def batch_loss_and_grad(matrix: np.ndarray, batch, layout: BatchLayout | None = None):
     """Mean binary cross-entropy over a batch and its gradient table.
 
-    ``batch`` is a Batch or a sequence of TrainSample. For one sample with
+    ``batch`` is a Batch or a sequence of TrainSample; ``layout`` is its
+    BatchLayout, built here when not given. For one sample with
     p = sigmoid(l . r):
         dL/dl = (p - y) * r,  dL/dr = (p - y) * l
     averaged over the batch.
     """
-    left, right, labels = batch if isinstance(batch, Batch) else Batch.of(batch)
-    lvec = matrix[left]
-    rvec = matrix[right]
-    z = np.einsum("ij,ij->i", lvec, rvec)
-    p = _sigmoid(z)
+    if not isinstance(batch, Batch):
+        batch = Batch.of(batch)
+    labels = batch.labels
+    rows, dim = matrix.shape
+    if layout is None:
+        layout = BatchLayout.of(batch, dim)
+    n = len(labels)
+    # right rows then left rows: the term each left-side cell collects is
+    # coeff * r, and each right-side cell coeff * l
+    vecs = matrix[layout.gather]
+    p = _sigmoid(np.einsum("ij,ij->i", vecs[n:], vecs[:n]))
     eps = 1e-12
     losses = -(labels * np.log(p + eps) + (1.0 - labels) * np.log(1.0 - p + eps))
     loss = float(losses.mean())
 
-    coeff = (p - labels)[:, None] / len(labels)
-    # One scatter over flattened (row, column) cells. All left-side terms
-    # come before all right-side ones, sample by sample, so each cell sums
-    # its terms in the same order as two sequential np.add.at calls would.
-    rows, dim = matrix.shape
-    cells = np.concatenate([left, right])[:, None] * dim + np.arange(dim)
-    terms = np.concatenate([coeff * rvec, coeff * lvec])
-    grad = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=rows * dim)
+    coeff = (p - labels) / n
+    vecs *= np.concatenate([coeff, coeff])[:, None]
+    grad = np.bincount(layout.cells, weights=vecs.ravel(), minlength=rows * dim)
     return loss, grad.reshape(rows, dim)
 
 
@@ -429,9 +446,10 @@ def train(graphs, vocab: Vocabulary, cfg: TrainConfig | None = None) -> Embeddin
 
     for iteration in range(cfg.iterations):
         batch = generate_batch(pools, cfg, rng)
+        layout = BatchLayout.of(batch, cfg.dimension)
         epoch_losses = []
         for _epoch in range(cfg.epochs_per_iteration):
-            loss, grad = batch_loss_and_grad(matrix, batch)
+            loss, grad = batch_loss_and_grad(matrix, batch, layout)
             if not math.isfinite(loss):
                 raise TrainingDivergenceError(
                     f"non-finite loss at iteration {iteration}", iteration=iteration
