@@ -631,7 +631,8 @@ class KnowledgeGraph:
                 continue
             self._rule_cache[state.name] = expr
             declared = set(state.observation_features)
-            for feat in expr.feature_names():
+            # sorted: a set's order changes with the string hash seed
+            for feat in sorted(expr.feature_names()):
                 if feat not in declared:
                     problems.append(
                         f"{label}: expression references feature {feat!r} "

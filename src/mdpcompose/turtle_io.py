@@ -10,9 +10,15 @@ are preserved as opaque triples and written back out unchanged.
 The reader scans the text once into a flat list of (kind, text, offset)
 tokens and parses that list; a token's line and column are computed only
 when an error is raised. An object token that starts with ``"`` is a
-literal whose lexical form runs to its last ``"``, whatever its datatype's
-prefix. A subject may name one type, repeated or not: a known concept
-together with any other type is a ``GraphValidationError``.
+literal whose lexical form runs to its last ``"``. Its datatype's prefix
+must be declared like any other, and the literal is kept with its datatype
+under ``xsd:``, so an opaque literal is written back under a declared
+prefix. On a known property the object must be what the property holds:
+an entity reference, or a literal whose datatype is the property's own in
+``_XSD_FOR_KIND`` (a literal without a datatype is a string); anything
+else is a ``GraphValidationError`` problem. A subject may name one type,
+repeated or not: a known concept together with any other type is a
+``GraphValidationError``.
 """
 
 from __future__ import annotations
@@ -150,6 +156,11 @@ class _Parser:
                 kind, obj, obj_at = self._next(("pname", "literal"), "object", verb_at)
                 if kind == "pname":
                     self._local(obj, obj_at)
+                elif _datatype(obj):
+                    # the namespaces are fixed, so a datatype is its local
+                    # name, kept under the one prefix the writer declares
+                    local = self._local(_datatype(obj), obj_at)
+                    obj = obj[: obj.rindex('"') + 1] + "^^xsd:" + local
                 out.append((subject, predicate, obj))
                 if self.tokens[self.idx][1] != ",":
                     break
@@ -165,6 +176,23 @@ class _Parser:
 
 def _unescape(text):
     return text.replace('\\"', '"').replace("\\\\", "\\")
+
+
+def _datatype(literal):
+    """The prefixed datatype name of a literal token; "" when it has none."""
+    return literal[literal.rindex('"') + 3 :]
+
+
+def _object_type(token_text):
+    """What an object token holds: None for an entity reference, else the
+    local name of its literal's datatype ("string" when it has none)."""
+    if not token_text.startswith('"'):
+        return None
+    return _datatype(token_text).partition(":")[2] or "string"
+
+
+def _type_text(object_type):
+    return "an entity reference" if object_type is None else f"xsd:{object_type}"
 
 
 def _decode_object(token_text):
@@ -213,6 +241,13 @@ def parse_turtle(text: str) -> KnowledgeGraph:
             graph.add_extra_triple(subject, predicate, stored)
             continue
         attr, value_kind, multi, _req = PROPERTIES[concept][resolved]
+        got, want = _object_type(obj_text), _XSD_FOR_KIND.get(value_kind)
+        if got != want:
+            problems.append(
+                f"{concept.value} {subject!r}: {resolved} is {_type_text(got)}, "
+                f"expected {_type_text(want)}"
+            )
+            continue
         _obj_kind, lexical = _decode_object(obj_text)
         try:
             value = parse_property_value(value_kind, lexical)

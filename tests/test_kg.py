@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +209,50 @@ def test_non_finite_state_reward_rejected(watch_tv, reward):
         "State 'Sit_couch_1_Done'" in p and "hasReward" in p and "not finite" in p
         for p in err.value.problems
     )
+
+
+# Watch_TV_49 whose final state lists none of the 7 features its expression reads
+_UNLISTED_FEATURES_TTL = WATCH_TV_49_TTL.replace(
+    """property:hasObservationFeature entity:IsWalk_living_room_1, entity:IsWalk_couch_1,
+    entity:IsFind_couch_1, entity:IsSit_couch_1, entity:IsFind_remote_control_1,
+    entity:IsFind_television_1, entity:IsTurnTo_television_1;
+property:hasAction entity:TurnTo_television_1 .""",
+    "property:hasAction entity:TurnTo_television_1 .",
+)
+
+
+def test_unlisted_feature_problems_come_in_name_order():
+    with pytest.raises(GraphValidationError) as info:
+        parse_turtle(_UNLISTED_FEATURES_TTL)
+    unlisted = [p for p in info.value.problems if "not listed under" in p]
+    assert len(unlisted) == 7
+    assert unlisted == sorted(unlisted)
+
+
+def test_validation_message_does_not_depend_on_the_hash_seed():
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "from mdpcompose.errors import GraphValidationError\n"
+        "from mdpcompose.turtle_io import parse_turtle\n"
+        "try:\n"
+        "    parse_turtle(sys.stdin.read())\n"
+        "except GraphValidationError as err:\n"
+        "    print(err)\n"
+    )
+    messages = set()
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=_UNLISTED_FEATURES_TTL,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        messages.add(done.stdout)
+    assert len(messages) == 1
+    assert "IsWalk_living_room_1" in messages.pop()

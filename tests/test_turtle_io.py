@@ -106,6 +106,8 @@ SYNTAX_ERRORS = {
     "predicate-prefix": (P + "entity:X x:p concept:S .", "unknown prefix 'x'",
                          5, 10, None),
     "object-prefix": (P + "entity:X a x:S .", "unknown prefix 'x'", 5, 12, None),
+    "datatype-prefix": (P + 'entity:X property:p "a"^^nope:string .', "unknown prefix 'nope'",
+                        5, 21, None),
     "after-multiline-literal": (P + '# c\nentity:X property:p "a\nb"^^xsd:string ;\n ?',
                                 "unexpected character '?'", 8, 2, None),
     "after-crlf-comment": ("\t@prefix e: <x> .\n# c\r\n e:s a e:t ;\n e:p ,",
@@ -193,8 +195,35 @@ def test_literal_datatype_prefix_may_hold_digits_and_underscores():
     )
     g = parse_turtle(text)
     assert g.get("p").parameter_name == "a"
-    assert g.extra_triples == [("p", "hasColor", '"red"^^xsd_1:string')]
+    # kept under the prefix the writer declares, so the round trip parses
+    assert g.extra_triples == [("p", "hasColor", '"red"^^xsd:string')]
     assert isomorphic(parse_turtle(write_turtle(g)), g)
+
+
+@pytest.mark.parametrize(
+    "obj, problem",
+    [
+        ('"0.0"^^xsd:boolean', "hasReward is xsd:boolean, expected xsd:double"),
+        ('"0.0"', "hasReward is xsd:string, expected xsd:double"),
+        ("entity:Zero", "hasReward is an entity reference, expected xsd:double"),
+    ],
+)
+def test_a_known_property_with_another_datatype_is_reported(obj, problem):
+    text = WATCH_TV_49_TTL.replace(
+        'entity:Walk_couch_1_Done a concept:State;\nproperty:isGoal "false"^^xsd:boolean;',
+        f"entity:Walk_couch_1_Done a concept:State;\nproperty:hasReward {obj};\n"
+        'property:isGoal "false"^^xsd:boolean;',
+    )
+    with pytest.raises(GraphValidationError) as err:
+        parse_turtle(text)
+    assert err.value.problems == [f"State 'Walk_couch_1_Done': {problem}"]
+
+
+def test_a_literal_on_a_reference_property_is_reported():
+    text = PREFIX_ONLY + 'entity:t a concept:Transition; property:hasAction "Walk"^^xsd:string .\n'
+    with pytest.raises(GraphValidationError) as err:
+        parse_turtle(text)
+    assert "Transition 't': hasAction is xsd:string, expected an entity reference" in err.value.problems
 
 
 PARAMETER_BODY = (
