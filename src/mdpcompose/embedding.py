@@ -21,6 +21,13 @@ from there. A pair rejected ``NEGATIVE_RETRY_CAP`` times, or a relation
 without candidates, hands the rest of the batch to the scalar loop
 (``_scalar_negatives``), the one definition of when a relation is dropped.
 
+A batch's index arrays stay fixed over its epochs, so ``train`` lays each
+batch out once (``BatchLayout``): the rows to gather, right rows then left
+rows, and the flattened gradient cell of every gathered term. Each epoch
+then gathers its 2n rows once, scales them by the coefficient column, and
+sums them into the gradient with one ``np.bincount`` in the order two
+sequential ``np.add.at`` calls would use.
+
 Adam updates the moment tables and the embedding table in place, with the
 operations of the textbook expressions in their order, so every element
 rounds as it would in the allocating form. One scratch table and the
@@ -318,17 +325,18 @@ def _draw_negatives(pools: PairPools, rng, left, right, half: int) -> None:
         if rejected == rest:
             return
         # Leave the generator where the scalar loop would be after drawing
-        # the rejected pair; remember where that pair's first draw began.
+        # the rejected pair, in one call; remember how to get back to where
+        # that pair's first draw began.
         rng.bit_generator.state = state
         if rejected:
-            rng.integers(0, bounds[: 2 * rejected])
             tries = 0
         if not tries:
-            head = rng.bit_generator.state
-        rng.integers(0, bounds[2 * rejected : 2 * rejected + 2])
+            head = state, bounds[: 2 * rejected]
+        rng.integers(0, bounds[: 2 * rejected + 2])
         tries += 1
         if tries == NEGATIVE_RETRY_CAP:
-            rng.bit_generator.state = head
+            rng.bit_generator.state = head[0]
+            rng.integers(0, head[1])
             _scalar_negatives(pools, rng, left, right, filled, usable, half)
             return
 
