@@ -156,11 +156,13 @@ class _Parser:
                 kind, obj, obj_at = self._next(("pname", "literal"), "object", verb_at)
                 if kind == "pname":
                     self._local(obj, obj_at)
-                elif _datatype(obj):
-                    # the namespaces are fixed, so a datatype is its local
-                    # name, kept under the one prefix the writer declares
-                    local = self._local(_datatype(obj), obj_at)
-                    obj = obj[: obj.rindex('"') + 1] + "^^xsd:" + local
+                elif obj[-1] != '"':
+                    # A typed literal. The namespaces are fixed, so its
+                    # datatype is the local name, kept under the one
+                    # prefix the writer declares.
+                    at = obj.rindex('"') + 3
+                    if not obj.startswith("xsd:", at) or "xsd" not in self.prefixes:
+                        obj = obj[:at] + "xsd:" + self._local(obj[at:], obj_at)
                 out.append((subject, predicate, obj))
                 if self.tokens[self.idx][1] != ",":
                     break
@@ -178,17 +180,15 @@ def _unescape(text):
     return text.replace('\\"', '"').replace("\\\\", "\\")
 
 
-def _datatype(literal):
-    """The prefixed datatype name of a literal token; "" when it has none."""
-    return literal[literal.rindex('"') + 3 :]
-
-
 def _object_type(token_text):
-    """What an object token holds: None for an entity reference, else the
-    local name of its literal's datatype ("string" when it has none)."""
-    if not token_text.startswith('"'):
+    """What an object token read by _Parser holds: None for an entity
+    reference, else the local name of its literal's datatype ("string"
+    when it has none)."""
+    if token_text[0] != '"':
         return None
-    return _datatype(token_text).partition(":")[2] or "string"
+    if token_text[-1] == '"':
+        return "string"
+    return token_text.rpartition(":")[2]
 
 
 def _type_text(object_type):
