@@ -85,13 +85,18 @@ class QNetwork:
         self.actions = list(actions)
         self.state_index = {s: i for i, s in enumerate(self.states)}
         n_s, n_a = len(self.states), len(self.actions)
-        shapes = {"w1": (n_s, hidden_units), "b1": (hidden_units,), "w2": (hidden_units, n_a), "b2": (n_a,)}
+        shapes = {
+            "w1": (n_s, hidden_units),
+            "b1": (hidden_units,),
+            "w2": (hidden_units, n_a),
+            "b2": (n_a,),
+        }
         # (name, start, end, shape) of each parameter in the flat vector
-        self._layout, start = [], 0
+        self._layout, end = [], 0
         for key, shape in shapes.items():
-            self._layout.append((key, start, start + math.prod(shape), shape))
-            start += math.prod(shape)
-        self.params = np.zeros(start)
+            start, end = end, end + math.prod(shape)
+            self._layout.append((key, start, end, shape))
+        self.params = np.zeros(end)
         for key, view in self.unflatten(self.params).items():
             setattr(self, key, view)
         scale = 0.1

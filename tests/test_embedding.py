@@ -458,7 +458,7 @@ def test_edge_logits_give_the_reference_loss_and_gradient_bitwise():
             loss, grad = batch_loss_and_grad(matrix, [sample])
         assert _bits(loss) == _bits(want_loss), sample
         assert _bits(grad) == _bits(want_grad), sample
-    finite = [s for s in samples if not {s.left_index, s.right_index} & {12, 13, 14, 15, 16, 17}]
+    finite = [s for s in samples if np.isfinite(_EDGE_LOGITS[s.left_index // 2])]
     want_loss, want_grad = _reference_batch_loss_and_grad(matrix, finite)
     loss, grad = batch_loss_and_grad(matrix, finite)
     assert _bits(loss) == _bits(want_loss)
