@@ -36,7 +36,7 @@ from .service import BadRequest, resolve_policy_request, serve
 from .space import load_tsv
 from .store import load_store, save_store
 from .turtle_io import write_turtle
-from .vhome import load_corpus, script_to_kg
+from .vhome import VhCorpus, load_corpus, script_to_kg
 
 log = logging.getLogger(__name__)
 
@@ -52,16 +52,23 @@ def _load_space(prefix: str):
 
 def _cmd_ingest(args) -> int:
     corpus = load_corpus(args.directory)
-    if not corpus.scripts:
+    graphs, kept = {}, []
+    for script in corpus.scripts:
+        try:
+            graphs[script.activity_name] = script_to_kg(script)
+            kept.append(script)
+        except GraphValidationError as exc:
+            log.warning("skipping activity %s: %s", script.activity_name, exc)
+    if not graphs:
         print("no scripts found", file=sys.stderr)
         return 1
-    graphs = {s.activity_name: script_to_kg(s) for s in corpus.scripts}
     written = save_store(graphs, args.out)
-    histogram = corpus.length_histogram()
+    histogram = VhCorpus(scripts=kept).length_histogram()
     print(f"ingested {len(written)} activities into {args.out}")
     print("sequence length histogram: " + json.dumps(histogram, sort_keys=True))
-    if corpus.skipped_files:
-        print(f"skipped {len(corpus.skipped_files)} unreadable files", file=sys.stderr)
+    skipped = len(corpus.skipped_files) + len(corpus.scripts) - len(kept)
+    if skipped:
+        print(f"skipped {skipped} files", file=sys.stderr)
     return 0
 
 

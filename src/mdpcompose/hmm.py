@@ -30,6 +30,7 @@ from .kg import (
     Transition,
     transition_name,
 )
+from .turtle_io import is_local_name
 
 LABEL_FEATURE = "state_label"
 
@@ -312,8 +313,22 @@ def hmm_to_kg(model: HmmModel, activity_name: str = "DerivedActivity") -> Knowle
     the state's index, so that state rules stay expressible in the rule
     grammar. Terminal states are those never observed with an outgoing
     action; the first state of the sorted state list that has outgoing
-    observations becomes the initial state.
+    observations becomes the initial state. Raises ValueError naming the
+    first of the activity name, the states, the actions and the features
+    that is not a Turtle local name, so that the graph can be written.
     """
+    feature_names = [LABEL_FEATURE] + sorted(model.feature_summary)
+    action_names = sorted({a for (_s, a) in model.transition_prob})
+    for kind, names in [
+        ("activity", [activity_name]),
+        ("state", model.states),
+        ("action", action_names),
+        ("feature", feature_names),
+    ]:
+        for name in names:
+            if not is_local_name(name):
+                raise ValueError(f"{kind} name {name!r} is not a Turtle local name")
+
     graph = KnowledgeGraph()
     index = {state: k for k, state in enumerate(model.states)}
     outgoing = {state for (state, _a) in model.transition_prob}
@@ -322,9 +337,6 @@ def hmm_to_kg(model: HmmModel, activity_name: str = "DerivedActivity") -> Knowle
         terminal = [model.states[-1]]
     initial_candidates = [s for s in model.states if s in outgoing] or model.states
     initial = initial_candidates[0]
-
-    feature_names = [LABEL_FEATURE] + sorted(model.feature_summary)
-    action_names = sorted({a for (_s, a) in model.transition_prob})
 
     graph.add(
         Activity(

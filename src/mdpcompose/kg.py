@@ -7,17 +7,16 @@ through an Equation with Parameters.
 
 The KnowledgeGraph is an in-memory store indexed by entity name and by
 concept, with a derived triple view used for pattern matching and for the
-serialization round trips. Graphs are built once, validated, then treated
-as immutable (safe for concurrent readers).
+serialization round trips.
 
-``validate()`` freezes a graph and builds its lookup indexes once: in
-``_build_index`` the owning activities of each state, the transitions by
-state, then action, and each activity's state and action names, and in
-``_build_recognition`` the states in name order with their parsed rules and
-lead features. After that, lookups only read and no request thread writes
-to a shared graph. An unfrozen graph calls the same builders on each
-lookup, so both give the same answers; only ``recognition_order`` parses
-rules, so the other lookups work before the rules are validated.
+A graph is built, validated once, then read. ``validate()`` is the one
+place that derives data from the entities: when the graph is valid it
+freezes it and stores one ``_Index`` holding the parsed rules and
+equations, the states in name order with their lead features, the owning
+activities of each state, the transitions by state, then action, and each
+activity's state and action names. Every derived lookup only reads that
+record, so any number of readers can share a frozen graph; on a graph that
+``validate()`` has not frozen they raise ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -385,6 +384,9 @@ class RecognitionEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class _Index:
+    rules: dict[str, RuleExpr]  # state name -> parsed rule
+    equations: dict[str, EquationExpr]  # equation name -> parsed expression
+    recognition: tuple[RecognitionEntry, ...]  # every state, in name order
     owners: dict[str, tuple[Activity, ...]]  # state name -> owning activities
     transitions: dict[str, dict[str, list[Transition]]]  # state -> action -> list
     scope_names: dict[str, tuple[frozenset[str], frozenset[str]]]  # states, actions
@@ -397,10 +399,7 @@ class KnowledgeGraph:
         self._entities: dict[str, Entity] = {}
         self._by_concept: dict[Concept, dict[str, Entity]] = {c: {} for c in Concept}
         self.extra_triples: list[tuple[str, str, str]] = []
-        self._rule_cache: dict[str, RuleExpr] = {}
-        self._equation_cache: dict[str, EquationExpr] = {}
         self._index: _Index | None = None  # set when validate() freezes the graph
-        self._recognition: tuple[RecognitionEntry, ...] | None = None  # likewise
 
     # -- construction --------------------------------------------------
 
@@ -482,57 +481,28 @@ class KnowledgeGraph:
 
     def recognition_order(self) -> tuple[RecognitionEntry, ...]:
         """The states in name order, each with its rule and lead feature."""
-        if self._recognition is not None:
-            return self._recognition
-        return self._build_recognition()
+        return self._indexes().recognition
 
     def scope_names(self, activity_name: str) -> tuple[frozenset[str], frozenset[str]]:
         """The state names and the action names of one activity."""
         return self._indexes().scope_names[activity_name]
 
     def _indexes(self) -> _Index:
-        return self._index if self._index is not None else self._build_index()
-
-    def _build_index(self) -> _Index:
-        """Derive the lookup indexes that need no rules from the entities.
-        Runs once in validate() and on each lookup of an unfrozen graph."""
-        transitions: dict[str, dict[str, list[Transition]]] = {}
-        for t in self.transitions:
-            transitions.setdefault(t.previous_state, {}).setdefault(t.action, []).append(t)
-        owners: dict[str, list[Activity]] = {}
-        scope_names = {}
-        for activity in self.activities:
-            states = frozenset(activity.states)
-            for name in states:
-                owners.setdefault(name, []).append(activity)
-            scope_names[activity.name] = (states, frozenset(activity.actions))
-        return _Index(
-            owners={name: tuple(acts) for name, acts in owners.items()},
-            transitions=transitions,
-            scope_names=scope_names,
-        )
-
-    def _build_recognition(self) -> tuple[RecognitionEntry, ...]:
-        """Every state in name order with its parsed rule and lead feature.
-        Runs once in validate() and on each recognition_order() of an
-        unfrozen graph."""
-        entries = []
-        for name, state in sorted(self._by_concept[Concept.STATE].items()):
-            rule = self.rule(name)
-            entries.append(RecognitionEntry(state, rule, rule.clauses[0][0].feature))
-        return tuple(entries)
+        if self._index is None:
+            raise RuntimeError("graph is not validated")
+        return self._index
 
     def rule(self, state_name: str) -> RuleExpr:
-        if state_name not in self._rule_cache:
-            state = self.get(state_name)
-            self._rule_cache[state_name] = parse_rule(state.expression)
-        return self._rule_cache[state_name]
+        try:
+            return self._indexes().rules[state_name]
+        except KeyError:
+            raise UnknownEntityError(f"no state named {state_name!r}") from None
 
     def equation_expr(self, equation_name: str) -> EquationExpr:
-        if equation_name not in self._equation_cache:
-            eq = self.get(equation_name)
-            self._equation_cache[equation_name] = parse_equation(eq.expression)
-        return self._equation_cache[equation_name]
+        try:
+            return self._indexes().equations[equation_name]
+        except KeyError:
+            raise UnknownEntityError(f"no equation named {equation_name!r}") from None
 
     def parameter_bindings(self, equation: Equation) -> dict[str, float]:
         bindings: dict[str, float] = {}
@@ -569,6 +539,8 @@ class KnowledgeGraph:
         Raises GraphValidationError listing every problem found.
         """
         problems: list[str] = []
+        rules: dict[str, RuleExpr] = {}
+        equations: dict[str, EquationExpr] = {}
 
         for entity in self._entities.values():
             label = f"{entity.concept.value} {entity.name!r}"
@@ -629,7 +601,7 @@ class KnowledgeGraph:
             except RuleSyntaxError as exc:
                 problems.append(f"{label}: hasExpression does not parse ({exc})")
                 continue
-            self._rule_cache[state.name] = expr
+            rules[state.name] = expr
             declared = set(state.observation_features)
             # sorted: a set's order changes with the string hash seed
             for feat in sorted(expr.feature_names()):
@@ -700,7 +672,7 @@ class KnowledgeGraph:
             except RuleSyntaxError as exc:
                 problems.append(f"{label}: hasExpression does not parse ({exc})")
                 continue
-            self._equation_cache[equation.name] = expr
+            equations[equation.name] = expr
             known = {f.name for f in self.features}
             for pname in equation.parameters:
                 param = self._entities.get(pname)
@@ -715,8 +687,27 @@ class KnowledgeGraph:
 
         if problems:
             raise GraphValidationError(problems)
-        self._recognition = self._build_recognition()
-        self._index = self._build_index()
+        transitions: dict[str, dict[str, list[Transition]]] = {}
+        for t in self.transitions:
+            transitions.setdefault(t.previous_state, {}).setdefault(t.action, []).append(t)
+        owners: dict[str, list[Activity]] = {}
+        scope_names = {}
+        for activity in self.activities:
+            states = frozenset(activity.states)
+            for name in states:
+                owners.setdefault(name, []).append(activity)
+            scope_names[activity.name] = (states, frozenset(activity.actions))
+        self._index = _Index(
+            rules=rules,
+            equations=equations,
+            recognition=tuple(
+                RecognitionEntry(state, rules[name], rules[name].clauses[0][0].feature)
+                for name, state in sorted(self._by_concept[Concept.STATE].items())
+            ),
+            owners={name: tuple(acts) for name, acts in owners.items()},
+            transitions=transitions,
+            scope_names=scope_names,
+        )
 
     @property
     def effects(self) -> list[Effect]:

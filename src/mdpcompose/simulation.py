@@ -17,15 +17,16 @@ state it validated once per commit. The composer makes the state checks
 once per commit too, and runs an agent only for a candidate with a scoped
 transition. Any number of callers can read the same frozen graph.
 
-Lookups read the indexes a graph builds when it freezes (see ``kg``): the
-owning activity of a state, the transitions by state, then action, each
-activity's state and action names, and the states in name order with
-their rules. Recognition scans that name order and skips, without
-evaluating it, every state whose lead feature (the feature of its rule's
-first comparison) is absent from the feature map. The skip is exact:
-``RuleExpr.evaluate`` always evaluates that comparison first, it raises
-``MissingFeatureError`` for an absent feature, and a rule that raises is
-"not evaluable", which never matches.
+Every graph lookup reads the record that ``validate()`` stored when it
+froze the graph (see ``kg``), so a simulation needs a validated graph: the
+parsed rules and equations, the owning activity of a state, the
+transitions by state, then action, each activity's state and action names,
+and the states in name order with their rules. Recognition scans that
+name order and skips, without evaluating it, every state whose lead
+feature (the feature of its rule's first comparison) is absent from the
+feature map. The skip is exact: ``RuleExpr.evaluate`` always evaluates
+that comparison first, it raises ``MissingFeatureError`` for an absent
+feature, and a rule that raises is "not evaluable", which never matches.
 """
 
 from __future__ import annotations
@@ -241,25 +242,25 @@ class Start:
 def start_state(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None = None) -> Start:
     """Validate a starting state once, for any number of walks from it.
 
-    The state is a copy of ``initial``: an unset or unknown label is
-    recognized from the features, and the goal and final flags come from
-    the graph. Raises UnknownSituationError when no state matches, when the
-    features contradict the given label, or when they do not cover the
-    owning activity's features.
+    The state is a copy of ``initial``: an unset label, or one that names
+    no state of the graph, is recognized from the features, and the goal
+    and final flags come from the graph. Raises UnknownSituationError when
+    no state matches, when the features contradict the given label, or when
+    they do not cover the owning activity's features.
     """
     cfg = cfg or SimConfig()
-    if initial.state_label == UNKNOWN_STATE or initial.state_label not in graph:
+    entity = graph.find(initial.state_label)
+    if initial.state_label == UNKNOWN_STATE or not isinstance(entity, State):
         state = recognize_state(graph, initial.feature_values)
         state.reward = initial.reward
         state.step_index = initial.step_index
     else:
-        holds = _rule_holds(graph.rule(initial.state_label), initial.feature_values)
+        holds = _rule_holds(graph.rule(entity.name), initial.feature_values)
         if holds is False:
             raise UnknownSituationError(
                 f"features contradict state {initial.state_label!r}"
             )
         state = initial.clone()
-        entity = graph.get(state.state_label)
         state.is_goal = bool(entity.is_goal)
         state.is_final = bool(entity.is_final_state)
 

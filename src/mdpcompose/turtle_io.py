@@ -59,13 +59,24 @@ _XSD_FOR_KIND = {
 
 _CONCEPTS = {concept.value for concept in Concept}
 
+# The local name behind a prefix: every entity name the writer puts behind
+# ``entity:`` must match it, or the reader rejects the document.
+_LOCAL_NAME = r"[A-Za-z0-9_][A-Za-z0-9_-]*"
+_LOCAL_NAME_RE = re.compile(_LOCAL_NAME)
+
+
+def is_local_name(name: str) -> bool:
+    """Whether ``name`` can be written as an entity and read back."""
+    return _LOCAL_NAME_RE.fullmatch(name) is not None
+
+
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<comment>#[^\n]*)"
     r"|(?P<prefix_kw>@prefix\b)"
     r"|(?P<iri><[^>]*>)"
-    r"|(?P<literal>\"(?:[^\"\\]|\\.)*\"(?:\^\^[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_][A-Za-z0-9_-]*)?)"
-    r"|(?P<pname>[A-Za-z][A-Za-z0-9_]*:[A-Za-z0-9_][A-Za-z0-9_-]*)"
+    r"|(?P<literal>\"(?:[^\"\\]|\\.)*\"(?:\^\^[A-Za-z][A-Za-z0-9_]*:" + _LOCAL_NAME + r")?)"
+    r"|(?P<pname>[A-Za-z][A-Za-z0-9_]*:" + _LOCAL_NAME + r")"
     r"|(?P<pname_ns>[A-Za-z][A-Za-z0-9_]*:)"
     r"|(?P<kw_a>\ba\b)"
     r"|(?P<punct>[.;,])"

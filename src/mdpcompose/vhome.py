@@ -4,6 +4,12 @@ Script format: a name line, one or more description lines, a blank
 separator, then one ``[Verb] <object> (index)`` line per step. Each script
 becomes one sequential activity whose states chain through the step actions
 with probability one.
+
+Every name a script gives ends up in entity names, so ``parse_script``
+refuses the names that would not round-trip: an activity name whose
+underscored form is not a Turtle local name, and a verb or object with a
+character outside ``[A-Za-z0-9_]``, since both go into feature names that
+state rules read.
 """
 
 from __future__ import annotations
@@ -26,10 +32,12 @@ from .kg import (
     Transition,
     transition_name,
 )
+from .turtle_io import is_local_name
 
 log = logging.getLogger(__name__)
 
 _STEP_LINE = re.compile(r"^\s*\[([^\]\s]+)\]\s*<([^>\s]+)>\s*\((\d+)\)\s*$")
+_STEP_WORD = re.compile(r"[A-Za-z0-9_]+")
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,8 @@ def parse_script(text: str) -> VhScript:
     if not lines or not lines[0].strip():
         raise ValueError("line 1: missing activity name")
     name = lines[0].strip()
+    if not is_local_name(name.replace(" ", "_")):
+        raise ValueError(f"line 1: activity name {name!r} is not a Turtle local name")
 
     description_lines = []
     i = 1
@@ -80,6 +90,11 @@ def parse_script(text: str) -> VhScript:
         if not m:
             raise ValueError(f"line {lineno + 1}: malformed step line {line.strip()!r}")
         verb, obj, index = m.group(1), m.group(2), int(m.group(3))
+        for word in (verb, obj):
+            if not _STEP_WORD.fullmatch(word):
+                raise ValueError(
+                    f"line {lineno + 1}: {word!r} has a character outside [A-Za-z0-9_]"
+                )
         if index < 1:
             raise ValueError(f"line {lineno + 1}: step index must be positive")
         steps.append(VhStep(verb, obj, index))

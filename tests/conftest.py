@@ -302,6 +302,12 @@ property:hasObservationFeature entity:IsTurnTo_television_1 .
 
 DESK_TRAIN = dict(dimension=50, **DESK_SCALE, rng_seed=7)
 
+# Alphabets for drawn entity names: one whose names are always valid, one
+# that adds the characters a Turtle local name allows but a rule identifier
+# does not, and one with spaces, punctuation that a path or a Turtle
+# document gives meaning to, and non-ASCII letters.
+NAME_ALPHABETS = ["Aaz_09", "Aaz_09 -", "Aaz_09 ./(-!éЖ"]
+
 
 @pytest.fixture(autouse=True)
 def no_leaked_worker_processes():

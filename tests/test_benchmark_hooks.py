@@ -10,6 +10,7 @@ import pytest
 
 from mdpcompose import composer, dqn, embedding, service
 from mdpcompose.simulation import initial_features, initial_state
+from mdpcompose.store import load_store, save_store
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,6 +52,23 @@ def test_policy_requests_reach_the_traced_store_lookups(tracing, desk_store):
         "store.recognize_across",
         "service.resolve_policy_request",
     ]
+
+
+def test_a_loaded_store_validates_each_graph_once(tracing, graphs, desk_space, tmp_path):
+    # kg.validate_s is the freeze work only while no lookup builds outside
+    # validate, so loading and then using a store must show one span per graph
+    save_store({name: graphs[name] for name in ("Watch_TV_49", "Make_coffee")}, tmp_path)
+    recorder = tracing.Recorder()
+    with recorder.active():
+        store = load_store(tmp_path)
+        for graph in store.graphs:
+            activity = graph.activities[0].name
+            service.resolve_policy_request(store, {"featureValues": initial_features(graph, activity)})
+            composer.compose(graph, desk_space, initial_state(graph, activity))
+    parents = [span[tracing.PARENT] for span in recorder.spans if span[tracing.NAME] == "kg.validate"]
+    parses = [span[tracing.ID] for span in recorder.spans if span[tracing.NAME] == "turtle_io.parse_turtle"]
+    assert len(parses) == len(store.graphs) == 2
+    assert sorted(parents) == sorted(parses)
 
 
 def test_a_composed_request_reaches_the_traced_agent_and_search_calls(tracing, desk_store, desk_space):

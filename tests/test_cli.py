@@ -12,6 +12,7 @@ from mdpcompose.errors import (
     TrainingDivergenceError,
 )
 from mdpcompose.sample_corpus import script_texts
+from mdpcompose.store import load_store
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,33 @@ def test_ingest_writes_one_file_per_activity(pipeline):
     files = sorted(p.name for p in store.glob("*.ttl"))
     assert len(files) == 12
     assert "Watch_TV_49.ttl" in files
+
+
+def test_ingest_writes_the_good_script_and_skips_the_bad_ones(tmp_path, capsys):
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    step = "\n[Walk] <door> (1)\n"
+    (scripts / "good.txt").write_text(script_texts()[0])
+    (scripts / "escape.txt").write_text("../evil\nx\n" + step)
+    (scripts / "unreadable.txt").write_text("Watch TV (evening)!\nx\n" + step)
+    (scripts / "dotted.txt").write_text("Dotted\nx\n\n[Walk] <living.room> (1)\n")
+    (scripts / "clash.txt").write_text("Clash\nx\n\n[Walk] <x> (1)\n[Walk] <x> (1)\n[Walk] <x_1> (2)\n")
+    store = tmp_path / "store"
+    assert main(["ingest", str(scripts), "--out", str(store)]) == 0
+    assert "skipped 4 files" in capsys.readouterr().err
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.ttl")) == [
+        "store/Watch_TV_49.ttl"
+    ]
+    assert [a.name for g in load_store(store).graphs for a in g.activities] == ["Watch_TV_49"]
+
+
+def test_derive_refuses_a_name_it_cannot_write(tmp_path, capsys):
+    csv_path = tmp_path / "log.csv"
+    csv_path.write_text("state,action,reward,next_state,temp\nS a,go,0.5,S b,1.0\n")
+    out = tmp_path / "derived.ttl"
+    assert main(["derive", str(csv_path), "--out", str(out)]) == 1
+    assert "'S a' is not a Turtle local name" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_writes_tsv_pair(pipeline):

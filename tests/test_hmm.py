@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdpcompose.errors import UnknownSituationError
+from conftest import NAME_ALPHABETS
+from mdpcompose.errors import GraphValidationError, UnknownSituationError
 from mdpcompose.hmm import (
     Gaussian,
     LogRow,
@@ -279,6 +280,33 @@ def test_lowered_graph_passes_validation_and_round_trips():
     g = hmm_to_kg(model, activity_name="Weather")
     assert isomorphic(parse_turtle(write_turtle(g)), g)
     assert isomorphic(from_json(to_json(g)), g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NAME_ALPHABETS), st.data())
+def test_derived_names_round_trip_or_are_refused(alphabet, data):
+    from mdpcompose.kg import isomorphic
+    from mdpcompose.turtle_io import parse_turtle, write_turtle
+
+    names = st.text(alphabet=alphabet, min_size=1, max_size=6)
+    name = data.draw(names)
+    states = data.draw(st.lists(names, min_size=1, max_size=3))
+    actions = data.draw(st.lists(names, min_size=1, max_size=2))
+    features = data.draw(st.lists(names, max_size=2, unique=True))
+    rows = [
+        LogRow(state, actions[k % len(actions)], dict.fromkeys(features, float(k)), 0.0, nxt)
+        for k, (state, nxt) in enumerate(zip(states, states[1:] + states[:1]))
+    ]
+    try:
+        graph = hmm_to_kg(fit_hmm(rows), activity_name=name)
+    except ValueError as err:
+        assert "is not a Turtle local name" in str(err)
+        return
+    except GraphValidationError as err:
+        # names that are each valid can still coincide, say a state and an action
+        assert all(p.startswith("duplicate entity name") for p in err.problems)
+        return
+    assert isomorphic(parse_turtle(write_turtle(graph)), graph)
 
 
 def test_lowered_graph_simulates():

@@ -1,12 +1,14 @@
-"""The lookup indexes a graph builds when it freezes give the answers of the
-plain scans they replace, on fuzzed graphs, frozen or not, and under
-concurrent readers."""
+"""The lookup indexes a graph builds when ``validate()`` freezes it give the
+answers of the plain scans they replace, on fuzzed graphs and under
+concurrent readers; a graph that is not validated answers no lookup."""
 
 import json
 import random
 import sys
 import threading
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +16,9 @@ from conftest import make_random_graph, random_rule
 from mdpcompose.composer import compose, policy_table_json
 from mdpcompose.errors import (
     EvaluationError,
+    GraphValidationError,
     MissingFeatureError,
+    UnknownEntityError,
     UnknownSituationError,
 )
 from mdpcompose.json_io import from_json, to_json
@@ -25,7 +29,6 @@ from mdpcompose.simulation import (
     SimState,
     _relabel,
     initial_features,
-    make_simulation,
     recognize_state,
 )
 from mdpcompose.store import recognize_across
@@ -131,7 +134,7 @@ def fuzzed_graph(seed) -> KnowledgeGraph:
     return from_json(json.dumps(fuzzed_document(seed)))
 
 
-def unfrozen_copy(graph) -> KnowledgeGraph:
+def unvalidated_copy(graph) -> KnowledgeGraph:
     copy = KnowledgeGraph()
     for entity in graph.entities():
         copy.add(entity)
@@ -222,51 +225,70 @@ def test_recognize_state_equals_the_sorted_scan(seed, data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_transitions_by_state_equal_the_transition_scan(seed):
-    frozen = make_random_graph(random.Random(seed))
-    for graph in (frozen, unfrozen_copy(frozen)):
-        for state in [s.name for s in graph.states] + ["NotAState"]:
-            scan = [t for t in graph.transitions if t.previous_state == state]
-            assert graph.actions_from(state) == tuple(dict.fromkeys(t.action for t in scan))
-            for action in [a.name for a in graph.actions] + ["NotAnAction"]:
-                assert _identical(
-                    graph.transitions_from(state, action), [t for t in scan if t.action == action]
-                )
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6), st.data())
-def test_unfrozen_graph_gives_the_same_answers(seed, data):
-    graph = fuzzed_graph(seed)
-    loose = unfrozen_copy(graph)
-    for concept in Concept:
-        assert _identical(loose.by_concept(concept), graph.by_concept(concept))
-    for state in graph.states:
-        assert _identical(
-            loose.activities_of_state(state.name), graph.activities_of_state(state.name)
-        )
-        for action in graph.actions:
+    graph = make_random_graph(random.Random(seed))
+    for state in [s.name for s in graph.states] + ["NotAState"]:
+        scan = [t for t in graph.transitions if t.previous_state == state]
+        assert graph.actions_from(state) == tuple(dict.fromkeys(t.action for t in scan))
+        for action in [a.name for a in graph.actions] + ["NotAnAction"]:
             assert _identical(
-                loose.transitions_from(state.name, action.name),
-                graph.transitions_from(state.name, action.name),
+                graph.transitions_from(state, action), [t for t in scan if t.action == action]
             )
-    assert loose.recognition_order() == graph.recognition_order()
-    for activity in graph.activities:
-        assert loose.scope_names(activity.name) == graph.scope_names(activity.name)
-    for features in _feature_maps(data, graph, 8):
-        assert _outcome(lambda f: recognize_state(loose, f), features) == _outcome(
-            lambda f: recognize_state(graph, f), features
-        )
-    # the same action walk from every activity's start
-    rng = random.Random(seed)
-    actions = sorted(a.name for a in graph.actions)
-    for activity in graph.activities:
-        start = SimState(feature_values=initial_features(graph, activity.name))
-        frozen, unfrozen = (_outcome(make_simulation, g, start) for g in (graph, loose))
-        if frozen[0] != "ok":
-            assert unfrozen == frozen
-            continue
-        for action in [rng.choice(actions) for _ in range(10)]:
-            assert _outcome(frozen[1], action) == _outcome(unfrozen[1], action)
+
+
+def _lookup_calls(graph):
+    """One call of every derived lookup, on names the graph holds."""
+    transition = graph.transitions[0]
+    state, action = transition.previous_state, transition.action
+    equations = graph.by_concept(Concept.EQUATION)
+    return [
+        ("transitions_from", (state, action)),
+        ("actions_from", (state,)),
+        ("activities_of_state", (state,)),
+        ("recognition_order", ()),
+        ("scope_names", (graph.activities[0].name,)),
+        ("rule", (state,)),
+        ("equation_expr", (equations[0].name if equations else "NoEquation",)),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_lookups_read_only_what_validate_stored(seed):
+    graph = make_random_graph(random.Random(seed))
+    unvalidated = unvalidated_copy(graph)
+    rejected = unvalidated_copy(graph)
+    rejected.add(State(name="NoRule"))
+    with pytest.raises(GraphValidationError):
+        rejected.validate()
+    for loose in (unvalidated, rejected):
+        for name, args in _lookup_calls(graph):
+            with pytest.raises(RuntimeError, match="graph is not validated"):
+                getattr(loose, name)(*args)
+
+    index = graph._index
+    with mock.patch("mdpcompose.kg.parse_rule", side_effect=AssertionError("parsed")), \
+            mock.patch("mdpcompose.kg.parse_equation", side_effect=AssertionError("parsed")):
+        assert graph.recognition_order() is index.recognition
+        assert [entry.state.name for entry in index.recognition] == sorted(index.rules)
+        for state in graph.states:
+            assert graph.rule(state.name) is index.rules[state.name]
+            assert _identical(graph.activities_of_state(state.name), index.owners.get(state.name, ()))
+            by_action = index.transitions.get(state.name, {})
+            assert graph.actions_from(state.name) == tuple(by_action)
+            for action, transitions in by_action.items():
+                assert graph.transitions_from(state.name, action) is transitions
+        for activity in graph.activities:
+            assert graph.scope_names(activity.name) is index.scope_names[activity.name]
+        equations = graph.by_concept(Concept.EQUATION)
+        assert sorted(index.equations) == sorted(e.name for e in equations)
+        for equation in equations:
+            assert graph.equation_expr(equation.name) is index.equations[equation.name]
+    # a name that is in the graph but of another concept
+    for name in [graph.activities[0].name, graph.actions[0].name, graph.features[0].name]:
+        with pytest.raises(UnknownEntityError):
+            graph.rule(name)
+    with pytest.raises(UnknownEntityError):
+        graph.equation_expr(graph.states[0].name)
 
 
 @settings(max_examples=40, deadline=None)
@@ -284,22 +306,6 @@ def test_relabel_equals_the_scoped_sorted_scan(seed, data):
                     _reference_relabel, graph, target, want, scope
                 )
                 assert got == want
-
-
-def test_unfrozen_lookups_need_no_parsable_rules():
-    graph = unfrozen_copy(fuzzed_graph(0))
-    state = graph.states[0]
-    graph.add(State(name="NoRule", observation_features=list(state.observation_features)))
-    for transition in graph.transitions:
-        key = transition.previous_state, transition.action
-        assert graph.transitions_from(*key) == [
-            t for t in graph.transitions if (t.previous_state, t.action) == key
-        ]
-    assert graph.activities_of_state(state.name) == _reference_activities_of_state(
-        graph, state.name
-    )
-    activity = graph.activities[0]
-    assert graph.scope_names(activity.name)[0] == set(activity.states)
 
 
 # --- concurrent readers --------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import watch_tv_49_graph, watch_tv_49_script
+from mdpcompose.composer import compose, policy_table_json
 from mdpcompose.errors import (
     ActivityTerminatedError,
     EvaluationError,
@@ -28,6 +29,7 @@ from mdpcompose.simulation import (
     initial_features,
     make_simulation,
     recognize_state,
+    start_state,
     state_features,
 )
 from mdpcompose.vhome import action_sequence
@@ -126,6 +128,21 @@ def test_state_features_are_consistent(watch_tv):
     features = state_features(watch_tv, "Sit_couch_1_Done")
     assert features["IsSit_couch_1"] == 1.0
     assert watch_tv.rule("Sit_couch_1_Done").evaluate(features)
+
+
+@pytest.mark.parametrize("label", ["Sit_couch_1", "Watch_TV_49", "IsSit_couch_1"])
+def test_a_label_naming_no_state_is_recognised_from_the_features(graphs, desk_space, label):
+    # an action, the activity and a feature: each names an entity, not a state
+    graph = graphs["Watch_TV_49"]
+    for features in (
+        initial_features(graph, "Watch_TV_49"),
+        state_features(graph, "Find_couch_1_Done"),
+    ):
+        given, absent = (SimState(dict(features), state_label=x) for x in (label, "NoSuchState"))
+        assert start_state(graph, given) == start_state(graph, absent)
+        assert policy_table_json(compose(graph, desk_space, given)[0]) == policy_table_json(
+            compose(graph, desk_space, absent)[0]
+        )
 
 
 def test_deterministic_replay(watch_tv):

@@ -1,9 +1,17 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NAME_ALPHABETS
+from mdpcompose.errors import GraphValidationError
+from mdpcompose.kg import isomorphic
 from mdpcompose.sample_corpus import WATCH_TV_TEXT
 from mdpcompose.simulation import SimState, initial_features, make_simulation
+from mdpcompose.store import save_store
+from mdpcompose.turtle_io import parse_turtle, write_turtle
 from mdpcompose.vhome import (
     VhScript,
     VhStep,
@@ -173,3 +181,51 @@ def test_empty_directory(tmp_path):
     corpus = load_corpus(tmp_path)
     assert corpus.scripts == []
     assert corpus.length_histogram() == {}
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("../evil\nx\n\n[Walk] <door> (1)\n", "line 1"),
+        ("Watch TV (evening)!\nx\n\n[Walk] <door> (1)\n", "line 1"),
+        ("Watch TV\nx\n\n[Walk] <door> (1)\n[Walk] <living.room> (2)\n", "line 5"),
+        ("Watch TV\nx\n\n[Turn-to] <door> (1)\n", "line 4"),
+    ],
+)
+def test_names_that_cannot_round_trip_are_refused(text, line):
+    with pytest.raises(ValueError, match=line):
+        parse_script(text)
+
+
+def test_colliding_step_identifiers_fail_validation():
+    script = parse_script("Walks\nx\n\n[Walk] <x> (1)\n[Walk] <x> (1)\n[Walk] <x_1> (2)\n")
+    with pytest.raises(GraphValidationError, match="Walk_x_1_2"):
+        script_to_kg(script)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(NAME_ALPHABETS), st.data())
+def test_script_names_round_trip_or_are_refused(alphabet, data):
+    names = st.text(alphabet=alphabet, min_size=1, max_size=8)
+    name = data.draw(names)
+    steps = data.draw(st.lists(st.tuples(names, names), min_size=1, max_size=3))
+    # distinct step indices: repeated steps are test_duplicate_steps_get_occurrence_suffixes
+    lines = [f"[{verb}] <{obj}> ({k + 1})" for k, (verb, obj) in enumerate(steps)]
+    text = "\n".join([name, "description", ""] + lines) + "\n"
+    try:
+        script = parse_script(text)
+    except ValueError:
+        return
+    try:
+        graph = script_to_kg(script)
+    except GraphValidationError as err:
+        # names that are each valid can still coincide, as in
+        # test_colliding_step_identifiers_fail_validation
+        assert all(p.startswith("duplicate entity name") for p in err.problems)
+        return
+    assert isomorphic(parse_turtle(write_turtle(graph)), graph)
+    with tempfile.TemporaryDirectory() as root:
+        store = Path(root) / "store"
+        written = save_store({script.activity_name: graph}, store)
+        assert [p.parent for p in written] == [store]
+        assert sorted(Path(root).rglob("*")) == [store, *written]
