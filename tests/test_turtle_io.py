@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from conftest import WATCH_TV_49_TTL, make_random_graph, watch_tv_49_graph
 from mdpcompose.errors import GraphValidationError, TurtleSyntaxError
 from mdpcompose.kg import KnowledgeGraph, Parameter, isomorphic
+from mdpcompose.sample_corpus import corpus_graphs
+from mdpcompose.store import save_store
 from mdpcompose.turtle_io import parse_turtle, write_turtle
 
 PREFIX_ONLY = """\
@@ -150,6 +153,30 @@ def test_single_parameter_graph_round_trip():
     assert 'property:hasName "a"^^xsd:string' in text
     assert 'property:hasValue "2.0"^^xsd:double' in text
     assert isomorphic(parse_turtle(text), g)
+
+
+# The bytes save_store writes for the mini-corpus: the writer's property
+# order, datatypes and escaping. A change here changes every stored graph.
+DESK_STORE_SHA256 = {
+    "Clean_bathroom.ttl": "5cc483c486464f123c953182822f1183c095a3c7a6a1bf10506ae80e9dbb523d",
+    "Clean_kitchen.ttl": "620603214b5f12a699c9f9cddca30c8698b2d8602ea229308825ded3c03f3f9a",
+    "Do_laundry.ttl": "48cd4fa87c7aadd49199e15a704a03e16e2fc681dc32d3e587eb89330e04bb6c",
+    "Feed_cat.ttl": "80c15f6ab307a965417fc1e4b2ce808ac84ab7e0c753c95d2f14d89d1b7e3bf0",
+    "Make_coffee.ttl": "99daee3c200e4630ed12c0f1dafb4ff7ab79effa895faf6d0bcdb94c748b2d65",
+    "Morning_routine.ttl": "19189a3fe3e29995b97f821b47e499c9d9e6595a2345da9fd2ccdfcc13219ba8",
+    "Prepare_dinner.ttl": "ab874be91a31d2fdd2367c7d6b7ad737e2f686db9fa498b129a47ab0e67bfef8",
+    "Read_book.ttl": "49099bf3a277fc5b0f5bb09b8472fd847ab3346b1a3d3d9f8c897057a1785dab",
+    "Wash_dishes.ttl": "0a5cc2db1f76081686a44462ed0cfdd4a36f1a73300eba38268d18f06d654d33",
+    "Wash_hands.ttl": "a91db6cfcae9574a1515fff6f20b4e985cea3c3d80a897cfb22f2449df24d73a",
+    "Watch_TV_49.ttl": "782b460451908371aa843c4d110415b7a2b57b0e708e9bdbd8b04989031af1a3",
+    "Water_plants.ttl": "4ad3ea5f5cb94a9437624d8f1e2911ba07b2a06f68d182d8a5157f1efd7a275f",
+}
+
+
+def test_saved_desk_store_bytes_are_pinned(tmp_path):
+    written = save_store(corpus_graphs(), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+    assert digests == DESK_STORE_SHA256
 
 
 def test_watch_tv_round_trip_isomorphic():
