@@ -1,7 +1,8 @@
 """Flat JSON mirror of the knowledge graph.
 
 Layout: ``{"entities": [{"name": ..., "concept": ..., "properties": {...}}]}``
-with property keys equal to the serialized property names. Multi-valued
+with property keys equal to the serialized property names, in the order
+``kg.PROPERTIES`` lists them for the entity's concept. Multi-valued
 properties are JSON arrays; opaque (unknown) properties are kept under a
 reserved ``"x-triples"`` list so the mirror stays lossless.
 """

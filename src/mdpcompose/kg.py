@@ -25,7 +25,7 @@ import math
 import uuid
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, get_args
 
 from .errors import GraphValidationError, RuleSyntaxError, UnknownEntityError
 from .rules import EquationExpr, RuleExpr, parse_equation, parse_rule
@@ -200,19 +200,21 @@ Entity = (
 )
 
 
-# Property registry: serialized property name -> (field, kind, multi, required).
-# Kinds: bool, int, double, string, ref, comm, feature_type, distribution,
-# impact. Used by the Turtle and JSON readers/writers and by validation.
-PropertySpec = tuple[str, str, bool, bool]
+# The one schema: per concept, each serialized property name ->
+# (field, kind, multi, required), in the order the writers emit them.
+# A kind is "bool", "int", "double" or "string" for a plain literal, the
+# Concept a reference must point to, or the Enum of a coded value. The
+# Turtle and JSON readers and writers and validation all read this table.
+PropertySpec = tuple[str, "str | Concept | type[Enum]", bool, bool]
 
 PROPERTIES: dict[Concept, dict[str, PropertySpec]] = {
     Concept.ACTIVITY: {
         "isSequential": ("is_sequential", "bool", False, True),
         "hasNumberOfActors": ("number_of_actors", "int", False, True),
-        "hasCommunicationType": ("communication_type", "comm", False, True),
-        "hasState": ("states", "ref", True, True),
-        "hasAction": ("actions", "ref", True, True),
-        "hasObservationFeature": ("observation_features", "ref", True, True),
+        "hasCommunicationType": ("communication_type", CommunicationType, False, True),
+        "hasState": ("states", Concept.STATE, True, True),
+        "hasObservationFeature": ("observation_features", Concept.OBSERVATION_FEATURE, True, True),
+        "hasAction": ("actions", Concept.ACTION, True, True),
     },
     Concept.STATE: {
         "isGoal": ("is_goal", "bool", False, True),
@@ -220,15 +222,15 @@ PROPERTIES: dict[Concept, dict[str, PropertySpec]] = {
         "isInitialState": ("is_initial_state", "bool", False, True),
         "hasExpression": ("expression", "string", False, True),
         "hasReward": ("reward", "double", False, True),
-        "hasObservationFeature": ("observation_features", "ref", True, True),
-        "hasAction": ("actions", "ref", True, False),
+        "hasObservationFeature": ("observation_features", Concept.OBSERVATION_FEATURE, True, True),
+        "hasAction": ("actions", Concept.ACTION, True, False),
     },
     Concept.OBSERVATION_FEATURE: {
         "hasRangeStart": ("range_start", "double", False, True),
         "hasRangeEnd": ("range_end", "double", False, True),
-        "hasFeatureType": ("feature_type", "feature_type", False, True),
+        "hasFeatureType": ("feature_type", FeatureType, False, True),
         "hasUnit": ("unit", "string", False, False),
-        "hasProbabilityDistribution": ("distribution", "distribution", False, False),
+        "hasProbabilityDistribution": ("distribution", Distribution, False, False),
         "hasLambda": ("lambda_", "double", False, False),
         "hasMeanValue": ("mean", "double", False, False),
         "hasStandardDeviation": ("standard_deviation", "double", False, False),
@@ -241,56 +243,30 @@ PROPERTIES: dict[Concept, dict[str, PropertySpec]] = {
         "hasFailureRate": ("failure_rate", "double", False, False),
     },
     Concept.TRANSITION: {
-        "hasPreviousState": ("previous_state", "ref", False, True),
-        "hasNextState": ("next_state", "ref", False, True),
-        "hasAction": ("action", "ref", False, True),
+        "hasPreviousState": ("previous_state", Concept.STATE, False, True),
+        "hasNextState": ("next_state", Concept.STATE, False, True),
+        "hasAction": ("action", Concept.ACTION, False, True),
         "hasTransitionProbability": ("probability", "double", False, True),
     },
     Concept.ACTION: {
-        "hasEffect": ("effects", "ref", True, True),
-        "hasTransition": ("transitions", "ref", True, False),
+        "hasTransition": ("transitions", Concept.TRANSITION, True, False),
+        "hasEffect": ("effects", Concept.EFFECT, True, True),
         "hasDuration": ("duration", "double", False, False),
         "hasFrequency": ("frequency", "int", False, False),
     },
     Concept.EFFECT: {
-        "hasObservationFeature": ("target_features", "ref", True, True),
-        "hasImpactType": ("impact_type", "impact", False, True),
-        "hasEquation": ("equation", "ref", False, False),
+        "hasImpactType": ("impact_type", ImpactType, False, True),
+        "hasObservationFeature": ("target_features", Concept.OBSERVATION_FEATURE, True, True),
+        "hasEquation": ("equation", Concept.EQUATION, False, False),
     },
     Concept.EQUATION: {
         "hasExpression": ("expression", "string", False, True),
-        "hasParameter": ("parameters", "ref", True, True),
+        "hasParameter": ("parameters", Concept.PARAMETER, True, True),
     },
     Concept.PARAMETER: {
         "hasName": ("parameter_name", "string", False, True),
         "hasValue": ("value", "double", False, True),
     },
-}
-
-# Reference properties: concept -> property -> the concept it must point to.
-_REF_TARGETS: dict[Concept, dict[str, Concept]] = {
-    Concept.ACTIVITY: {
-        "hasState": Concept.STATE,
-        "hasAction": Concept.ACTION,
-        "hasObservationFeature": Concept.OBSERVATION_FEATURE,
-    },
-    Concept.STATE: {
-        "hasObservationFeature": Concept.OBSERVATION_FEATURE,
-        "hasAction": Concept.ACTION,
-    },
-    Concept.OBSERVATION_FEATURE: {},
-    Concept.TRANSITION: {
-        "hasPreviousState": Concept.STATE,
-        "hasNextState": Concept.STATE,
-        "hasAction": Concept.ACTION,
-    },
-    Concept.ACTION: {"hasEffect": Concept.EFFECT, "hasTransition": Concept.TRANSITION},
-    Concept.EFFECT: {
-        "hasObservationFeature": Concept.OBSERVATION_FEATURE,
-        "hasEquation": Concept.EQUATION,
-    },
-    Concept.EQUATION: {"hasParameter": Concept.PARAMETER},
-    Concept.PARAMETER: {},
 }
 
 # Case-insensitive lookup (dataset exports mix hasTransition / HasTransition).
@@ -304,7 +280,7 @@ def resolve_property(concept: Concept, name: str) -> str | None:
     return _PROPERTY_LOOKUP[concept].get(name.lower())
 
 
-def parse_property_value(kind: str, raw):
+def parse_property_value(kind, raw):
     """Convert a raw lexical/JSON value to the typed field value."""
     if kind == "bool":
         if isinstance(raw, bool):
@@ -318,20 +294,14 @@ def parse_property_value(kind: str, raw):
         return int(str(raw).strip())
     if kind == "double":
         return float(str(raw).strip())
-    if kind in ("string", "ref"):
-        return str(raw)
-    if kind == "comm":
+    if kind is CommunicationType:
         return CommunicationType.parse(str(raw))
-    if kind == "feature_type":
-        return FeatureType(str(raw).strip().upper())
-    if kind == "distribution":
-        return Distribution(str(raw).strip().upper())
-    if kind == "impact":
-        return ImpactType(str(raw).strip().upper())
-    raise ValueError(f"unknown property kind {kind!r}")
+    if isinstance(kind, type):  # the Enum of a coded value
+        return kind(str(raw).strip().upper())
+    return str(raw)  # a string or a reference
 
 
-def render_property_value(kind: str, value) -> str:
+def render_property_value(kind, value) -> str:
     """Canonical lexical form used in triples and in the Turtle writer."""
     if kind == "bool":
         return "true" if value else "false"
@@ -339,23 +309,12 @@ def render_property_value(kind: str, value) -> str:
         return str(int(value))
     if kind == "double":
         return repr(float(value))
-    if kind == "comm":
-        return value.value
-    if kind in ("feature_type", "distribution", "impact"):
+    if isinstance(kind, type):
         return value.value
     return str(value)
 
 
-_CONCEPT_CLASSES = {
-    Concept.ACTIVITY: Activity,
-    Concept.STATE: State,
-    Concept.OBSERVATION_FEATURE: ObservationFeature,
-    Concept.TRANSITION: Transition,
-    Concept.ACTION: Action,
-    Concept.EFFECT: Effect,
-    Concept.EQUATION: Equation,
-    Concept.PARAMETER: Parameter,
-}
+_CONCEPT_CLASSES = {cls.concept: cls for cls in get_args(Entity)}
 
 _CONCEPT_ORDER = [
     Concept.ACTIVITY,
@@ -544,8 +503,7 @@ class KnowledgeGraph:
 
         for entity in self._entities.values():
             label = f"{entity.concept.value} {entity.name!r}"
-            ref_targets = _REF_TARGETS[entity.concept]
-            for prop, (attr, _kind, multi, required) in PROPERTIES[entity.concept].items():
+            for prop, (attr, kind, multi, required) in PROPERTIES[entity.concept].items():
                 value = getattr(entity, attr)
                 if required:
                     if value is None or (multi and len(value) == 0):
@@ -553,8 +511,7 @@ class KnowledgeGraph:
                         continue
                 if value is None:
                     continue
-                target = ref_targets.get(prop)
-                if target is not None:
+                if isinstance(kind, Concept):
                     names = value if multi else [value]
                     for ref in names:
                         other = self._entities.get(ref)
@@ -562,10 +519,10 @@ class KnowledgeGraph:
                             problems.append(
                                 f"{label}: dangling reference {prop} -> {ref!r}"
                             )
-                        elif other.concept is not target:
+                        elif other.concept is not kind:
                             problems.append(
                                 f"{label}: {prop} -> {ref!r} is a "
-                                f"{other.concept.value}, expected {target.value}"
+                                f"{other.concept.value}, expected {kind.value}"
                             )
 
         for activity in self.activities:

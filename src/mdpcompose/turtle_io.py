@@ -14,9 +14,11 @@ literal whose lexical form runs to its last ``"``. Its datatype's prefix
 must be declared like any other, and the literal is kept with its datatype
 under ``xsd:``, so an opaque literal is written back under a declared
 prefix. On a known property the object must be what the property holds:
-an entity reference, or a literal whose datatype is the property's own in
-``_XSD_FOR_KIND`` (a literal without a datatype is a string); anything
-else is a ``GraphValidationError`` problem. A subject may name one type,
+an entity reference when its kind in ``kg.PROPERTIES`` is a ``Concept``,
+else a literal whose datatype is ``xsd:boolean``, ``xsd:integer`` or
+``xsd:double`` for those kinds and ``xsd:string`` for every other (a
+literal without a datatype is a string); anything else is a
+``GraphValidationError`` problem. A subject may name one type,
 repeated or not: a known concept together with any other type is a
 ``GraphValidationError``.
 """
@@ -46,16 +48,8 @@ NAMESPACES = {
     "rdfs": "http://www.w3.org/2000/01/rdf-schema#",
 }
 
-_XSD_FOR_KIND = {
-    "bool": "boolean",
-    "int": "integer",
-    "double": "double",
-    "string": "string",
-    "comm": "string",
-    "feature_type": "string",
-    "distribution": "string",
-    "impact": "string",
-}
+# Every other literal is an xsd:string.
+_XSD_FOR_KIND = {"bool": "boolean", "int": "integer", "double": "double"}
 
 _CONCEPTS = {concept.value for concept in Concept}
 
@@ -202,6 +196,14 @@ def _object_type(token_text):
     return token_text.rpartition(":")[2]
 
 
+def _datatype(kind):
+    """The local name of the datatype a property's literals carry, or None
+    for a property that holds entity references."""
+    if isinstance(kind, Concept):
+        return None
+    return _XSD_FOR_KIND.get(kind, "string")
+
+
 def _type_text(object_type):
     return "an entity reference" if object_type is None else f"xsd:{object_type}"
 
@@ -252,7 +254,7 @@ def parse_turtle(text: str) -> KnowledgeGraph:
             graph.add_extra_triple(subject, predicate, stored)
             continue
         attr, value_kind, multi, _req = PROPERTIES[concept][resolved]
-        got, want = _object_type(obj_text), _XSD_FOR_KIND.get(value_kind)
+        got, want = _object_type(obj_text), _datatype(value_kind)
         if got != want:
             problems.append(
                 f"{concept.value} {subject!r}: {resolved} is {_type_text(got)}, "
@@ -284,54 +286,6 @@ def parse_turtle(text: str) -> KnowledgeGraph:
     return graph
 
 
-_PROPERTY_WRITE_ORDER: dict[Concept, list[str]] = {
-    Concept.ACTIVITY: [
-        "isSequential",
-        "hasNumberOfActors",
-        "hasCommunicationType",
-        "hasState",
-        "hasObservationFeature",
-        "hasAction",
-    ],
-    Concept.STATE: [
-        "isGoal",
-        "isFinalState",
-        "isInitialState",
-        "hasExpression",
-        "hasReward",
-        "hasObservationFeature",
-        "hasAction",
-    ],
-    Concept.OBSERVATION_FEATURE: [
-        "hasRangeStart",
-        "hasRangeEnd",
-        "hasFeatureType",
-        "hasUnit",
-        "hasProbabilityDistribution",
-        "hasLambda",
-        "hasMeanValue",
-        "hasStandardDeviation",
-        "hasVariance",
-        "hasMedian",
-        "hasModeValue",
-        "hasNumberExperiments",
-        "hasNumberSuccesses",
-        "hasSuccessRate",
-        "hasFailureRate",
-    ],
-    Concept.ACTION: ["hasTransition", "hasEffect", "hasDuration", "hasFrequency"],
-    Concept.EFFECT: ["hasImpactType", "hasObservationFeature", "hasEquation"],
-    Concept.EQUATION: ["hasExpression", "hasParameter"],
-    Concept.PARAMETER: ["hasName", "hasValue"],
-    Concept.TRANSITION: [
-        "hasPreviousState",
-        "hasNextState",
-        "hasAction",
-        "hasTransitionProbability",
-    ],
-}
-
-
 def _escape(text):
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
@@ -343,22 +297,18 @@ def write_turtle(graph: KnowledgeGraph) -> str:
 
     for entity in sorted_entities(graph):
         lines.append(f"entity:{entity.name} a concept:{entity.concept.value};")
-        props = PROPERTIES[entity.concept]
         rendered: list[str] = []
-        for prop in _PROPERTY_WRITE_ORDER[entity.concept]:
-            attr, kind, multi, _req = props[prop]
+        for prop, (attr, kind, multi, _req) in PROPERTIES[entity.concept].items():
             value = getattr(entity, attr)
             if value is None:
                 continue
-            items = value if multi else [value]
-            for item in items:
-                if kind == "ref":
+            datatype = _datatype(kind)
+            for item in value if multi else [value]:
+                if datatype is None:
                     rendered.append(f"property:{prop} entity:{item}")
                 else:
                     lexical = _escape(render_property_value(kind, item))
-                    rendered.append(
-                        f'property:{prop} "{lexical}"^^xsd:{_XSD_FOR_KIND[kind]}'
-                    )
+                    rendered.append(f'property:{prop} "{lexical}"^^xsd:{datatype}')
         for i, row in enumerate(rendered):
             lines.append(f"    {row}{';' if i < len(rendered) - 1 else ' .'}")
         if not rendered:

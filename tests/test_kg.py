@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import os
 import random
 import subprocess
 import sys
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,11 @@ from mdpcompose.kg import (
     Activity,
     CommunicationType,
     Concept,
+    PROPERTIES,
     KnowledgeGraph,
     Parameter,
     State,
+    new_entity,
 )
 from mdpcompose.turtle_io import parse_turtle
 
@@ -24,6 +28,32 @@ from mdpcompose.turtle_io import parse_turtle
 @pytest.fixture(scope="module")
 def watch_tv():
     return parse_turtle(WATCH_TV_49_TTL)
+
+
+# The annotation of a field that holds a plain literal of each kind.
+_PLAIN_KINDS = {"bool": "bool", "int": "int", "double": "float", "string": "str"}
+
+
+def test_the_schema_covers_each_dataclass_field_with_a_known_kind():
+    """Every spec names a field of its concept's dataclass, once, with a
+    kind of an allowed form whose values the field's annotation holds, and
+    every field but the name is covered."""
+    assert list(PROPERTIES) == list(Concept)
+    for concept, specs in PROPERTIES.items():
+        fields = {f.name: f for f in dataclasses.fields(type(new_entity(concept, "x")))}
+        covered = sorted(attr for attr, _kind, _multi, _required in specs.values())
+        assert covered == sorted(set(fields) - {"name"}), concept
+        for prop, (attr, kind, multi, required) in specs.items():
+            if isinstance(kind, Concept):
+                item = "str"  # a reference holds the target's name
+            elif isinstance(kind, type) and issubclass(kind, Enum) and kind is not Concept:
+                item = kind.__name__
+            else:
+                assert kind in _PLAIN_KINDS, (concept.value, prop, kind)
+                item = _PLAIN_KINDS[kind]
+            want = f"list[{item}]" if multi else f"{item} | None"
+            assert fields[attr].type == want, (concept.value, prop)
+            assert isinstance(required, bool), (concept.value, prop)
 
 
 def test_get_unknown_entity(watch_tv):
