@@ -17,7 +17,14 @@ from pathlib import Path
 
 from .bench import mean_commit_radius, radius_rows, run_benchmark
 from .composer import ComposerConfig, compose, policy_table_json
-from .embedding import DESK_SCALE, TrainConfig, build_vocabulary, export_tsv, train
+from .embedding import (
+    DESK_SCALE,
+    TrainConfig,
+    Vocabulary,
+    build_vocabulary,
+    export_tsv,
+    train,
+)
 from .errors import (
     ActivityTerminatedError,
     CompositionFailureError,
@@ -53,12 +60,18 @@ def _load_space(prefix: str):
 def _cmd_ingest(args) -> int:
     corpus = load_corpus(args.directory)
     graphs, kept = {}, []
+    # train's vocabulary spans the whole store, so a name must keep one
+    # concept across every kept graph, not only within its own
+    vocab = Vocabulary()
     for script in corpus.scripts:
         try:
-            graphs[script.activity_name] = script_to_kg(script)
-            kept.append(script)
-        except GraphValidationError as exc:
+            graph = script_to_kg(script)
+            vocab.add_graph(graph)
+        except (GraphValidationError, ValueError) as exc:
             log.warning("skipping activity %s: %s", script.activity_name, exc)
+            continue
+        graphs[script.activity_name] = graph
+        kept.append(script)
     if not graphs:
         print("no scripts found", file=sys.stderr)
         return 1

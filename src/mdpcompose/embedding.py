@@ -97,6 +97,29 @@ class Vocabulary:
         self._concepts.append(concept)
         return idx
 
+    def add_graph(self, graph: KnowledgeGraph) -> None:
+        """Index a graph's activities, states and actions. A name that is
+        held under another concept raises ``ValueError`` and leaves none of
+        the graph's new names behind."""
+        size = len(self._names)
+        try:
+            for activity in graph.activities:
+                self.add(activity.name, Concept.ACTIVITY)
+                for state in activity.states:
+                    self.add(state, Concept.STATE)
+                for action in activity.actions:
+                    self.add(action, Concept.ACTION)
+            for state in graph.states:
+                self.add(state.name, Concept.STATE)
+            for action_entity in graph.actions:
+                self.add(action_entity.name, Concept.ACTION)
+        except ValueError:
+            for name in self._names[size:]:
+                del self._index[name]
+            del self._names[size:]
+            del self._concepts[size:]
+            raise
+
     def index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -211,16 +234,7 @@ def build_vocabulary(graphs: list[KnowledgeGraph]) -> Vocabulary:
     """Index every activity, state and action, de-duplicating by name."""
     vocab = Vocabulary()
     for graph in graphs:
-        for activity in graph.activities:
-            vocab.add(activity.name, Concept.ACTIVITY)
-            for state in activity.states:
-                vocab.add(state, Concept.STATE)
-            for action in activity.actions:
-                vocab.add(action, Concept.ACTION)
-        for state in graph.states:
-            vocab.add(state.name, Concept.STATE)
-        for action_entity in graph.actions:
-            vocab.add(action_entity.name, Concept.ACTION)
+        vocab.add_graph(graph)
     return vocab
 
 

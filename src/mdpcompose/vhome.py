@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -240,20 +241,21 @@ def script_to_kg(script: VhScript) -> KnowledgeGraph:
 
 def dedupe_activity_names(scripts: list[VhScript]) -> list[VhScript]:
     """Rename scripts so activity names are unique: members of a duplicate
-    name group get consecutive ``_1``, ``_2``, ... suffixes."""
-    groups: dict[str, int] = {}
-    for script in scripts:
-        key = activity_entity_name(script)
-        groups[key] = groups.get(key, 0) + 1
+    name group get consecutive ``_1``, ``_2``, ... suffixes, skipping every
+    name that another script has or that an earlier rename gave."""
+    keys = [activity_entity_name(script) for script in scripts]
+    group_sizes = Counter(keys)
+    taken = set(keys)
     counters: dict[str, int] = {}
     out = []
-    for script in scripts:
-        key = activity_entity_name(script)
-        if groups[key] == 1:
-            out.append(replace(script, activity_name=key))
-        else:
-            counters[key] = counters.get(key, 0) + 1
-            out.append(replace(script, activity_name=f"{key}_{counters[key]}"))
+    for script, key in zip(scripts, keys):
+        name = key
+        if group_sizes[key] > 1:
+            while name in taken:
+                counters[key] = counters.get(key, 0) + 1
+                name = f"{key}_{counters[key]}"
+            taken.add(name)
+        out.append(replace(script, activity_name=name))
     return out
 
 

@@ -64,6 +64,42 @@ def test_ingest_writes_the_good_script_and_skips_the_bad_ones(tmp_path, capsys):
     assert [a.name for g in load_store(store).graphs for a in g.activities] == ["Watch_TV_49"]
 
 
+def _ingest(tmp_path, texts):
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    for k, text in enumerate(texts):
+        (scripts / f"{k:02d}.txt").write_text(text)
+    store = tmp_path / "store"
+    assert main(["ingest", str(scripts), "--out", str(store)]) == 0
+    return store
+
+
+def test_ingest_keeps_every_renamed_duplicate(tmp_path, capsys):
+    scripts = ["A\nx\n\n[Walk] <door> (1)\n", "A\nx\n\n[Find] <cup> (1)\n", "A 1\nx\n\n[Sit] <couch> (1)\n"]
+    store = _ingest(tmp_path, scripts)
+    out, err = capsys.readouterr()
+    assert "ingested 3 activities" in out
+    assert 'histogram: {"1": 3}' in out
+    assert "skipped" not in err
+    steps = {a.name: a.actions for g in load_store(store).graphs for a in g.activities}
+    assert steps == {"A_1": ["Sit_couch_1"], "A_2": ["Walk_door_1"], "A_3": ["Find_cup_1"]}
+
+
+def test_ingest_skips_a_script_whose_names_clash_with_the_store(tmp_path, capsys):
+    # The second script's action Walk_kitchen_1 is the first's activity; the
+    # third's activity is an action that only the skipped second script had.
+    scripts = [
+        "Walk kitchen 1\nx\n\n[Sit] <couch> (1)\n",
+        "Cook\nx\n\n[Open] <fridge> (1)\n[Walk] <kitchen> (1)\n",
+        "Open fridge 1\nx\n\n[Find] <cup> (1)\n",
+    ]
+    store = _ingest(tmp_path, scripts)
+    assert "skipped 1 files" in capsys.readouterr().err
+    assert sorted(p.name for p in store.glob("*.ttl")) == ["Open_fridge_1.ttl", "Walk_kitchen_1.ttl"]
+    out = tmp_path / "emb"
+    assert main(["train", "--store", str(store), "--out", str(out), "--iterations", "0", "--dim", "4"]) == 0
+
+
 def test_derive_refuses_a_name_it_cannot_write(tmp_path, capsys):
     csv_path = tmp_path / "log.csv"
     csv_path.write_text("state,action,reward,next_state,temp\nS a,go,0.5,S b,1.0\n")

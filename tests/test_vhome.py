@@ -154,6 +154,17 @@ def test_dedupe_only_renames_duplicate_groups():
     assert [s.activity_name for s in renamed] == ["Watch_TV_1", "Watch_TV_2", "Solo_Act"]
 
 
+def test_dedupe_never_gives_a_name_another_script_has():
+    scripts = [
+        VhScript("A", "a", [VhStep("Walk", "door", 1)]),
+        VhScript("A", "b", [VhStep("Find", "cup", 1)]),
+        VhScript("A 1", "c", [VhStep("Grab", "cup", 1)]),
+        VhScript("A_2", "d", [VhStep("Sit", "couch", 1)]),
+    ]
+    renamed = dedupe_activity_names(scripts)
+    assert [s.activity_name for s in renamed] == ["A_3", "A_4", "A_1", "A_2"]
+
+
 def test_load_corpus(tmp_path):
     (tmp_path / "a.txt").write_text("Watch TV\nx\n\n[Walk] <door> (1)\n")
     (tmp_path / "b.txt").write_text("Watch TV\nx\n\n[Find] <cup> (1)\n[Walk] <door> (1)\n")
