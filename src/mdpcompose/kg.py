@@ -50,13 +50,14 @@ class CommunicationType(str, Enum):
     SYNCHRONOUS = "Synchronised"
 
     @classmethod
-    def parse(cls, text: str) -> "CommunicationType":
-        lowered = text.strip().lower()
+    def _missing_(cls, value):
+        # The other spellings in the datasets, in any case.
+        lowered = str(value).strip().lower()
         if lowered in ("asynchronous", "asynchronised", "async"):
             return cls.ASYNCHRONOUS
         if lowered in ("synchronous", "synchronised", "sync"):
             return cls.SYNCHRONOUS
-        raise ValueError(f"unknown communication type {text!r}")
+        return None
 
 
 class FeatureType(str, Enum):
@@ -294,8 +295,6 @@ def parse_property_value(kind, raw):
         return int(str(raw).strip())
     if kind == "double":
         return float(str(raw).strip())
-    if kind is CommunicationType:
-        return CommunicationType.parse(str(raw))
     if isinstance(kind, type):  # the Enum of a coded value
         return kind(str(raw).strip().upper())
     return str(raw)  # a string or a reference

@@ -209,10 +209,10 @@ def _type_text(object_type):
 
 
 def _decode_object(token_text):
-    """Returns ("literal", lexical) or ("ref", local name)."""
+    """Returns ("literal", lexical) or ("entity", local name)."""
     if token_text.startswith('"'):
         return "literal", _unescape(token_text[1 : token_text.rindex('"')])
-    return "ref", token_text.split(":", 1)[1]
+    return "entity", token_text.split(":", 1)[1]
 
 
 def parse_turtle(text: str) -> KnowledgeGraph:
@@ -226,7 +226,7 @@ def parse_turtle(text: str) -> KnowledgeGraph:
         if predicate != "a":
             continue
         obj_kind, value = _decode_object(obj_text)
-        if obj_kind != "ref":
+        if obj_kind != "entity":
             problems.append(f"entity {subject!r}: type must be a concept reference")
             continue
         names = types.setdefault(subject, [])
