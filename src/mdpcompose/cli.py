@@ -17,14 +17,7 @@ from pathlib import Path
 
 from .bench import mean_commit_radius, radius_rows, run_benchmark
 from .composer import ComposerConfig, compose, policy_table_json
-from .embedding import (
-    DESK_SCALE,
-    TrainConfig,
-    Vocabulary,
-    build_vocabulary,
-    export_tsv,
-    train,
-)
+from .embedding import DESK_SCALE, TrainConfig, Vocabulary, build_vocabulary, export_tsv, train
 from .errors import (
     ActivityTerminatedError,
     CompositionFailureError,

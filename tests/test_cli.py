@@ -75,7 +75,11 @@ def _ingest(tmp_path, texts):
 
 
 def test_ingest_keeps_every_renamed_duplicate(tmp_path, capsys):
-    scripts = ["A\nx\n\n[Walk] <door> (1)\n", "A\nx\n\n[Find] <cup> (1)\n", "A 1\nx\n\n[Sit] <couch> (1)\n"]
+    scripts = [
+        "A\nx\n\n[Walk] <door> (1)\n",
+        "A\nx\n\n[Find] <cup> (1)\n",
+        "A 1\nx\n\n[Sit] <couch> (1)\n",
+    ]
     store = _ingest(tmp_path, scripts)
     out, err = capsys.readouterr()
     assert "ingested 3 activities" in out
