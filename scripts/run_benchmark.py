@@ -19,8 +19,6 @@ import time
 from pathlib import Path
 
 from mdpcompose.bench import ENSEMBLE, mean_commit_radius, radius_rows, run_benchmark
-from mdpcompose.composer import ComposerConfig
-from mdpcompose.dqn import DqnConfig
 from mdpcompose.embedding import DESK_SCALE, TrainConfig, build_vocabulary, export_tsv, train
 from mdpcompose.sample_corpus import corpus_graphs, mini_corpus
 from mdpcompose.space import space_from_table
@@ -56,10 +54,7 @@ def main(argv=None) -> int:
     space = space_from_table(vocab, table)
     activities = [s.activity_name for s in corpus.scripts]
     started = time.time()
-    metrics = run_benchmark(
-        graphs, space, activities, caps, seed=args.seed, out_dir=out,
-        composer_cfg=ComposerConfig(), dqn_cfg=DqnConfig(),
-    )
+    metrics = run_benchmark(graphs, space, activities, caps, seed=args.seed, out_dir=out)
     print(f"benchmark finished in {time.time() - started:.1f}s; CSVs in {out}")
 
     ensemble = [m for m in metrics if m.method == ENSEMBLE]

@@ -6,8 +6,8 @@ from .embedding import TrainConfig, build_vocabulary, export_tsv, train
 from .hmm import HmmModel, LogRow, fit_hmm, hmm_to_kg, most_likely_next, viterbi_path
 from .json_io import from_json, to_json
 from .kg import KnowledgeGraph
-from .simulation import SimConfig, SimState, make_simulation, recognize_state
-from .space import EmbeddingSpace, Metric, load_tsv
+from .simulation import SimState, make_simulation, recognize_state
+from .space import EmbeddingSpace, load_tsv
 from .turtle_io import parse_turtle, write_turtle
 from .vhome import VhCorpus, VhScript, load_corpus, parse_script, script_to_kg
 
@@ -19,9 +19,7 @@ __all__ = [
     "HmmModel",
     "KnowledgeGraph",
     "LogRow",
-    "Metric",
     "PolicyTable",
-    "SimConfig",
     "SimState",
     "TrainConfig",
     "VhCorpus",

@@ -23,11 +23,11 @@ import logging
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
-from .composer import ComposerConfig, compose
+from .composer import compose
 from .dqn import DqnConfig, train_dqn
 from .errors import CompositionFailureError, UnknownSituationError
 from .kg import KnowledgeGraph
@@ -67,12 +67,10 @@ def _cell_seed(base: int, activity: str, method: str, cap: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _run_ensemble_cell(graph, space, activity_name, composer_cfg):
+def _run_ensemble_cell(graph, space, activity_name):
     sequence_length = len(graph.get(activity_name).actions)
     try:
-        _table, trace = compose(
-            graph, space, initial_state(graph, activity_name), composer_cfg
-        )
+        _table, trace = compose(graph, space, initial_state(graph, activity_name))
         return RunMetrics(
             activity_name=activity_name,
             method=ENSEMBLE,
@@ -100,11 +98,26 @@ def _run_ensemble_cell(graph, space, activity_name, composer_cfg):
         )
 
 
-def _run_dqn_cell(graph, activity_name, cap, dqn_cfg):
-    sequence_length = len(graph.get(activity_name).actions)
-    _net, record = train_dqn(graph, activity_name, dqn_cfg)
-    return RunMetrics(
-        activity_name=activity_name,
+# The graphs and seed of the running benchmark. Set only in worker
+# processes, by the pool's initializer; fork hands the initializer's
+# arguments over without pickling them.
+_worker_context: tuple = ()
+
+
+def _init_worker(graphs, seed) -> None:
+    global _worker_context
+    _worker_context = (graphs, seed)
+
+
+def _run_dqn_job(job) -> tuple[RunMetrics, float]:
+    """One DQN cell in a worker process: its row and its wall time."""
+    _method, name, cap = job
+    graphs, seed = _worker_context
+    started = perf_counter()
+    cfg = DqnConfig(episode_cap=cap, rng_seed=_cell_seed(seed, name, DQN, cap))
+    _net, record = train_dqn(graphs[name], name, cfg)
+    row = RunMetrics(
+        activity_name=name,
         method=DQN,
         episode_cap=cap,
         episodes_used=record.episodes_used,
@@ -112,28 +125,8 @@ def _run_dqn_cell(graph, activity_name, cap, dqn_cfg):
         wrong_decisions=record.wrong_decisions,
         cumulative_reward=record.cumulative_reward,
         success=record.success,
-        sequence_length=sequence_length,
+        sequence_length=len(graphs[name].get(name).actions),
     )
-
-
-# The graphs, base DQN configuration and seed of the running benchmark.
-# Set only in worker processes, by the pool's initializer; fork hands the
-# initializer's arguments over without pickling them.
-_worker_context: tuple = ()
-
-
-def _init_worker(graphs, dqn_cfg, seed) -> None:
-    global _worker_context
-    _worker_context = (graphs, dqn_cfg, seed)
-
-
-def _run_dqn_job(job) -> tuple[RunMetrics, float]:
-    """One DQN cell in a worker process: its row and its wall time."""
-    _method, name, cap = job
-    graphs, dqn_cfg, seed = _worker_context
-    started = perf_counter()
-    cell_cfg = replace(dqn_cfg, episode_cap=cap, rng_seed=_cell_seed(seed, name, DQN, cap))
-    row = _run_dqn_cell(graphs[name], name, cap, cell_cfg)
     return row, perf_counter() - started
 
 
@@ -144,13 +137,9 @@ def run_benchmark(
     caps: list[int],
     seed: int,
     out_dir,
-    composer_cfg: ComposerConfig | None = None,
-    dqn_cfg: DqnConfig | None = None,
 ) -> list[RunMetrics]:
-    """One ENSEMBLE row per activity plus one DQN row per (activity, cap);
-    writes the CSV files and ``timings.json`` and returns all rows."""
-    composer_cfg = composer_cfg or ComposerConfig()
-    dqn_cfg = dqn_cfg or DqnConfig()
+    """One ENSEMBLE row per activity plus one DQN row per (activity, cap),
+    at default settings; writes the CSVs and ``timings.json``, returns all rows."""
     started = perf_counter()
 
     # longest first, by sequence length times cap; ties in cell order, so
@@ -169,12 +158,12 @@ def run_benchmark(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(graphs, dqn_cfg, seed),
+        initargs=(graphs, seed),
     ) as pool:
         dqn_results = pool.map(_run_dqn_job, dqn_jobs)
         for name in activities:
             cell_started = perf_counter()
-            row = _run_ensemble_cell(graphs[name], space, name, composer_cfg)
+            row = _run_ensemble_cell(graphs[name], space, name)
             results[(ENSEMBLE, name, 0)] = row, perf_counter() - cell_started
         results.update(zip(dqn_jobs, dqn_results))
     wall_s = perf_counter() - started

@@ -35,7 +35,7 @@ from .hmm import fit_hmm, hmm_to_kg, read_log_csv
 from .service import BadRequest, resolve_policy_request, serve
 from .space import load_tsv
 from .store import load_store, save_store
-from .turtle_io import write_turtle
+from .turtle_io import parse_turtle, write_turtle
 from .vhome import VhCorpus, load_corpus, script_to_kg
 
 log = logging.getLogger(__name__)
@@ -52,13 +52,19 @@ def _load_space(prefix: str):
 
 def _cmd_ingest(args) -> int:
     corpus = load_corpus(args.directory)
+    out = Path(args.out)
     graphs, kept = {}, []
-    # train's vocabulary spans the whole store, so a name must keep one
-    # concept across every kept graph, not only within its own
+    # train's vocabulary spans the whole store, the graphs already there
+    # too, so a name must keep one concept across all of them
     vocab = Vocabulary()
+    for path in sorted(out.glob("*.ttl")):
+        vocab.add_graph(parse_turtle(path.read_text(encoding="utf-8")))
     for script in corpus.scripts:
         try:
             graph = script_to_kg(script)
+            target = out / f"{script.activity_name}.ttl"
+            if target.exists() and target.read_bytes() != write_turtle(graph).encode("utf-8"):
+                raise ValueError(f"{target} already holds another graph")
             vocab.add_graph(graph)
         except (GraphValidationError, ValueError) as exc:
             log.warning("skipping activity %s: %s", script.activity_name, exc)

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from .errors import CompositionFailureError
 from .kg import KnowledgeGraph
 from .simulation import (
-    SimConfig,
     SimState,
     as_action,
     check_state,
@@ -142,7 +141,6 @@ def compose(
     space: EmbeddingSpace,
     initial_state: SimState,
     cfg: ComposerConfig | None = None,
-    sim_cfg: SimConfig | None = None,
 ) -> tuple[PolicyTable, CompositionTrace]:
     """Compose a ranked action sequence for the given starting state.
 
@@ -151,10 +149,9 @@ def compose(
     without reaching a goal.
     """
     cfg = cfg or ComposerConfig()
-    sim_cfg = sim_cfg or SimConfig()
 
     # after a commit, None until the first candidate found in the graph
-    start = start_state(graph, initial_state, sim_cfg)
+    start = start_state(graph, initial_state)
     current = start.state
     budget = cfg.step_budget if cfg.step_budget is not None else default_step_limit(graph)
     trace = CompositionTrace()
@@ -162,7 +159,7 @@ def compose(
     committed_rewards: list[float] = []
     alternatives: dict[tuple[str, ...], tuple[tuple[float, ...], float]] = {}
     radius = cfg.max_distance
-    penalty = wrong_step_reward(current.reward, sim_cfg)  # of every charged candidate
+    penalty = wrong_step_reward(current.reward)  # of every charged candidate
     seen = 0  # the commit's candidates classified so far
     movers: set[str] | None = None  # actions with a scoped transition from `start`
     moved: dict[str, float] = {}  # mover -> reward its agent reached
@@ -183,7 +180,7 @@ def compose(
                 continue
             if movers is None:
                 if start is None:
-                    start = start_state(graph, current, sim_cfg)
+                    start = start_state(graph, current)
                 check_state(start, start.state)
                 movers = {
                     a for a in graph.actions_from(start.state.state_label)
@@ -191,7 +188,7 @@ def compose(
                 }
             as_action(entity, action)
             if action in movers:
-                state = make_simulation(graph, start, sim_cfg)(action)
+                state = make_simulation(graph, start)(action)
                 moved[action] = state.reward
                 if best is None or state.reward > best[1].reward:
                     best = action, state
@@ -230,7 +227,7 @@ def compose(
         committed_rewards.append(current.reward)
         start = movers = best = None
         seen = 0
-        penalty = wrong_step_reward(current.reward, sim_cfg)
+        penalty = wrong_step_reward(current.reward)
         moved.clear()
         goals.clear()
         radius = cfg.max_distance

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import TrainingDivergenceError
 from .kg import KnowledgeGraph
-from .simulation import SimConfig, initial_state, make_simulation
+from .simulation import initial_state, make_simulation
 
 
 @dataclass
@@ -41,7 +41,6 @@ class DqnConfig:
     hidden_units: int = 100
     replay_capacity: int = 5000
     replay_batch: int = 64
-    max_steps_per_episode: int | None = None  # default 50 x sequence length
     rng_seed: int = 0
     stop_on_success: bool = True
 
@@ -50,10 +49,6 @@ class DqnConfig:
             raise ValueError("epsilon must be in [0, 1]")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must be in [0, 1)")
-
-    def episode_steps(self, sequence_length: int) -> int:
-        """The step limit of a training or evaluation episode."""
-        return self.max_steps_per_episode or 50 * max(1, sequence_length)
 
 
 @dataclass
@@ -194,7 +189,7 @@ def train_dqn(graph: KnowledgeGraph, activity_name: str, cfg: DqnConfig | None =
     """Train a Q-network for one activity; returns (network, record)."""
     cfg = cfg or DqnConfig()
     states, actions = _activity_layout(graph, activity_name)
-    max_steps = cfg.episode_steps(len(actions))
+    max_steps = 50 * max(1, len(actions))  # per training episode
 
     rng = np.random.default_rng(cfg.rng_seed)
     net = QNetwork(states, actions, cfg.hidden_units, rng)
@@ -205,7 +200,7 @@ def train_dqn(graph: KnowledgeGraph, activity_name: str, cfg: DqnConfig | None =
         record.episodes_used += 1
         stats = EpisodeStats()
         start = initial_state(graph, activity_name)
-        closure = make_simulation(graph, start, SimConfig())
+        closure = make_simulation(graph, start)
         current = start
         s_idx = net.state_index[current.state_label]
 
@@ -252,31 +247,27 @@ def train_dqn(graph: KnowledgeGraph, activity_name: str, cfg: DqnConfig | None =
         record.cumulative_reward += stats.reward
         record.per_episode.append(stats)
 
-        if cfg.stop_on_success and evaluate_greedy(net, graph, activity_name, cfg):
+        if cfg.stop_on_success and evaluate_greedy(net, graph, activity_name):
             record.success = True
             break
 
     if not cfg.stop_on_success and record.episodes_used:
-        record.success = evaluate_greedy(net, graph, activity_name, cfg)
+        record.success = evaluate_greedy(net, graph, activity_name)
     return net, record
 
 
-def evaluate_greedy(
-    net: QNetwork, graph: KnowledgeGraph, activity_name: str, cfg: DqnConfig | None = None
-) -> bool:
+def evaluate_greedy(net: QNetwork, graph: KnowledgeGraph, activity_name: str) -> bool:
     """One greedy episode; success means the final state is reached in
     exactly as many steps as the activity has actions."""
-    cfg = cfg or DqnConfig()
     _states, actions = _activity_layout(graph, activity_name)
     sequence_length = len(actions)
-    # steps only grow, so a walk not final after sequence_length steps fails
-    limit = min(cfg.episode_steps(sequence_length), sequence_length)
 
     start = initial_state(graph, activity_name)
-    closure = make_simulation(graph, start, SimConfig())
+    closure = make_simulation(graph, start)
     current = start
     steps = 0
-    while not current.is_final and steps < limit:
+    # steps only grow, so a walk not final after sequence_length steps fails
+    while not current.is_final and steps < sequence_length:
         s_idx = net.state_index.get(current.state_label)
         if s_idx is None:
             return False

@@ -313,21 +313,28 @@ def hmm_to_kg(model: HmmModel, activity_name: str = "DerivedActivity") -> Knowle
     the state's index, so that state rules stay expressible in the rule
     grammar. Terminal states are those never observed with an outgoing
     action; the first state of the sorted state list that has outgoing
-    observations becomes the initial state. Raises ValueError naming the
-    first of the activity name, the states, the actions and the features
-    that is not a Turtle local name, so that the graph can be written.
+    observations becomes the initial state. Before building, raises
+    ValueError for the first entity name, generated ones too, that is not a
+    Turtle local name, so that the graph can be written, or not unique.
     """
     feature_names = [LABEL_FEATURE] + sorted(model.feature_summary)
     action_names = sorted({a for (_s, a) in model.transition_prob})
+    effect_names = {a: f"Keep_{LABEL_FEATURE}_{a}" for a in action_names}
+    owners: dict[str, str] = {}
     for kind, names in [
         ("activity", [activity_name]),
         ("state", model.states),
         ("action", action_names),
-        ("feature", feature_names),
+        ("generated feature", [LABEL_FEATURE]),
+        ("feature", feature_names[1:]),
+        ("generated effect", list(effect_names.values())),
     ]:
         for name in names:
             if not is_local_name(name):
                 raise ValueError(f"{kind} name {name!r} is not a Turtle local name")
+            if name in owners:
+                raise ValueError(f"{owners[name]} and {kind} share the name {name!r}")
+            owners[name] = kind
 
     graph = KnowledgeGraph()
     index = {state: k for k, state in enumerate(model.states)}
@@ -417,7 +424,7 @@ def hmm_to_kg(model: HmmModel, activity_name: str = "DerivedActivity") -> Knowle
             action_transitions[action].append(name)
 
     for action in action_names:
-        effect_name = f"Keep_{LABEL_FEATURE}_{action}"
+        effect_name = effect_names[action]
         graph.add(
             Effect(
                 name=effect_name,

@@ -24,13 +24,14 @@ obs-fold continuation or one holding a bare CR or another control byte,
 gets a 400 and closes the connection. Each response goes out in one
 write, its head and body together.
 A response after which the connection may still hold unread bytes of the
-request (404 on POST, 413, the 400 for a malformed body, a GET with a
-Content-Length, and any request framed by Transfer-Encoding) says
-"Connection: close" and ends the connection. A Content-Length must be ASCII
-digits, and repeated Content-Length fields must agree; any other is a
-malformed body. A request's ensemble agents run one after another on its
-handler thread: agent steps are pure Python, so under the GIL more threads
-per request would add overhead and no parallelism.
+request (404 on POST, 413, the 400 for a malformed Content-Length or a
+stalled body, a GET with a Content-Length, and any request framed by
+Transfer-Encoding) says "Connection: close" and ends the connection; the
+400 for a body read in full that is not JSON keeps it. A Content-Length
+must be ASCII digits, and repeated Content-Length fields must agree; any
+other is a malformed body. A request's ensemble agents run one after
+another on its handler thread: agent steps are pure Python, so under the
+GIL more threads per request would add overhead and no parallelism.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import re
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .composer import ComposerConfig, compose, policy_table_json
+from .composer import compose, policy_table_json
 from .errors import (
     CompositionFailureError,
     GraphValidationError,
@@ -94,14 +95,13 @@ def resolve_policy_request(store: Store, body) -> tuple[KnowledgeGraph, SimState
 class PolicyService:
     """Request-independent context shared by all handler threads."""
 
-    def __init__(self, store: Store, space, composer_cfg=None):
+    def __init__(self, store: Store, space):
         self.store = store
         self.space = space
-        self.composer_cfg = composer_cfg or ComposerConfig()
 
     def policies_for(self, body) -> bytes:
         graph, state = resolve_policy_request(self.store, body)
-        table, _trace = compose(graph, self.space, state, self.composer_cfg)
+        table, _trace = compose(graph, self.space, state)
         return policy_table_json(table).encode("utf-8")
 
 
@@ -273,16 +273,19 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/policies":
             self._send(404, _NOT_FOUND, close=True)
             return
+        data = None  # the body, once read in full
         try:
             length = _content_length(self.headers.get("content-length", "0"))
             if length > MAX_BODY_BYTES:
                 self._send(413, _TOO_LARGE, close=True)
                 return
-            body = json.loads(self.rfile.read(length) or b"")
+            data = self.rfile.read(length)
+            body = json.loads(data or b"")
         # JSON and UTF-8 errors are ValueErrors; a deep enough nesting of
-        # arrays or objects exhausts the decoder's recursion limit
+        # arrays or objects exhausts the decoder's recursion limit. Only a
+        # body not read in full may leave bytes that the next request reads.
         except (ValueError, RecursionError, TimeoutError):
-            self._send(400, _MALFORMED, close=True)
+            self._send(400, _MALFORMED, close=data is None)
             return
         service: PolicyService = self.server.policy_service
         try:
@@ -306,15 +309,15 @@ class _Handler(BaseHTTPRequestHandler):
         log.debug("%s " + fmt, self.address_string(), *args)
 
 
-def build_server(store: Store, space, bind: str = "127.0.0.1:0", composer_cfg=None) -> ThreadingHTTPServer:
+def build_server(store: Store, space, bind: str = "127.0.0.1:0") -> ThreadingHTTPServer:
     host, _, port_text = bind.partition(":")
     port = int(port_text) if port_text else 0
     server = ThreadingHTTPServer((host or "127.0.0.1", port), _Handler)
-    server.policy_service = PolicyService(store, space, composer_cfg)
+    server.policy_service = PolicyService(store, space)
     return server
 
 
-def serve(store_path, vectors_path, metadata_path, bind: str = "127.0.0.1:8080", composer_cfg=None):
+def serve(store_path, vectors_path, metadata_path, bind: str = "127.0.0.1:8080"):
     """Load the store and embeddings, then serve until interrupted.
 
     Raises StartupError when a file is missing, unreadable or malformed.
@@ -324,7 +327,7 @@ def serve(store_path, vectors_path, metadata_path, bind: str = "127.0.0.1:8080",
         space = load_tsv(vectors_path, metadata_path)
     except (OSError, ValueError, GraphValidationError) as exc:
         raise StartupError(f"startup failed: {exc}") from exc
-    server = build_server(store, space, bind, composer_cfg)
+    server = build_server(store, space, bind)
     host, port = server.server_address[:2]
     log.info("serving on %s:%s", host, port)
     try:

@@ -6,10 +6,10 @@ the state, the activity that scopes its steps and the step limit.
 order, ``as_action`` the check on the action, and ``scoped_transitions``
 returns the action's transitions from the state within that scope.
 ``step_state`` makes all three and performs one action on a copy of that
-state in place: it takes the matching transition, applies the action's
-effects, re-derives the state label and updates the running reward
-(+increment for a matched transition, -increment otherwise); ``wrong_step``
-charges that penalty for a step that makes no transition.
+state in place: it takes the most probable matching transition, applies
+the action's effects, re-derives the state label and updates the running
+reward (+``REWARD_INCREMENT`` for a matched transition, -``REWARD_INCREMENT``
+otherwise); ``wrong_step`` charges that penalty for a step without one.
 ``make_simulation`` wraps the pair in a closure that owns its state across
 steps. It validates a given state itself, or steps a copy of a ``Start``
 without validating again, which is how the composer runs an agent from a
@@ -31,8 +31,6 @@ feature, and a rule that raises is "not evaluable", which never matches.
 
 from __future__ import annotations
 
-import math
-import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -57,21 +55,7 @@ from .kg import (
 )
 
 UNKNOWN_STATE = "UNKNOWN"
-
-
-@dataclass
-class SimConfig:
-    reward_increment: float = 0.25
-    stochastic: bool = False
-    rng_seed: int = 0
-    max_steps: int | None = None  # defaults to 50 x number of states
-
-    def __post_init__(self):
-        # at an increment <= 0 a wrong step loses no reward and a sequential
-        # transition gains none, so a composition could only spin until its
-        # step budget
-        if not (math.isfinite(self.reward_increment) and self.reward_increment > 0):
-            raise ValueError("reward_increment must be a finite number > 0")
+REWARD_INCREMENT = 0.25  # gained by a sequential transition, lost by a wrong step
 
 
 @dataclass(slots=True)
@@ -231,7 +215,7 @@ class Start:
     """A validated starting state and what every step from it needs: the
     activity that scopes the steps (None when no single activity owns the
     state), that activity's (state names, action names), and the step
-    limit, ``cfg.max_steps`` or 50 steps per state of the graph."""
+    limit, ``default_step_limit`` of the graph."""
 
     state: SimState
     scope: Activity | None
@@ -239,7 +223,7 @@ class Start:
     max_steps: int
 
 
-def start_state(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None = None) -> Start:
+def start_state(graph: KnowledgeGraph, initial: SimState) -> Start:
     """Validate a starting state once, for any number of walks from it.
 
     The state is a copy of ``initial``: an unset label, or one that names
@@ -248,7 +232,6 @@ def start_state(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None 
     no state matches, when the features contradict the given label, or when
     they do not cover the owning activity's features.
     """
-    cfg = cfg or SimConfig()
     entity = graph.find(initial.state_label)
     if initial.state_label == UNKNOWN_STATE or not isinstance(entity, State):
         state = recognize_state(graph, initial.feature_values)
@@ -275,8 +258,7 @@ def start_state(graph: KnowledgeGraph, initial: SimState, cfg: SimConfig | None 
                 f"missing {missing}"
             )
     names = graph.scope_names(scope.name) if scope is not None else None
-    max_steps = cfg.max_steps if cfg.max_steps is not None else default_step_limit(graph)
-    return Start(state, scope, names, max_steps)
+    return Start(state, scope, names, default_step_limit(graph))
 
 
 def default_step_limit(graph: KnowledgeGraph) -> int:
@@ -319,15 +301,15 @@ def scoped_transitions(
     return matching
 
 
-def wrong_step_reward(reward: float, cfg: SimConfig) -> float:
+def wrong_step_reward(reward: float) -> float:
     """The running reward after a step from ``reward`` that makes no transition."""
-    return reward - cfg.reward_increment
+    return reward - REWARD_INCREMENT
 
 
-def wrong_step(state: SimState, cfg: SimConfig) -> SimState:
+def wrong_step(state: SimState) -> SimState:
     """Charge a step that makes no transition: the label stays and the
     reward drops to ``wrong_step_reward``. Mutates and returns ``state``."""
-    state.reward = wrong_step_reward(state.reward, cfg)
+    state.reward = wrong_step_reward(state.reward)
     state.step_index += 1
     return state
 
@@ -337,34 +319,21 @@ def step_state(
     start: Start,
     state: SimState,
     performed_action: str,
-    cfg: SimConfig,
-    rng: random.Random | None,
 ) -> SimState:
     """Perform one action on ``state``, a copy of ``start.state`` or of a
     state that earlier steps from it returned. Mutates and returns
     ``state``.
 
-    A stochastic walk draws its transitions from ``rng``; with None the
-    most probable transition is taken. Raises what ``check_state`` and
-    ``as_action`` raise, in that order, before any change to ``state``.
+    The most probable transition is taken, the smaller next-state name on
+    a tie. Raises what ``check_state`` and ``as_action`` raise, in that
+    order, before any change to ``state``.
     """
     check_state(start, state)
     entity = as_action(graph.find(performed_action), performed_action)
     matching = scoped_transitions(graph, start, state, performed_action)
     if not matching:
-        return wrong_step(state, cfg)
-    if rng is not None:
-        ordered = sorted(matching, key=lambda t: t.next_state)
-        draw = rng.random()
-        cumulative = 0.0
-        chosen = ordered[-1]
-        for t in ordered:
-            cumulative += t.probability
-            if draw < cumulative:
-                chosen = t
-                break
-    else:
-        chosen = min(matching, key=lambda t: (-t.probability, t.next_state))
+        return wrong_step(state)
+    chosen = min(matching, key=lambda t: (-t.probability, t.next_state))
     target = graph.get(chosen.next_state)
     for effect_name in entity.effects:
         _apply_effect(graph, graph.get(effect_name), state.feature_values)
@@ -374,7 +343,7 @@ def step_state(
     if scope is None or not scope.is_sequential:
         state.reward += matched.reward if isinstance(matched, State) else 0.0
     else:
-        state.reward += cfg.reward_increment
+        state.reward += REWARD_INCREMENT
     if isinstance(matched, State):
         state.is_goal = bool(matched.is_goal)
         state.is_final = bool(matched.is_final_state)
@@ -382,27 +351,22 @@ def step_state(
     return state
 
 
-def make_simulation(
-    graph: KnowledgeGraph, initial: SimState | Start, cfg: SimConfig | None = None
-):
+def make_simulation(graph: KnowledgeGraph, initial: SimState | Start):
     """Create a simulation closure over (graph, state snapshot).
 
     ``initial`` is a state, which must pass ``start_state``, or a ``Start``
-    that ``start_state`` returned for the same ``cfg``; then the closure
-    steps a copy of it and validates nothing again. The returned callable
-    takes an action name, performs it with ``step_state`` on the closure's
-    own state and returns a copy of the updated state.
+    that ``start_state`` returned; then the closure steps a copy of it and
+    validates nothing again. The returned callable takes an action name,
+    performs it with ``step_state`` on the closure's own state and returns
+    a copy of the updated state.
     """
-    cfg = cfg or SimConfig()
     if isinstance(initial, Start):
         start, state = initial, initial.state.clone()
     else:
-        start = start_state(graph, initial, cfg)
+        start = start_state(graph, initial)
         state = start.state
-    # deterministic steps never draw, so only a stochastic closure seeds one
-    rng = random.Random(cfg.rng_seed) if cfg.stochastic else None
 
     def step(performed_action: str) -> SimState:
-        return step_state(graph, start, state, performed_action, cfg, rng).clone()
+        return step_state(graph, start, state, performed_action).clone()
 
     return step

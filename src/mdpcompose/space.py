@@ -1,4 +1,4 @@
-"""Distance and neighborhood queries over trained entity embeddings.
+"""Cosine-distance neighborhood queries over trained entity embeddings.
 
 The action rows, their norms, their names and each name's rank in string
 order are gathered once, when the space is built. The first search from a
@@ -18,7 +18,6 @@ per action for up to 65,536 actions.
 from __future__ import annotations
 
 from bisect import bisect_right
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +27,8 @@ from .errors import UnknownEntityError, UnknownSituationError
 from .kg import Concept
 
 
-class Metric(str, Enum):
-    COSINE_DISTANCE = "COSINE_DISTANCE"
-    EUCLIDEAN = "EUCLIDEAN"
-
-
 class EmbeddingSpace:
-    def __init__(self, vocab: Vocabulary, matrix: np.ndarray, metric: Metric = Metric.COSINE_DISTANCE):
+    def __init__(self, vocab: Vocabulary, matrix: np.ndarray):
         if len(vocab) != matrix.shape[0]:
             raise ValueError(
                 f"vocabulary has {len(vocab)} entries but the table has "
@@ -42,7 +36,6 @@ class EmbeddingSpace:
             )
         self.vocab = vocab
         self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.metric = metric
         self._norms = np.linalg.norm(self.matrix, axis=1)
         action_indices = np.array(vocab.indices_of(Concept.ACTION), dtype=np.int64)
         self._action_rows = self.matrix[action_indices]
@@ -74,27 +67,22 @@ class EmbeddingSpace:
         """The distances from a state to every action, sorted on (distance,
         name), and the positions of those actions; a NaN distance is never
         within a radius and is left out. Raises UnknownSituationError for an
-        entity without an embedding and ValueError for a zero-norm query
-        under the cosine distance."""
+        entity without an embedding and ValueError for a zero-norm query."""
         try:
             idx = self.vocab.index(state_name)
         except UnknownEntityError:
             raise UnknownSituationError(
                 f"state {state_name!r} has no embedding; request rejected"
             ) from None
-        query = self.matrix[idx]
-        rows = self._action_rows
         if not self._action_names:
             distances = np.empty(0)
-        elif self.metric is Metric.EUCLIDEAN:
-            distances = np.linalg.norm(rows - query, axis=1)
         else:
             qn = self._norms[idx]
             if qn == 0.0:
                 raise ValueError("cosine distance is undefined for zero-norm vectors")
             norms = self._action_norms
             with np.errstate(divide="ignore", invalid="ignore"):
-                distances = 1.0 - (rows @ query) / (norms * qn)
+                distances = 1.0 - (self._action_rows @ self.matrix[idx]) / (norms * qn)
             distances[norms == 0.0] = np.inf  # zero vectors are never neighbors
         order = np.lexsort((self._name_rank, distances))  # NaNs sort last
         order = order[: len(order) - int(np.isnan(distances).sum())]
@@ -104,7 +92,7 @@ class EmbeddingSpace:
         return distances, order
 
 
-def load_tsv(path_vectors, path_metadata, metric: Metric = Metric.COSINE_DISTANCE) -> EmbeddingSpace:
+def load_tsv(path_vectors, path_metadata) -> EmbeddingSpace:
     """Load a space from the exported vectors/metadata TSV pair."""
     vectors = []
     for lineno, line in enumerate(
@@ -157,8 +145,8 @@ def load_tsv(path_vectors, path_metadata, metric: Metric = Metric.COSINE_DISTANC
         raise ValueError("vector rows have inconsistent dimensions")
     dimension = widths.pop() if widths else 0
     matrix = np.array(vectors, dtype=np.float64).reshape(len(vectors), dimension)
-    return EmbeddingSpace(vocab, matrix, metric=metric)
+    return EmbeddingSpace(vocab, matrix)
 
 
-def space_from_table(vocab: Vocabulary, table: EmbeddingTable, metric: Metric = Metric.COSINE_DISTANCE) -> EmbeddingSpace:
-    return EmbeddingSpace(vocab, table.matrix, metric=metric)
+def space_from_table(vocab: Vocabulary, table: EmbeddingTable) -> EmbeddingSpace:
+    return EmbeddingSpace(vocab, table.matrix)

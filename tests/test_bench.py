@@ -19,8 +19,6 @@ from mdpcompose.bench import (
     mean_commit_radius,
     run_benchmark,
 )
-from mdpcompose.composer import ComposerConfig
-from mdpcompose.dqn import DqnConfig
 from mdpcompose.errors import TrainingDivergenceError
 
 
@@ -28,16 +26,7 @@ from mdpcompose.errors import TrainingDivergenceError
 def small_bench(graphs, desk_space, tmp_path_factory):
     out = tmp_path_factory.mktemp("bench")
     activities = ["Make_coffee", "Wash_hands", "Watch_TV_49"]
-    metrics = run_benchmark(
-        graphs,
-        desk_space,
-        activities,
-        caps=[1, 10],
-        seed=99,
-        out_dir=out,
-        composer_cfg=ComposerConfig(),
-        dqn_cfg=DqnConfig(),
-    )
+    metrics = run_benchmark(graphs, desk_space, activities, caps=[1, 10], seed=99, out_dir=out)
     return metrics, out
 
 

@@ -104,12 +104,52 @@ def test_ingest_skips_a_script_whose_names_clash_with_the_store(tmp_path, capsys
     assert main(["train", "--store", str(store), "--out", str(out), "--iterations", "0", "--dim", "4"]) == 0
 
 
+def test_ingest_into_a_store_checks_the_graphs_already_there(tmp_path, capsys, caplog):
+    store = tmp_path / "store"
+
+    def ingest(run, texts):
+        scripts = tmp_path / run
+        scripts.mkdir()
+        for k, text in enumerate(texts):
+            (scripts / f"{k:02d}.txt").write_text(text)
+        return main(["ingest", str(scripts), "--out", str(store)])
+
+    cook = "Cook\nx\n\n[Open] <fridge> (1)\n"
+    assert ingest("first", ["Walk kitchen 1\nx\n\n[Sit] <couch> (1)\n", cook]) == 0
+    before = (store / "Cook.ttl").read_bytes()
+    capsys.readouterr()
+    # the action Walk_kitchen_1 is an activity of the store; Cook.ttl holds
+    # another graph than the new Cook; the same Cook again changes no byte
+    texts = [
+        "Wash\nx\n\n[Find] <cup> (1)\n[Walk] <kitchen> (1)\n",
+        "Cook\nx\n\n[Find] <pan> (1)\n",
+        "Sit\nx\n\n[Find] <chair> (1)\n",
+    ]
+    assert ingest("second", texts) == 0
+    assert "skipped 2 files" in capsys.readouterr().err
+    assert str(store / "Cook.ttl") in caplog.text
+    assert ingest("third", [cook]) == 0
+    assert (store / "Cook.ttl").read_bytes() == before
+    assert sorted(p.name for p in store.glob("*.ttl")) == ["Cook.ttl", "Sit.ttl", "Walk_kitchen_1.ttl"]
+    out = tmp_path / "emb"
+    assert main(["train", "--store", str(store), "--out", str(out), "--iterations", "0", "--dim", "4"]) == 0
+
+
 def test_derive_refuses_a_name_it_cannot_write(tmp_path, capsys):
     csv_path = tmp_path / "log.csv"
     csv_path.write_text("state,action,reward,next_state,temp\nS a,go,0.5,S b,1.0\n")
     out = tmp_path / "derived.ttl"
     assert main(["derive", str(csv_path), "--out", str(out)]) == 1
     assert "'S a' is not a Turtle local name" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_derive_refuses_a_log_whose_action_is_named_like_a_state(tmp_path, capsys):
+    csv_path = tmp_path / "log.csv"
+    csv_path.write_text("state,action,reward,next_state,temp\nA,B,0.5,B,1.0\n")
+    out = tmp_path / "derived.ttl"
+    assert main(["derive", str(csv_path), "--out", str(out)]) == 1
+    assert "state and action share the name 'B'" in capsys.readouterr().err
     assert not out.exists()
 
 

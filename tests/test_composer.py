@@ -46,9 +46,9 @@ from mdpcompose.kg import (
     Transition,
 )
 from mdpcompose.simulation import (
-    SimConfig,
     SimState,
     Start,
+    default_step_limit,
     initial_features,
     make_simulation,
     start_state,
@@ -63,6 +63,14 @@ def _start(graph, name):
     activity = graph.get(name)
     initial = next(s for s in activity.states if graph.get(s).is_initial_state)
     return SimState(feature_values=initial_features(graph, name), state_label=initial)
+
+
+def _with_steps_left(graph, state: SimState, steps: int | None) -> SimState:
+    """``state`` moved to ``steps`` steps before the graph's step limit;
+    None leaves it where it is."""
+    if steps is not None:
+        state.step_index += default_step_limit(graph) - steps
+    return state
 
 
 # --- the fresh-agent reference's pick -----------------------------------
@@ -170,20 +178,20 @@ def _repeated_candidates(trace) -> int:
     return repeats
 
 
-def _run_agent(graph, current: SimState, sim_cfg, action: str, distance: float) -> AgentResult:
+def _run_agent(graph, current: SimState, action: str, distance: float) -> AgentResult:
     """The reference agent: a fresh ``make_simulation`` closure, which
     validates ``current`` itself, for every candidate in the graph."""
     if graph.find(action) is None:
-        return AgentResult(action, distance, wrong_step(current.clone(), sim_cfg))
-    return AgentResult(action, distance, make_simulation(graph, current, sim_cfg)(action))
+        return AgentResult(action, distance, wrong_step(current.clone()))
+    return AgentResult(action, distance, make_simulation(graph, current)(action))
 
 
-def _check_against_fresh_agents(graph, start, trace, sim_cfg):
+def _check_against_fresh_agents(graph, start, trace):
     """Replay the trace with a fresh agent for every candidate of every
     round: results, winners and commits must be those of the traced run."""
     current = start_state(graph, start).state
     for rnd in trace.rounds:
-        fresh = [_run_agent(graph, current, sim_cfg, a, d) for a, d in rnd.candidates]
+        fresh = [_run_agent(graph, current, a, d) for a, d in rnd.candidates]
         assert rnd.results == [(r.action, r.state.reward) for r in fresh]
         if rnd.committed:
             best = select_best(fresh)
@@ -194,15 +202,12 @@ def _check_against_fresh_agents(graph, start, trace, sim_cfg):
 
 def _fuzzed_cases(graphs, desk_space):
     for name, graph in graphs.items():
-        for sim_cfg in (SimConfig(), SimConfig(stochastic=True, rng_seed=7)):
-            yield graph, desk_space, _start(graph, name), sim_cfg
+        yield graph, desk_space, _start(graph, name)
     for seed in range(40):
         graph = make_random_graph(random.Random(seed))
         vocab = build_vocabulary([graph])
         space = EmbeddingSpace(vocab, np.random.default_rng(seed).normal(size=(len(vocab), 8)))
-        start = _start(graph, graph.activities[0].name)
-        for sim_cfg in (SimConfig(), SimConfig(stochastic=True, rng_seed=seed)):
-            yield graph, space, start, sim_cfg
+        yield graph, space, _start(graph, graph.activities[0].name)
 
 
 def _moves(graph, start: Start, action: str) -> bool:
@@ -241,13 +246,13 @@ def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeyp
     validate, make = composer.start_state, composer.make_simulation
     scoped = composer.scoped_transitions
 
-    def counting_start(graph, initial, cfg=None):
-        starts.append(validate(graph, initial, cfg))
+    def counting_start(graph, initial):
+        starts.append(validate(graph, initial))
         return starts[-1]
 
-    def counting_make(graph, initial, cfg=None):
+    def counting_make(graph, initial):
         assert isinstance(initial, Start)  # validated by start_state above
-        step = make(graph, initial, cfg)
+        step = make(graph, initial)
 
         def counted(action):
             steps[len(starts), action] += 1
@@ -263,11 +268,11 @@ def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeyp
     monkeypatch.setattr(composer, "make_simulation", counting_make)
     monkeypatch.setattr(composer, "scoped_transitions", counting_scoped)
     reused = charged = 0
-    for graph, space, start, sim_cfg in _fuzzed_cases(graphs, desk_space):
+    for graph, space, start in _fuzzed_cases(graphs, desk_space):
         starts.clear()
         steps.clear()
         checks.clear()
-        _table, trace = compose(graph, space, start, sim_cfg=sim_cfg)
+        _table, trace = compose(graph, space, start)
         assert steps and set(steps.values()) == {1}
         assert set(checks.values()) == {1}
         # the initial state, then the state of every commit but the last
@@ -283,7 +288,7 @@ def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeyp
             assert {action for n, action in checks if n == index} <= with_transition
             charged += len(candidates - moving)
         reused += _repeated_candidates(trace)
-        _check_against_fresh_agents(graph, start, trace, sim_cfg)
+        _check_against_fresh_agents(graph, start, trace)
     assert reused > 0  # some candidates did come back after the radius grew
     assert charged > 0  # and some were charged without a simulation
 
@@ -291,11 +296,10 @@ def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeyp
 # --- the reference composition: a fresh closure per agent ----------------
 
 
-def _reference_compose(graph, space, initial_state, cfg=None, sim_cfg=None):
+def _reference_compose(graph, space, initial_state, cfg=None):
     """``compose`` with every agent run by ``_run_agent``: a candidate's
     start state is validated by its own ``make_simulation`` call."""
     cfg = cfg or ComposerConfig()
-    sim_cfg = sim_cfg or SimConfig()
     current = start_state(graph, initial_state).state
     budget = cfg.step_budget if cfg.step_budget is not None else 50 * max(1, len(graph.states))
     trace = CompositionTrace()
@@ -312,7 +316,7 @@ def _reference_compose(graph, space, initial_state, cfg=None, sim_cfg=None):
         results = []
         for action, distance in candidates:
             if action not in simulated:
-                simulated[action] = _run_agent(graph, current, sim_cfg, action, distance)
+                simulated[action] = _run_agent(graph, current, action, distance)
             results.append(simulated[action])
         record.results = [(r.action, r.state.reward) for r in results]
         best = select_best(results) if results else None
@@ -363,14 +367,12 @@ def _assert_matches_reference(*args, **kwargs):
     return outcome
 
 
-@pytest.mark.parametrize("stochastic", [False, True])
-def test_desk_compositions_match_the_reference(graphs, desk_space, stochastic):
-    sim_cfg = SimConfig(stochastic=stochastic, rng_seed=3)
+def test_desk_compositions_match_the_reference(graphs, desk_space):
     composed = 0
     for name, graph in graphs.items():
         for state in graph.get(name).states:
             start = SimState(feature_values=state_features(graph, state), state_label=state)
-            outcome = _assert_matches_reference(graph, desk_space, start, sim_cfg=sim_cfg)
+            outcome = _assert_matches_reference(graph, desk_space, start)
             composed += isinstance(outcome[0], str)
     assert composed > 0
 
@@ -379,16 +381,15 @@ def test_desk_compositions_match_the_reference(graphs, desk_space, stochastic):
 @given(
     st.integers(min_value=0, max_value=10**6),
     st.sampled_from([0.125, 0.25, 0.5]),
-    st.booleans(),
     st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
 )
-def test_fuzzed_compositions_match_the_reference(seed, radius, stochastic, max_steps):
+def test_fuzzed_compositions_match_the_reference(seed, radius, steps_left):
     graph = make_random_graph(random.Random(seed))
     vocab = build_vocabulary([graph])
     space = EmbeddingSpace(vocab, np.random.default_rng(seed).normal(size=(len(vocab), 8)))
-    sim_cfg = SimConfig(stochastic=stochastic, rng_seed=seed, max_steps=max_steps)
+    start = _with_steps_left(graph, _start(graph, graph.activities[0].name), steps_left)
     cfg = ComposerConfig(max_distance=radius, radius_step=radius)
-    _assert_matches_reference(graph, space, _start(graph, graph.activities[0].name), cfg, sim_cfg)
+    _assert_matches_reference(graph, space, start, cfg)
 
 
 # --- the desk policy bytes and traces ------------------------------------
@@ -405,21 +406,20 @@ _DESK_ERRORS = (
 )
 
 
-def _desk_digest(graphs, space, render, sim_cfgs):
+def _desk_digest(graphs, space, render):
     """Every state of the 12 desk activities, labelled and with its
-    features, under each of ``sim_cfgs``: ``render(table, trace)``, or the
-    error's class, hashed in order."""
+    features: ``render(table, trace)``, or the error's class, hashed in
+    order."""
     digest = hashlib.sha256()
-    for sim_cfg in sim_cfgs:
-        for name in sorted(graphs):
-            graph = graphs[name]
-            for state in graph.get(name).states:
-                start = SimState(feature_values=state_features(graph, state), state_label=state)
-                try:
-                    payload = render(*compose(graph, space, start, sim_cfg=sim_cfg))
-                except _DESK_ERRORS as exc:
-                    payload = type(exc).__name__
-                digest.update(f"{name}\t{state}\t{payload}\n".encode())
+    for name in sorted(graphs):
+        graph = graphs[name]
+        for state in graph.get(name).states:
+            start = SimState(feature_values=state_features(graph, state), state_label=state)
+            try:
+                payload = render(*compose(graph, space, start))
+            except _DESK_ERRORS as exc:
+                payload = type(exc).__name__
+            digest.update(f"{name}\t{state}\t{payload}\n".encode())
     return digest.hexdigest()
 
 
@@ -449,12 +449,12 @@ def _trace_json(trace: CompositionTrace) -> str:
 
 
 def test_desk_policy_bytes_are_pinned(graphs, desk_space):
-    digest = _desk_digest(graphs, desk_space, lambda table, _trace: policy_table_json(table), [None])
+    digest = _desk_digest(graphs, desk_space, lambda table, _trace: policy_table_json(table))
     assert digest == DESK_POLICY_SHA256
 
 
 def test_desk_traces_are_pinned(graphs, desk_space):
-    digest = _desk_digest(graphs, desk_space, lambda _table, trace: _trace_json(trace), [None])
+    digest = _desk_digest(graphs, desk_space, lambda _table, trace: _trace_json(trace))
     assert digest == DESK_TRACE_SHA256
 
 
@@ -722,8 +722,8 @@ def test_commit_onto_an_unrecognisable_state_fails_like_the_reference():
     assert outcome == (UnknownSituationError, "observed features match no known state")
 
 
-@pytest.mark.parametrize("max_steps", [None, 1])
-def test_commit_onto_a_final_non_goal_state_fails_like_the_reference(max_steps):
+@pytest.mark.parametrize("steps_left", [None, 1])
+def test_commit_onto_a_final_non_goal_state_fails_like_the_reference(steps_left):
     # at the step limit too: the terminated state is checked first
     g = _single_action_graph(pressed_goal=False)
     space = _space_with(
@@ -734,22 +734,22 @@ def test_commit_onto_a_final_non_goal_state_fails_like_the_reference(max_steps):
         ]
     )
     start = SimState(feature_values={"IsPressed": 0.0}, state_label="Ready")
-    outcome = _assert_matches_reference(g, space, start, sim_cfg=SimConfig(max_steps=max_steps))
+    outcome = _assert_matches_reference(g, space, _with_steps_left(g, start, steps_left))
     assert _error_of(outcome) is ActivityTerminatedError
 
 
 def test_step_limit_fails_like_the_reference(graphs, desk_space):
     g = graphs["Watch_TV_49"]
     outcome = _assert_matches_reference(
-        g, desk_space, _start(g, "Watch_TV_49"), sim_cfg=SimConfig(max_steps=2)
+        g, desk_space, _with_steps_left(g, _start(g, "Watch_TV_49"), 2)
     )
     assert _error_of(outcome) is StepLimitExceededError
 
 
 @pytest.mark.parametrize(
-    "max_steps, error", [(None, UnknownEntityError), (0, StepLimitExceededError)]
+    "steps_left, error", [(None, UnknownEntityError), (0, StepLimitExceededError)]
 )
-def test_candidate_naming_a_non_action_fails_like_the_reference(max_steps, error):
+def test_candidate_naming_a_non_action_fails_like_the_reference(steps_left, error):
     # at the step limit, the limit is checked before the action's name
     g = _single_action_graph()
     space = _space_with(
@@ -760,7 +760,7 @@ def test_candidate_naming_a_non_action_fails_like_the_reference(max_steps, error
         ]
     )
     start = SimState(feature_values={"IsPressed": 0.0}, state_label="Ready")
-    outcome = _assert_matches_reference(g, space, start, sim_cfg=SimConfig(max_steps=max_steps))
+    outcome = _assert_matches_reference(g, space, _with_steps_left(g, start, steps_left))
     assert _error_of(outcome) is error
 
 
@@ -831,12 +831,8 @@ def test_rounds_mixing_every_kind_of_candidate_fail_like_the_reference():
         "Step_1", "Step_2", "Foreign", "Pos", "Advance",
     ]
     start = SimState(feature_values={"Pos": 0.0}, state_label="A")
-    for stochastic in (False, True):
-        outcome = _assert_matches_reference(
-            g, space, start, ComposerConfig(max_distance=0.5),
-            SimConfig(stochastic=stochastic, rng_seed=5),
-        )
-        assert outcome == (UnknownEntityError, "unknown action 'Pos'")
+    outcome = _assert_matches_reference(g, space, start, ComposerConfig(max_distance=0.5))
+    assert outcome == (UnknownEntityError, "unknown action 'Pos'")
 
 
 @pytest.mark.parametrize(
@@ -848,10 +844,10 @@ def test_mixed_rounds_from_a_stuck_start_fail_like_the_reference(label, step_ind
     # candidate absent from the graph is charged, the next one fails
     g, space = _three_step_graph(), _space_with(_MIXED_SPACE)
     features = {"Pos": 3.0 if label == "D" else 0.0}
-    start = SimState(feature_values=features, state_label=label, step_index=step_index)
-    outcome = _assert_matches_reference(
-        g, space, start, ComposerConfig(max_distance=0.5), SimConfig(max_steps=3)
+    start = _with_steps_left(
+        g, SimState(feature_values=features, state_label=label, step_index=step_index), 3
     )
+    outcome = _assert_matches_reference(g, space, start, ComposerConfig(max_distance=0.5))
     assert _error_of(outcome) is error
 
 
@@ -922,16 +918,13 @@ def test_a_raising_mover_first_found_at_a_grown_radius_fails_like_the_reference(
     )
     assert [a for a, _d in space.find_closest_actions("A", 0.25)] == ["Foreign"]
     start = SimState(feature_values={"Pos": 0.0}, state_label="A")
-    for stochastic in (False, True):
-        outcome = _assert_matches_reference(
-            g, space, start, sim_cfg=SimConfig(stochastic=stochastic, rng_seed=5)
-        )
-        if error is None:
-            assert json.loads(outcome[0])["policies"][0]["actions"] == ["Step"]
-            assert [r.radius for r in outcome[1].rounds] == [0.25, 0.5]
-        else:
-            assert _error_of(outcome) is error
-            assert outcome[1].startswith("division by zero")
+    outcome = _assert_matches_reference(g, space, start)
+    if error is None:
+        assert json.loads(outcome[0])["policies"][0]["actions"] == ["Step"]
+        assert [r.radius for r in outcome[1].rounds] == [0.25, 0.5]
+    else:
+        assert _error_of(outcome) is error
+        assert outcome[1].startswith("division by zero")
 
 
 def _graph(activities, rewards=None):

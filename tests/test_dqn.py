@@ -16,7 +16,7 @@ from mdpcompose.dqn import (
     td_targets,
     train_dqn,
 )
-from mdpcompose.simulation import SimConfig, initial_state, make_simulation
+from mdpcompose.simulation import initial_state, make_simulation
 from mdpcompose.vhome import VhScript, VhStep, script_to_kg
 
 
@@ -169,7 +169,7 @@ def _reference_train_dqn(graph, activity_name, cfg):
     """train_dqn's loop with one update per parameter array."""
     states = sorted(graph.get(activity_name).states)
     actions = sorted(graph.get(activity_name).actions)
-    max_steps = cfg.episode_steps(len(actions))
+    max_steps = 50 * max(1, len(actions))
     rng = np.random.default_rng(cfg.rng_seed)
     net = _ReferenceNetwork(states, actions, cfg.hidden_units, rng)
     replay = ReplayBuffer(cfg.replay_capacity)
@@ -178,7 +178,7 @@ def _reference_train_dqn(graph, activity_name, cfg):
         record.episodes_used += 1
         stats = EpisodeStats()
         start = initial_state(graph, activity_name)
-        closure = make_simulation(graph, start, SimConfig())
+        closure = make_simulation(graph, start)
         current, s_idx = start, net.state_index[start.state_label]
         while not current.is_final and stats.steps < max_steps:
             if rng.random() < cfg.epsilon:
@@ -214,11 +214,11 @@ def _reference_train_dqn(graph, activity_name, cfg):
         record.wrong_decisions += stats.wrong
         record.cumulative_reward += stats.reward
         record.per_episode.append(stats)
-        if cfg.stop_on_success and evaluate_greedy(net, graph, activity_name, cfg):
+        if cfg.stop_on_success and evaluate_greedy(net, graph, activity_name):
             record.success = True
             break
     if not cfg.stop_on_success and record.episodes_used:
-        record.success = evaluate_greedy(net, graph, activity_name, cfg)
+        record.success = evaluate_greedy(net, graph, activity_name)
     return net, record
 
 
@@ -312,7 +312,7 @@ def _full_greedy_walk(net, graph, activity_name) -> bool:
     activity = graph.get(activity_name)
     actions = sorted(activity.actions)
     start = initial_state(graph, activity_name)
-    closure = make_simulation(graph, start, SimConfig())
+    closure = make_simulation(graph, start)
     current, steps = start, 0
     while not current.is_final and steps < 50 * len(actions):
         s_idx = net.state_index.get(current.state_label)
@@ -328,16 +328,16 @@ def _stuck(net, graph, activity_name) -> bool:
     start = initial_state(graph, activity_name)
     actions = sorted(graph.get(activity_name).actions)
     action = actions[int(np.argmax(net.q_values(net.state_index[start.state_label])))]
-    return make_simulation(graph, start, SimConfig())(action).state_label == start.state_label
+    return make_simulation(graph, start)(action).state_label == start.state_label
 
 
 def test_short_greedy_walk_agrees_with_full_walk(graphs, monkeypatch):
     snapshots = []
     original = dqn.evaluate_greedy
 
-    def snapshot(net, graph, activity_name, cfg=None):
+    def snapshot(net, graph, activity_name):
         snapshots.append((copy.deepcopy(net), graph, activity_name))
-        return original(net, graph, activity_name, cfg)
+        return original(net, graph, activity_name)
 
     monkeypatch.setattr(dqn, "evaluate_greedy", snapshot)
     for name in ("Make_coffee", "Watch_TV_49"):

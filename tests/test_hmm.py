@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NAME_ALPHABETS
-from mdpcompose.errors import GraphValidationError, UnknownSituationError
+from mdpcompose.errors import UnknownSituationError
 from mdpcompose.hmm import (
     Gaussian,
     LogRow,
@@ -300,13 +300,31 @@ def test_derived_names_round_trip_or_are_refused(alphabet, data):
     try:
         graph = hmm_to_kg(fit_hmm(rows), activity_name=name)
     except ValueError as err:
-        assert "is not a Turtle local name" in str(err)
-        return
-    except GraphValidationError as err:
         # names that are each valid can still coincide, say a state and an action
-        assert all(p.startswith("duplicate entity name") for p in err.problems)
+        assert "is not a Turtle local name" in str(err) or "share the name" in str(err)
         return
     assert isomorphic(parse_turtle(write_turtle(graph)), graph)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([row("A", "B", "B", reward=0.5, temp=1.0)], "state and action share the name 'B'"),
+        (
+            [row("A", "go", "B", state_label=1.0)],
+            "generated feature and feature share the name 'state_label'",
+        ),
+        (
+            [row("Keep_state_label_go", "go", "B")],
+            "state and generated effect share the name 'Keep_state_label_go'",
+        ),
+    ],
+    ids=["action-named-like-a-state", "state-label-column", "state-named-like-an-effect"],
+)
+def test_a_name_two_entities_would_share_is_refused_before_building(rows, message):
+    with pytest.raises(ValueError) as err:
+        hmm_to_kg(fit_hmm(rows))
+    assert str(err.value) == message
 
 
 def test_lowered_graph_simulates():

@@ -140,8 +140,6 @@ def test_oversized_body_rejected_413_unread(server):
     "request_bytes, status, body",
     [
         (_post_head("twelve"), b"400", MALFORMED),
-        (_post_head(2) + b"\xff\xfe", b"400", MALFORMED),  # not UTF-8
-        (_post_head(5) + b"{this", b"400", MALFORMED),
         (_post_head(2, b"/nope") + b"{}", b"404", b'{"reason":"not found"}'),
         (
             b"POST /policies HTTP/1.1\r\nHost: 127.0.0.1\r\n"
@@ -162,25 +160,42 @@ def test_oversized_body_rejected_413_unread(server):
             b"400",
             MALFORMED,
         ),
-        (_post_head(100_000) + b"[" * 100_000, b"400", MALFORMED),
     ],
     ids=[
         "text-length",
-        "undecodable",
-        "bad-json",
         "post-404",
         "chunked",
         "get-with-body",
         "signed-length",
         "underscored-length",
         "conflicting-lengths",
-        "nested-too-deep",
     ],
 )
 def test_responses_that_may_leave_unread_bytes_close_the_connection(server, request_bytes, status, body):
     got_status, headers, got_body = _raw_exchange(server, request_bytes, timeout=5)
     assert (got_status, got_body) == (status, body)
     assert b"connection: close" in headers
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"\xff\xfe", b"{this", b"[" * 100_000],  # not UTF-8, not JSON, nested too deep
+    ids=["undecodable", "bad-json", "nested-too-deep"],
+)
+def test_a_malformed_body_read_in_full_keeps_the_connection_open(server, body):
+    connection = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+    try:
+        connection.request("POST", "/policies", body=body)
+        with connection.getresponse() as response:
+            assert (response.status, response.read()) == (400, MALFORMED)
+            assert response.getheader("Connection") is None
+        sock = connection.sock
+        connection.request("GET", "/health")
+        with connection.getresponse() as response:
+            assert (response.status, response.read()) == (200, b'{"status":"ok"}')
+        assert sock is not None and connection.sock is sock
+    finally:
+        connection.close()
 
 
 @pytest.mark.parametrize(
@@ -333,7 +348,7 @@ _HEALTH = b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n
     [
         (_closing_request(b"POST", b"/policies", _FEED_CAT), b"200", HEAD_FIELDS),
         (_closing_request(b"POST", b"/policies", b"{}"), b"400", HEAD_FIELDS),
-        (_closing_request(b"POST", b"/policies", b"{this"), b"400", HEAD_FIELDS + [b"connection"]),
+        (_closing_request(b"POST", b"/policies", b"{this"), b"400", HEAD_FIELDS),
         (_closing_request(b"POST", b"/nope", b"{}"), b"404", HEAD_FIELDS + [b"connection"]),
         (_post_head(MAX_BODY_BYTES + 1), b"413", HEAD_FIELDS + [b"connection"]),
         (_closing_request(b"POST", b"/policies", _UNKNOWN_17), b"422", HEAD_FIELDS),

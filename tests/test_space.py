@@ -7,17 +7,17 @@ import pytest
 from mdpcompose.embedding import Vocabulary
 from mdpcompose.errors import UnknownEntityError, UnknownSituationError
 from mdpcompose.kg import Concept
-from mdpcompose.space import EmbeddingSpace, Metric, load_tsv
+from mdpcompose.space import EmbeddingSpace, load_tsv
 
 
-def _space(names_concepts, matrix, metric=Metric.COSINE_DISTANCE):
+def _space(names_concepts, matrix):
     vocab = Vocabulary()
     for name, concept in names_concepts:
         vocab.add(name, concept)
-    return EmbeddingSpace(vocab, np.asarray(matrix, dtype=float), metric=metric)
+    return EmbeddingSpace(vocab, np.asarray(matrix, dtype=float))
 
 
-def _basic_space(metric=Metric.COSINE_DISTANCE):
+def _basic_space():
     return _space(
         [
             ("S", Concept.STATE),
@@ -33,7 +33,6 @@ def _basic_space(metric=Metric.COSINE_DISTANCE):
             [-1.0, 0.0],
             [1.0, 0.0],
         ],
-        metric,
     )
 
 
@@ -124,14 +123,11 @@ def _brute_force(space, state, radius):
         if space.vocab.concept(idx) is not Concept.ACTION:
             continue
         av = space.matrix[idx]
-        if space.metric is Metric.EUCLIDEAN:
-            d = float(np.sqrt(((sv - av) ** 2).sum()))
-        else:
-            na = float(np.sqrt((sv**2).sum()))
-            nb = float(np.sqrt((av**2).sum()))
-            if nb == 0.0:
-                continue
-            d = 1.0 - float((sv * av).sum()) / (na * nb)
+        na = float(np.sqrt((sv**2).sum()))
+        nb = float(np.sqrt((av**2).sum()))
+        if nb == 0.0:
+            continue
+        d = 1.0 - float((sv * av).sum()) / (na * nb)
         if d <= radius:
             out.append((space.vocab.name(idx), d))
     out.sort(key=lambda pair: (pair[1], pair[0]))
@@ -145,8 +141,7 @@ def assert_same_hits(fast, slow):
         assert df == pytest.approx(ds, abs=1e-9)
 
 
-@pytest.mark.parametrize("metric", [Metric.COSINE_DISTANCE, Metric.EUCLIDEAN])
-def test_find_closest_matches_brute_force_on_random_fixtures(metric):
+def test_find_closest_matches_brute_force_on_random_fixtures():
     rng = np.random.default_rng(77)
     for _trial in range(30):
         n = int(rng.integers(3, 20))
@@ -156,27 +151,12 @@ def test_find_closest_matches_brute_force_on_random_fixtures(metric):
             for k in range(n)
         ]
         matrix = rng.normal(size=(n + 1, int(rng.integers(2, 8))))
-        space = _space(vocab_rows, matrix, metric)
+        space = _space(vocab_rows, matrix)
         radius = float(rng.uniform(0.1, 2.0))
         assert_same_hits(
             space.find_closest_actions("State_0", radius),
             _brute_force(space, "State_0", radius),
         )
-
-
-def test_euclidean_triangle_inequality():
-    rng = np.random.default_rng(5)
-    space = _space(
-        [(f"E{k}", Concept.ACTION) for k in range(6)], rng.normal(size=(6, 4)), Metric.EUCLIDEAN
-    )
-    names = [f"E{k}" for k in range(6)]
-    distance = {a: _distances_from(space, a) for a in names}
-    for a in names:
-        assert distance[a][a] == 0.0
-        for b in names:
-            assert distance[a][b] == pytest.approx(distance[b][a])
-            for c in names:
-                assert distance[a][c] <= distance[a][b] + distance[b][c] + 1e-12
 
 
 def test_load_tsv_row_count_mismatch(tmp_path):
@@ -247,16 +227,13 @@ def _comprehension_reference(space, state_name, radius):
     all_norms = np.linalg.norm(space.matrix, axis=1)
     query = space.matrix[idx]
     rows = space.matrix[action_indices]
-    if space.metric is Metric.EUCLIDEAN:
-        distances = np.linalg.norm(rows - query, axis=1)
-    else:
-        qn = all_norms[idx]
-        if qn == 0.0:
-            raise ValueError("cosine distance is undefined for zero-norm vectors")
-        norms = all_norms[action_indices]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            distances = 1.0 - (rows @ query) / (norms * qn)
-        distances[norms == 0.0] = np.inf
+    qn = all_norms[idx]
+    if qn == 0.0:
+        raise ValueError("cosine distance is undefined for zero-norm vectors")
+    norms = all_norms[action_indices]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        distances = 1.0 - (rows @ query) / (norms * qn)
+    distances[norms == 0.0] = np.inf
     hits = [
         (space.vocab.name(int(ai)), float(d))
         for ai, d in zip(action_indices, distances)
@@ -294,8 +271,7 @@ def _fuzzed_spaces(draw):
             matrix[k, 0] = np.nan
     if draw(st.integers(0, 3)) == 0:
         matrix[0] = 0.0
-    metric = draw(st.sampled_from(list(Metric)))
-    return _space(rows, matrix, metric)
+    return _space(rows, matrix)
 
 
 _RADII = st.one_of(
@@ -328,15 +304,14 @@ def test_array_search_equals_the_comprehension_on_ties_and_name_order():
         ("C", Concept.ACTION),
     ]
     matrix = [[1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]
-    for metric in Metric:
-        space = _space(rows, matrix, metric)
-        # growing, then shrinking and repeated radii: later ones read a kept row
-        for radius in (0.0, 0.5, 1.0, 1.5, 2.0, np.inf, 1.0, 0.0, 0.0, 1e308):
-            expected = _comprehension_reference(space, "S", radius)
-            assert space.find_closest_actions("S", radius) == expected
-        assert [n for n, _ in space.find_closest_actions("S", np.inf)] == ["C", "B", "a", "A_2"]
-        assert space.find_closest_actions("S", -1.0) == []
-        assert space.find_closest_actions("S", np.nan) == []
+    space = _space(rows, matrix)
+    # growing, then shrinking and repeated radii: later ones read a kept row
+    for radius in (0.0, 0.5, 1.0, 1.5, 2.0, np.inf, 1.0, 0.0, 0.0, 1e308):
+        expected = _comprehension_reference(space, "S", radius)
+        assert space.find_closest_actions("S", radius) == expected
+    assert [n for n, _ in space.find_closest_actions("S", np.inf)] == ["C", "B", "a", "A_2"]
+    assert space.find_closest_actions("S", -1.0) == []
+    assert space.find_closest_actions("S", np.nan) == []
 
 
 def test_zero_norm_query_is_rejected_only_with_actions():
@@ -345,10 +320,6 @@ def test_zero_norm_query_is_rejected_only_with_actions():
         with_actions.find_closest_actions("S", 1.0)
     without = _space([("S", Concept.STATE), ("X", Concept.ACTIVITY)], [[0.0, 0.0], [1.0, 0.0]])
     assert without.find_closest_actions("S", 1.0) == []
-    euclidean = _space(
-        [("S", Concept.STATE), ("A", Concept.ACTION)], [[0.0, 0.0], [1.0, 0.0]], Metric.EUCLIDEAN
-    )
-    assert euclidean.find_closest_actions("S", 1.0) == [("A", 1.0)]
 
 
 # --- the kept row: later searches from a state read what the first built ---
