@@ -8,7 +8,7 @@ initial state and print the ranked table plus the per-round trace.
 
 import sys
 
-from mdpcompose.composer import ComposerConfig, compose, policy_table_json
+from mdpcompose.composer import compose, policy_table_json
 from mdpcompose.embedding import DESK_SCALE, TrainConfig, build_vocabulary, train
 from mdpcompose.sample_corpus import corpus_graphs, mini_corpus
 from mdpcompose.simulation import initial_state
@@ -24,7 +24,7 @@ def main() -> int:
     space = space_from_table(vocab, table)
 
     graph = graphs["Watch_TV_49"]
-    policy, trace = compose(graph, space, initial_state(graph, "Watch_TV_49"), ComposerConfig())
+    policy, trace = compose(graph, space, initial_state(graph, "Watch_TV_49"))
 
     print("policy table:")
     print(policy_table_json(policy))

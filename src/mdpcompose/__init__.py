@@ -1,7 +1,7 @@
 """Activity knowledge graphs, entity embeddings and on-demand policy
 composition by agent ensembles, with a DQN training baseline."""
 
-from .composer import ComposerConfig, PolicyTable, compose, policy_table_json
+from .composer import PolicyTable, compose, policy_table_json
 from .embedding import TrainConfig, build_vocabulary, export_tsv, train
 from .hmm import HmmModel, LogRow, fit_hmm, hmm_to_kg, most_likely_next, viterbi_path
 from .json_io import from_json, to_json
@@ -14,7 +14,6 @@ from .vhome import VhCorpus, VhScript, load_corpus, parse_script, script_to_kg
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComposerConfig",
     "EmbeddingSpace",
     "HmmModel",
     "KnowledgeGraph",

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .bench import mean_commit_radius, radius_rows, run_benchmark
-from .composer import ComposerConfig, compose, policy_table_json
+from .composer import MAX_DISTANCE, RADIUS_CAP, compose, policy_table_json
 from .embedding import DESK_SCALE, TrainConfig, Vocabulary, build_vocabulary, export_tsv, train
 from .errors import (
     ActivityTerminatedError,
@@ -71,14 +71,14 @@ def _cmd_ingest(args) -> int:
             continue
         graphs[script.activity_name] = graph
         kept.append(script)
+    skipped = len(corpus.skipped_files) + len(corpus.scripts) - len(kept)
     if not graphs:
-        print("no scripts found", file=sys.stderr)
+        print(f"all {skipped} scripts skipped" if skipped else "no scripts found", file=sys.stderr)
         return 1
     written = save_store(graphs, args.out)
     histogram = VhCorpus(scripts=kept).length_histogram()
     print(f"ingested {len(written)} activities into {args.out}")
     print("sequence length histogram: " + json.dumps(histogram, sort_keys=True))
-    skipped = len(corpus.skipped_files) + len(corpus.scripts) - len(kept)
     if skipped:
         print(f"skipped {skipped} files", file=sys.stderr)
     return 0
@@ -136,8 +136,7 @@ def _cmd_compose(args) -> int:
         print(f"bad --state JSON: {exc}", file=sys.stderr)
         return 1
     graph, state = resolve_policy_request(store, body)
-    cfg = ComposerConfig(max_distance=args.max_distance)
-    table, _trace = compose(graph, space, state, cfg)
+    table, _trace = compose(graph, space, state, args.max_distance)
     print(policy_table_json(table))
     return 0
 
@@ -200,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--embeddings", required=True, help="TSV path prefix")
     p.add_argument("--state", required=True, help='request JSON (or @file)')
-    p.add_argument("--max-distance", type=float, default=0.25)
+    p.add_argument("--max-distance", type=float, default=MAX_DISTANCE, help=f"start radius, in (0, {RADIUS_CAP}]")
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("bench", help="run the composer vs DQN benchmark")

@@ -3,10 +3,10 @@
 Starting from a recognized state, each round finds the actions whose
 embeddings lie within the current search radius, gives each candidate one
 agent step, and keeps the reward-maximising outcome. When none improves the
-reward the radius grows by a fixed step, up to the radius cap, which is
-tried itself even when the steps skip it; a commit resets it. The loop ends
-at a goal state and returns the ranked policy table and a trace of every
-round.
+reward the radius grows by RADIUS_STEP up to RADIUS_CAP, which is tried
+itself even when the steps skip it; a commit resets it to the start
+radius. The loop ends at a goal state and returns the ranked policy table
+and a trace of every round.
 
 The work is done once per commit. The radius only grows and hits come in
 (distance, name) order, so a round's candidates extend the last round's
@@ -26,7 +26,6 @@ one after another: under the GIL, threads would add no parallelism.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from .errors import CompositionFailureError
@@ -44,24 +43,9 @@ from .simulation import (
 from .space import EmbeddingSpace
 
 
-@dataclass
-class ComposerConfig:
-    max_distance: float = 0.25  # initial search radius
-    radius_step: float = 0.25
-    radius_cap: float = 2.0  # the maximum cosine distance
-    step_budget: int | None = None  # rounds per episode; default 50 x states
-
-    def __post_init__(self):
-        if not math.isfinite(self.radius_cap):  # never passed: only the budget would end it
-            raise ValueError("radius_cap must be a finite number")
-        if not (0 < self.max_distance <= self.radius_cap):
-            raise ValueError("max_distance must be in (0, radius_cap]")
-        # a radius that cannot grow, or no round at all, could only end in
-        # an exhausted step budget
-        if not (math.isfinite(self.radius_step) and self.radius_step > 0):
-            raise ValueError("radius_step must be a finite number > 0")
-        if self.step_budget is not None and self.step_budget < 1:
-            raise ValueError("step_budget must be at least 1")
+MAX_DISTANCE = 0.25  # the default start radius
+RADIUS_STEP = 0.25
+RADIUS_CAP = 2.0  # the maximum cosine distance
 
 
 @dataclass(frozen=True)
@@ -140,25 +124,27 @@ def compose(
     graph: KnowledgeGraph,
     space: EmbeddingSpace,
     initial_state: SimState,
-    cfg: ComposerConfig | None = None,
+    max_distance: float = MAX_DISTANCE,
 ) -> tuple[PolicyTable, CompositionTrace]:
     """Compose a ranked action sequence for the given starting state.
 
-    Raises UnknownSituationError when the state is not recognized and
-    CompositionFailureError when the radius cap or step budget is exhausted
-    without reaching a goal.
+    Raises ValueError unless 0 < max_distance <= RADIUS_CAP, the start
+    radius; UnknownSituationError when the state is not recognized and
+    CompositionFailureError when the radius cap or the step budget,
+    ``default_step_limit`` rounds, is exhausted without reaching a goal.
     """
-    cfg = cfg or ComposerConfig()
+    if not 0 < max_distance <= RADIUS_CAP:  # a NaN fails too
+        raise ValueError(f"max_distance must be in (0, {RADIUS_CAP}], got {max_distance}")
 
     # after a commit, None until the first candidate found in the graph
     start = start_state(graph, initial_state)
     current = start.state
-    budget = cfg.step_budget if cfg.step_budget is not None else default_step_limit(graph)
+    budget = default_step_limit(graph)
     trace = CompositionTrace()
     committed_actions: list[str] = []
     committed_rewards: list[float] = []
     alternatives: dict[tuple[str, ...], tuple[tuple[float, ...], float]] = {}
-    radius = cfg.max_distance
+    radius = max_distance
     penalty = wrong_step_reward(current.reward)  # of every charged candidate
     seen = 0  # the commit's candidates classified so far
     movers: set[str] | None = None  # actions with a scoped transition from `start`
@@ -203,14 +189,14 @@ def compose(
         trace.rounds.append(round_record)
 
         if best is None or best[1].reward <= current.reward:
-            grown = radius + cfg.radius_step
-            if grown > cfg.radius_cap + 1e-12:
-                if radius >= cfg.radius_cap - 1e-12:
+            grown = radius + RADIUS_STEP
+            if grown > RADIUS_CAP + 1e-12:
+                if radius >= RADIUS_CAP - 1e-12:
                     raise CompositionFailureError(
                         f"no reward-improving action within radius cap "
-                        f"{cfg.radius_cap} from state {current.state_label!r}"
+                        f"{RADIUS_CAP} from state {current.state_label!r}"
                     )
-                grown = cfg.radius_cap  # the steps skip the cap: try it once
+                grown = RADIUS_CAP  # the steps skip the cap: try it once
             radius = grown
             continue
 
@@ -230,7 +216,7 @@ def compose(
         penalty = wrong_step_reward(current.reward)
         moved.clear()
         goals.clear()
-        radius = cfg.max_distance
+        radius = max_distance
 
     trace.cumulative_reward = sum(committed_rewards)
 

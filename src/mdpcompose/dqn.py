@@ -4,8 +4,10 @@ A one-hidden-layer network maps a one-hot state encoding to one Q-value per
 activity action. Training is epsilon-greedy with a ring-buffer experience
 replay; each environment step performs one minibatch temporal-difference
 update toward r + gamma * max_a' Q(s', a') (plain r on terminal moves).
-The per-step reward signal is the change of the simulation's running
-reward, so correct moves yield +0.25 and wrong ones -0.25.
+The hyper-parameters are module constants; training stops after the first
+episode whose greedy walk succeeds. The per-step reward signal is the
+change of the simulation's running reward, so correct moves yield +0.25
+and wrong ones -0.25.
 
 A minibatch draws its rows from only the activity's few states, so each TD
 update works on per-state tables: one hidden table tanh(w1 + b1) and one Q
@@ -23,7 +25,7 @@ final state in exactly that many steps, so a longer walk cannot succeed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,30 +34,18 @@ from .kg import KnowledgeGraph
 from .simulation import initial_state, make_simulation
 
 
+LEARNING_RATE = 0.05
+EPSILON = 0.9  # exploration rate while training; 0 when evaluating
+GAMMA = 0.9
+HIDDEN_UNITS = 100
+REPLAY_CAPACITY = 5000
+REPLAY_BATCH = 64
+
+
 @dataclass
 class DqnConfig:
-    learning_rate: float = 0.05
-    epsilon: float = 0.9  # exploration rate while training; 0 when evaluating
-    gamma: float = 0.9
     episode_cap: int = 100
-    hidden_units: int = 100
-    replay_capacity: int = 5000
-    replay_batch: int = 64
     rng_seed: int = 0
-    stop_on_success: bool = True
-
-    def __post_init__(self):
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValueError("epsilon must be in [0, 1]")
-        if not (0.0 <= self.gamma < 1.0):
-            raise ValueError("gamma must be in [0, 1)")
-
-
-@dataclass
-class EpisodeStats:
-    steps: int = 0
-    wrong: int = 0
-    reward: float = 0.0
 
 
 @dataclass
@@ -65,7 +55,6 @@ class TrainingRecord:
     wrong_decisions: int = 0
     cumulative_reward: float = 0.0
     success: bool = False
-    per_episode: list[EpisodeStats] = field(default_factory=list)
 
 
 class QNetwork:
@@ -192,20 +181,20 @@ def train_dqn(graph: KnowledgeGraph, activity_name: str, cfg: DqnConfig | None =
     max_steps = 50 * max(1, len(actions))  # per training episode
 
     rng = np.random.default_rng(cfg.rng_seed)
-    net = QNetwork(states, actions, cfg.hidden_units, rng)
-    replay = ReplayBuffer(cfg.replay_capacity)
+    net = QNetwork(states, actions, HIDDEN_UNITS, rng)
+    replay = ReplayBuffer(REPLAY_CAPACITY)
     record = TrainingRecord()
 
     for _episode in range(cfg.episode_cap):
         record.episodes_used += 1
-        stats = EpisodeStats()
+        steps, wrong, reward = 0, 0, 0.0
         start = initial_state(graph, activity_name)
         closure = make_simulation(graph, start)
         current = start
         s_idx = net.state_index[current.state_label]
 
-        while not current.is_final and stats.steps < max_steps:
-            if rng.random() < cfg.epsilon:
+        while not current.is_final and steps < max_steps:
+            if rng.random() < EPSILON:
                 a_idx = int(rng.integers(len(actions)))
             else:
                 a_idx = int(np.argmax(net.q_values(s_idx)))
@@ -217,13 +206,13 @@ def train_dqn(graph: KnowledgeGraph, activity_name: str, cfg: DqnConfig | None =
                 break  # left the activity's state set; abandon the episode
             replay.push(s_idx, a_idx, delta, next_idx, result.is_final)
 
-            stats.steps += 1
-            stats.reward += delta
+            steps += 1
+            reward += delta
             if delta < 0:
-                stats.wrong += 1
+                wrong += 1
 
-            if replay.size >= cfg.replay_batch:
-                picks = replay.sample_indices(rng, cfg.replay_batch)
+            if replay.size >= REPLAY_BATCH:
+                picks = replay.sample_indices(rng, REPLAY_BATCH)
                 batch = (
                     replay.state[picks],
                     replay.action[picks],
@@ -231,28 +220,25 @@ def train_dqn(graph: KnowledgeGraph, activity_name: str, cfg: DqnConfig | None =
                     replay.next_state[picks],
                     replay.terminal[picks],
                 )
-                loss, grads = td_loss_and_grads(net, batch, cfg.gamma)
+                loss, grads = td_loss_and_grads(net, batch, GAMMA)
                 if not math.isfinite(loss):
                     raise TrainingDivergenceError(
                         f"non-finite TD loss in episode {record.episodes_used}"
                     )
                 # the four gradients share one vector laid out like params
-                net.params -= cfg.learning_rate * grads["w1"].base
+                net.params -= LEARNING_RATE * grads["w1"].base
 
             current = result
             s_idx = next_idx
 
-        record.total_steps += stats.steps
-        record.wrong_decisions += stats.wrong
-        record.cumulative_reward += stats.reward
-        record.per_episode.append(stats)
+        # added once per episode, so the record's float sum keeps its order
+        record.total_steps += steps
+        record.wrong_decisions += wrong
+        record.cumulative_reward += reward
 
-        if cfg.stop_on_success and evaluate_greedy(net, graph, activity_name):
+        if evaluate_greedy(net, graph, activity_name):
             record.success = True
             break
-
-    if not cfg.stop_on_success and record.episodes_used:
-        record.success = evaluate_greedy(net, graph, activity_name)
     return net, record
 
 

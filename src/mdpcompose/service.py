@@ -22,7 +22,7 @@ lines, else 431), into a dict of lower-cased names in which the first of
 repeated fields wins. A line that is not ``name: value``, such as an
 obs-fold continuation or one holding a bare CR or another control byte,
 gets a 400 and closes the connection. Each response goes out in one
-write, its head and body together.
+write, its head and body together, ``send_error``'s replies too.
 A response after which the connection may still hold unread bytes of the
 request (404 on POST, 413, the 400 for a malformed Content-Length or a
 stalled body, a GET with a Content-Length, and any request framed by
@@ -36,6 +36,7 @@ GIL more threads per request would add overhead and no parallelism.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import re
@@ -241,6 +242,15 @@ class _Handler(BaseHTTPRequestHandler):
         if headers.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
             return self.handle_expect_100()
         return True
+
+    def send_error(self, code, message=None, explain=None):
+        """BaseHTTPRequestHandler.send_error, its head and body sent in one write."""
+        wfile, self.wfile = self.wfile, io.BytesIO()
+        try:
+            super().send_error(code, message, explain)
+        finally:
+            reply, self.wfile = self.wfile.getvalue(), wfile
+        wfile.write(reply)
 
     def _send(self, status: int, payload: bytes, close: bool = False):
         """Send the head and ``payload`` in one write."""

@@ -141,10 +141,10 @@ def test_dqn_training_reaches_the_traced_update_and_evaluation(monkeypatch, grap
     # the dqn.* layers time these module bindings; a learner that calls
     # around them must fail here, not read 0 in a traced run
     counts = _count_calls(monkeypatch, dqn, ["td_loss_and_grads", "evaluate_greedy"])
-    cfg = dqn.DqnConfig(episode_cap=2, rng_seed=3, stop_on_success=False)
+    cfg = dqn.DqnConfig(episode_cap=2, rng_seed=3)
     _net, record = dqn.train_dqn(graphs["Watch_TV_49"], "Watch_TV_49", cfg)
-    assert counts["td_loss_and_grads"] == record.total_steps - cfg.replay_batch + 1
-    assert counts["evaluate_greedy"] == 1
+    assert counts["td_loss_and_grads"] == record.total_steps - dqn.REPLAY_BATCH + 1
+    assert counts["evaluate_greedy"] == record.episodes_used
 
 
 def test_embedding_training_reaches_the_traced_batch_calls(monkeypatch, graph_list, vocab):

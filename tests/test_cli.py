@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import random
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_graph
+from conftest import NAME_ALPHABETS, make_random_graph
 from mdpcompose import cli
 from mdpcompose.cli import main
 from mdpcompose.errors import (
@@ -133,6 +140,63 @@ def test_ingest_into_a_store_checks_the_graphs_already_there(tmp_path, capsys, c
     assert sorted(p.name for p in store.glob("*.ttl")) == ["Cook.ttl", "Sit.ttl", "Walk_kitchen_1.ttl"]
     out = tmp_path / "emb"
     assert main(["train", "--store", str(store), "--out", str(out), "--iterations", "0", "--dim", "4"]) == 0
+
+
+def test_ingest_that_skips_every_script_says_so(tmp_path, capsys):
+    store = tmp_path / "store"
+    for run, text in (("first", "Walk kitchen 1\nx\n\n[Sit] <couch> (1)\n"),
+                      ("second", "Cook\nx\n\n[Walk] <kitchen> (1)\n")):
+        (tmp_path / run).mkdir()
+        (tmp_path / run / "script.txt").write_text(text)
+    assert main(["ingest", str(tmp_path / "first"), "--out", str(store)]) == 0
+    capsys.readouterr()
+    # the action Walk_kitchen_1 is an activity of the store
+    assert main(["ingest", str(tmp_path / "second"), "--out", str(store)]) == 1
+    assert "all 1 scripts skipped" in capsys.readouterr().err
+    assert [p.name for p in store.glob("*.ttl")] == ["Walk_kitchen_1.ttl"]
+
+
+def _run(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(NAME_ALPHABETS), st.data())
+def test_a_store_that_ingest_accepts_trains_and_composes(alphabet, data):
+    # a few words make every name, so that names collide across scripts: a
+    # script named like another's step, two scripts of one name, one step twice
+    words = data.draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=6), min_size=1, max_size=4))
+    word = st.sampled_from(words)
+    name = st.one_of(word, st.builds("{} {} {}".format, word, word, st.integers(1, 2)))
+    step = st.builds("[{}] <{}> ({})".format, word, word, st.integers(1, 2))
+    scripts = data.draw(st.lists(st.tuples(name, st.lists(step, min_size=1, max_size=3)), min_size=1, max_size=4))
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        (root / "scripts").mkdir()
+        for k, (title, steps) in enumerate(scripts):
+            text = "\n".join([title, "x", "", *steps]) + "\n"
+            (root / "scripts" / f"{k:02d}.txt").write_text(text, encoding="utf-8")
+        store, emb = root / "store", root / "emb"
+        code, err = _run(["ingest", str(root / "scripts"), "--out", str(store)])
+        if code == 1:
+            assert f"all {len(scripts)} scripts skipped" in err
+            return
+        assert code == 0
+        kept = load_store(store).graphs
+        skipped = re.search(r"skipped (\d+) files", err)
+        assert len(kept) + (int(skipped[1]) if skipped else 0) == len(scripts)
+        train = ["train", "--store", str(store), "--out", str(emb), "--dim", "4"]
+        assert _run(train + ["--iterations", "2", "--epochs", "1", "--batch", "8"])[0] == 0
+        for graph in kept:
+            (activity,) = graph.activities
+            initial = next(s for s in activity.states if graph.get(s).is_initial_state)
+            state = json.dumps({"stateName": initial})
+            compose = ["compose", "--store", str(store), "--embeddings", str(emb), "--state", state]
+            assert _run(compose)[0] == 0
 
 
 def test_derive_refuses_a_name_it_cannot_write(tmp_path, capsys):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import make_random_graph
 from mdpcompose import composer
 from mdpcompose.composer import (
-    ComposerConfig,
     CompositionTrace,
     PolicyRow,
     PolicyTable,
@@ -139,8 +138,7 @@ def test_committed_rewards_strictly_increase(graphs, desk_space):
 
 def test_radius_resets_after_commit(graphs, desk_space):
     g = graphs["Clean_kitchen"]
-    cfg = ComposerConfig(max_distance=0.25)
-    _, trace = compose(g, desk_space, _start(g, "Clean_kitchen"), cfg)
+    _, trace = compose(g, desk_space, _start(g, "Clean_kitchen"), max_distance=0.25)
     committed_rounds = [r for r in trace.rounds if r.committed]
     for i, r in enumerate(trace.rounds):
         if i == 0 or trace.rounds[i - 1].committed:
@@ -296,17 +294,17 @@ def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeyp
 # --- the reference composition: a fresh closure per agent ----------------
 
 
-def _reference_compose(graph, space, initial_state, cfg=None):
+def _reference_compose(graph, space, initial_state, max_distance=0.25):
     """``compose`` with every agent run by ``_run_agent``: a candidate's
-    start state is validated by its own ``make_simulation`` call."""
-    cfg = cfg or ComposerConfig()
+    start state is validated by its own ``make_simulation`` call. The radius
+    grows by 0.25 up to 2.0, and the budget is 50 rounds per state."""
     current = start_state(graph, initial_state).state
-    budget = cfg.step_budget if cfg.step_budget is not None else 50 * max(1, len(graph.states))
+    budget = 50 * max(1, len(graph.states))
     trace = CompositionTrace()
     committed_actions, committed_rewards = [], []
     alternatives = {}
     simulated = {}
-    radius = cfg.max_distance
+    radius = max_distance
     while not current.is_goal:
         if len(trace.rounds) >= budget:
             raise CompositionFailureError(f"step budget {budget} exhausted before reaching a goal")
@@ -321,14 +319,14 @@ def _reference_compose(graph, space, initial_state, cfg=None):
         record.results = [(r.action, r.state.reward) for r in results]
         best = select_best(results) if results else None
         if best is None or best.state.reward <= current.reward:
-            grown = radius + cfg.radius_step
-            if grown > cfg.radius_cap + 1e-12:
-                if radius >= cfg.radius_cap - 1e-12:
+            grown = radius + 0.25
+            if grown > 2.0 + 1e-12:
+                if radius >= 2.0 - 1e-12:
                     raise CompositionFailureError(
                         f"no reward-improving action within radius cap "
-                        f"{cfg.radius_cap} from state {current.state_label!r}"
+                        f"2.0 from state {current.state_label!r}"
                     )
-                grown = cfg.radius_cap
+                grown = 2.0
             radius = grown
             continue
         for result in results:
@@ -341,7 +339,7 @@ def _reference_compose(graph, space, initial_state, cfg=None):
         committed_rewards.append(best.state.reward)
         current = best.state
         simulated.clear()
-        radius = cfg.max_distance
+        radius = max_distance
     trace.cumulative_reward = sum(committed_rewards)
     rows = [(tuple(committed_actions), tuple(committed_rewards), trace.cumulative_reward)]
     rows += [(a, r, c) for a, (r, c) in alternatives.items() if a != rows[0][0]]
@@ -380,7 +378,8 @@ def test_desk_compositions_match_the_reference(graphs, desk_space):
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**6),
-    st.sampled_from([0.125, 0.25, 0.5]),
+    # 0.3 steps past the cap, which is then tried itself
+    st.sampled_from([0.125, 0.25, 0.3, 0.5]),
     st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
 )
 def test_fuzzed_compositions_match_the_reference(seed, radius, steps_left):
@@ -388,8 +387,7 @@ def test_fuzzed_compositions_match_the_reference(seed, radius, steps_left):
     vocab = build_vocabulary([graph])
     space = EmbeddingSpace(vocab, np.random.default_rng(seed).normal(size=(len(vocab), 8)))
     start = _with_steps_left(graph, _start(graph, graph.activities[0].name), steps_left)
-    cfg = ComposerConfig(max_distance=radius, radius_step=radius)
-    _assert_matches_reference(graph, space, start, cfg)
+    _assert_matches_reference(graph, space, start, max_distance=radius)
 
 
 # --- the desk policy bytes and traces ------------------------------------
@@ -557,10 +555,9 @@ def test_composition_fails_beyond_radius_cap():
         ]
     )
     bad_start = SimState(feature_values={"IsPressed": 0.0}, state_label="Ready")
-    cfg = ComposerConfig(radius_cap=0.5)
     broken = _single_action_graph(goal_action="Unreachable_1")
-    with pytest.raises(CompositionFailureError):
-        compose(broken, space, bad_start, cfg)
+    with pytest.raises(CompositionFailureError, match="radius cap 2.0"):
+        compose(broken, space, bad_start)
 
 
 def test_foreign_candidate_actions_are_penalized_not_fatal():
@@ -637,20 +634,34 @@ def test_alternative_goal_paths_become_lower_ranks():
     assert table.rows[0].cumulative == table.rows[1].cumulative == pytest.approx(0.25)
 
 
-def test_step_budget_exhaustion_raises():
-    g = _two_goal_graph()
+def test_step_budget_exhaustion_raises(monkeypatch):
+    # Go_1 leads from A to C and Go_2 back, where A's rule pins Pos to 0
+    # again; the final state D is never reached and no state is a goal.
+    # Every commit of the sequential loop gains 0.25, so each round commits
+    # until the 150 rounds of three states run out
+    g = _graph({"Loop": (True, "ACD", "A", "D", "", [("Go_1", "A", "C"), ("Go_2", "C", "A")])})
     space = _space_with(
         [
-            ("Begin", Concept.STATE, [1.0, 0.0]),
-            ("Finished", Concept.STATE, [0.0, 1.0]),
-            ("Route_a", Concept.ACTION, [-1.0, 0.0]),
-            ("Route_b", Concept.ACTION, [-1.0, 0.0]),
+            ("A", Concept.STATE, _at(0)),
+            ("C", Concept.STATE, _at(0)),
+            ("Go_1", Concept.ACTION, _at(10)),
+            ("Go_2", Concept.ACTION, _at(20)),
         ]
     )
-    cfg = ComposerConfig(step_budget=2)
-    with pytest.raises(CompositionFailureError) as err:
-        compose(g, space, SimState(feature_values={"Done": 0.0}, state_label="Begin"), cfg)
-    assert "budget" in str(err.value)
+    radii = []
+    find = EmbeddingSpace.find_closest_actions
+
+    def recording(self, state_name, radius):
+        radii.append(radius)
+        return find(self, state_name, radius)
+
+    monkeypatch.setattr(EmbeddingSpace, "find_closest_actions", recording)
+    start = SimState(feature_values={"Pos": 0.0}, state_label="A")
+    with pytest.raises(CompositionFailureError, match="step budget 150 exhausted"):
+        compose(g, space, start)
+    assert radii == [0.25] * 150
+    outcome = _assert_matches_reference(g, space, start)
+    assert outcome == (CompositionFailureError, "step budget 150 exhausted before reaching a goal")
 
 
 def test_policy_json_shape():
@@ -672,28 +683,13 @@ def test_policy_json_shape():
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        ComposerConfig(max_distance=0.0)
-    with pytest.raises(ValueError):
-        ComposerConfig(max_distance=3.0, radius_cap=2.0)
-
-
-@pytest.mark.parametrize("radius_step", [0.0, -0.25, float("nan"), float("inf")])
-def test_radius_step_must_be_finite_and_positive(radius_step):
-    with pytest.raises(ValueError, match="radius_step"):
-        ComposerConfig(radius_step=radius_step)
-
-
-@pytest.mark.parametrize("radius_cap", [float("inf"), float("nan")])
-def test_radius_cap_must_be_finite(radius_cap):
-    with pytest.raises(ValueError, match="radius_cap"):
-        ComposerConfig(radius_cap=radius_cap)
-
-
-@pytest.mark.parametrize("step_budget", [0, -1])
-def test_step_budget_must_allow_a_round(step_budget):
-    with pytest.raises(ValueError, match="step_budget"):
-        ComposerConfig(step_budget=step_budget)
+    # a start radius outside (0, 2.0] is checked before any work: the state
+    # would raise UnknownSituationError
+    g = _single_action_graph()
+    space = _space_with([("Ready", Concept.STATE, [1.0, 0.0])])
+    for max_distance in (0.0, 3.0, float("nan")):
+        with pytest.raises(ValueError, match="max_distance"):
+            compose(g, space, SimState(feature_values={"Nothing": 1.0}), max_distance=max_distance)
 
 
 # --- error paths against the reference -----------------------------------
@@ -831,7 +827,7 @@ def test_rounds_mixing_every_kind_of_candidate_fail_like_the_reference():
         "Step_1", "Step_2", "Foreign", "Pos", "Advance",
     ]
     start = SimState(feature_values={"Pos": 0.0}, state_label="A")
-    outcome = _assert_matches_reference(g, space, start, ComposerConfig(max_distance=0.5))
+    outcome = _assert_matches_reference(g, space, start, max_distance=0.5)
     assert outcome == (UnknownEntityError, "unknown action 'Pos'")
 
 
@@ -847,7 +843,7 @@ def test_mixed_rounds_from_a_stuck_start_fail_like_the_reference(label, step_ind
     start = _with_steps_left(
         g, SimState(feature_values=features, state_label=label, step_index=step_index), 3
     )
-    outcome = _assert_matches_reference(g, space, start, ComposerConfig(max_distance=0.5))
+    outcome = _assert_matches_reference(g, space, start, max_distance=0.5)
     assert _error_of(outcome) is error
 
 
@@ -1028,21 +1024,21 @@ def test_a_penalty_lost_beside_a_huge_reward_is_no_wrong_decision():
 @given(
     st.integers(min_value=0, max_value=10**6),
     st.one_of(
-        # radii that land on the cap
-        st.sampled_from([(0.125, 0.125), (0.25, 0.25), (0.5, 0.25), (0.5, 0.5), (2.0, 0.25)]),
-        # radii whose steps skip the cap, so only the cap itself reaches
-        # every action
-        st.tuples(st.floats(min_value=0.01, max_value=2.0), st.floats(min_value=0.05, max_value=1.0)),
+        # start radii whose steps land on the cap
+        st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        # start radii whose steps skip the cap, so only the cap itself
+        # reaches every action
+        st.floats(min_value=0.01, max_value=2.0),
     ),
 )
-def test_composition_invariants_on_fuzzed_graphs(seed, radii):
-    _check_composition_invariants(seed, *radii)
+def test_composition_invariants_on_fuzzed_graphs(seed, max_distance):
+    _check_composition_invariants(seed, max_distance)
 
 
 def test_composition_reaches_a_radius_cap_off_the_step_grid():
     # radii 0.05, 0.30, ..., 1.80 never reach the cap of 2.0; A5608_5 lies
     # at 1.842 from S5608_4_Done, so only the cap itself finds it
-    trace = _check_composition_invariants(186, 0.05, 0.25)
+    trace = _check_composition_invariants(186, 0.05)
     assert 2.0 in trace.commit_radii
 
 
@@ -1063,19 +1059,18 @@ def test_radius_cap_off_the_step_grid_is_tried_once_before_failing(monkeypatch):
         ]
     )
     start = SimState(feature_values={"IsPressed": 0.0}, state_label="Ready")
-    cfg = ComposerConfig(max_distance=0.2, radius_step=0.25, radius_cap=0.5)
     with pytest.raises(CompositionFailureError):
-        compose(_single_action_graph(goal_action="Unreachable_1"), space, start, cfg)
-    assert radii == [0.2, 0.45, 0.5]
+        compose(_single_action_graph(goal_action="Unreachable_1"), space, start, max_distance=0.2)
+    # 0.2, 0.45, ..., 1.95, then the cap
+    assert radii == pytest.approx([0.2 + 0.25 * k for k in range(8)] + [2.0])
 
 
-def _check_composition_invariants(seed, max_distance, radius_step):
+def _check_composition_invariants(seed, max_distance):
     g = make_random_graph(random.Random(seed))
     vocab = build_vocabulary([g])
     matrix = np.random.default_rng(seed).normal(size=(len(vocab), 8))
-    cfg = ComposerConfig(max_distance=max_distance, radius_step=radius_step)
     name = g.activities[0].name
-    table, trace = compose(g, EmbeddingSpace(vocab, matrix), _start(g, name), cfg)
+    table, trace = compose(g, EmbeddingSpace(vocab, matrix), _start(g, name), max_distance)
 
     committed = [r for r in trace.rounds if r.committed]
     # committed rewards strictly increase
@@ -1086,13 +1081,13 @@ def _check_composition_invariants(seed, max_distance, radius_step):
     assert table.rows[0].rank == 1
     assert table.rows[0].actions == tuple(r.chosen for r in committed)
     assert [row.rank for row in table.rows] == list(range(1, len(table.rows) + 1))
-    # radii grow by one step, up to the cap, between commits and reset
+    # radii grow by 0.25, up to the cap of 2.0, between commits and reset
     # after each commit
     for previous, current in zip([None] + trace.rounds, trace.rounds):
         if previous is None or previous.committed:
             assert current.radius == max_distance
         else:
-            assert current.radius == pytest.approx(min(previous.radius + radius_step, cfg.radius_cap))
+            assert current.radius == pytest.approx(min(previous.radius + 0.25, 2.0))
     assert trace.commit_radii == [r.radius for r in committed]
     assert trace.rounds[-1].committed
     # each round starts from the start's reward or from the reward its last

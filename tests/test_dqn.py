@@ -6,8 +6,13 @@ from scipy.stats import chi2
 
 from mdpcompose import dqn
 from mdpcompose.dqn import (
+    EPSILON,
+    GAMMA,
+    HIDDEN_UNITS,
+    LEARNING_RATE,
+    REPLAY_BATCH,
+    REPLAY_CAPACITY,
     DqnConfig,
-    EpisodeStats,
     QNetwork,
     ReplayBuffer,
     TrainingRecord,
@@ -32,18 +37,11 @@ def test_zero_episode_cap_returns_initial_network():
     g = _chain_graph(TWO_STEP)
     cfg = DqnConfig(episode_cap=0, rng_seed=5)
     net, record = train_dqn(g, "Chain", cfg)
-    reference = QNetwork(net.states, net.actions, cfg.hidden_units, np.random.default_rng(5))
+    reference = QNetwork(net.states, net.actions, HIDDEN_UNITS, np.random.default_rng(5))
     assert np.array_equal(net.w1, reference.w1)
     assert np.array_equal(net.w2, reference.w2)
     assert record.episodes_used == 0
     assert record.total_steps == 0
-
-
-def test_config_bounds():
-    with pytest.raises(ValueError):
-        DqnConfig(epsilon=1.5)
-    with pytest.raises(ValueError):
-        DqnConfig(gamma=1.0)
 
 
 def test_td_gradients_match_finite_differences():
@@ -105,12 +103,11 @@ MINI_CORPUS_SHAPES = [(n + 2, n) for n in (2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 22, 
 @pytest.mark.parametrize("n_states, n_actions", MINI_CORPUS_SHAPES)
 def test_td_update_equals_one_hot_reference(n_states, n_actions):
     rng = np.random.default_rng(n_states * 100 + n_actions)
-    cfg = DqnConfig()
     net = QNetwork(
         [f"s{i}" for i in range(n_states)], [f"a{i}" for i in range(n_actions)],
-        cfg.hidden_units, rng,
+        HIDDEN_UNITS, rng,
     )
-    n = cfg.replay_batch
+    n = REPLAY_BATCH
     for trial in range(10):
         net.w1 += rng.normal(scale=0.3, size=net.w1.shape)
         net.b1 += rng.normal(scale=0.1, size=net.b1.shape)
@@ -123,8 +120,8 @@ def test_td_update_equals_one_hot_reference(n_states, n_actions):
             rng.integers(0, n_states, size=n),
             (rng.random(size=n) < 0.2).astype(float),
         )
-        loss, grads = td_loss_and_grads(net, batch, cfg.gamma)
-        want_loss, want_grads = _one_hot_td(net, batch, cfg.gamma)
+        loss, grads = td_loss_and_grads(net, batch, GAMMA)
+        want_loss, want_grads = _one_hot_td(net, batch, GAMMA)
         # the sums run in another order than the reference's, so each
         # result may differ by a few ulps of that array's largest magnitude
         assert abs(loss - want_loss) <= 8 * np.spacing(abs(want_loss))
@@ -165,23 +162,25 @@ def _reference_td(net, batch, gamma):
     return float((errors**2).mean()), grads
 
 
-def _reference_train_dqn(graph, activity_name, cfg):
-    """train_dqn's loop with one update per parameter array."""
+def _reference_train_dqn(graph, activity_name, cfg, stop_on_success=True):
+    """train_dqn's loop with one update per parameter array. With
+    ``stop_on_success`` False it trains for all ``cfg.episode_cap``
+    episodes and evaluates once at the end."""
     states = sorted(graph.get(activity_name).states)
     actions = sorted(graph.get(activity_name).actions)
     max_steps = 50 * max(1, len(actions))
     rng = np.random.default_rng(cfg.rng_seed)
-    net = _ReferenceNetwork(states, actions, cfg.hidden_units, rng)
-    replay = ReplayBuffer(cfg.replay_capacity)
+    net = _ReferenceNetwork(states, actions, HIDDEN_UNITS, rng)
+    replay = ReplayBuffer(REPLAY_CAPACITY)
     record = TrainingRecord()
     for _episode in range(cfg.episode_cap):
         record.episodes_used += 1
-        stats = EpisodeStats()
+        steps, wrong, reward = 0, 0, 0.0
         start = initial_state(graph, activity_name)
         closure = make_simulation(graph, start)
         current, s_idx = start, net.state_index[start.state_label]
-        while not current.is_final and stats.steps < max_steps:
-            if rng.random() < cfg.epsilon:
+        while not current.is_final and steps < max_steps:
+            if rng.random() < EPSILON:
                 a_idx = int(rng.integers(len(actions)))
             else:
                 a_idx = int(np.argmax(net.q_values(s_idx)))
@@ -191,12 +190,12 @@ def _reference_train_dqn(graph, activity_name, cfg):
             if next_idx is None:
                 break
             replay.push(s_idx, a_idx, delta, next_idx, result.is_final)
-            stats.steps += 1
-            stats.reward += delta
+            steps += 1
+            reward += delta
             if delta < 0:
-                stats.wrong += 1
-            if replay.size >= cfg.replay_batch:
-                picks = replay.sample_indices(rng, cfg.replay_batch)
+                wrong += 1
+            if replay.size >= REPLAY_BATCH:
+                picks = replay.sample_indices(rng, REPLAY_BATCH)
                 batch = (
                     replay.state[picks],
                     replay.action[picks],
@@ -204,20 +203,19 @@ def _reference_train_dqn(graph, activity_name, cfg):
                     replay.next_state[picks],
                     replay.terminal[picks],
                 )
-                loss, grads = _reference_td(net, batch, cfg.gamma)
+                loss, grads = _reference_td(net, batch, GAMMA)
                 assert np.isfinite(loss)
                 for key, grad in grads.items():
                     param = getattr(net, key)
-                    param -= cfg.learning_rate * grad
+                    param -= LEARNING_RATE * grad
             current, s_idx = result, next_idx
-        record.total_steps += stats.steps
-        record.wrong_decisions += stats.wrong
-        record.cumulative_reward += stats.reward
-        record.per_episode.append(stats)
-        if cfg.stop_on_success and evaluate_greedy(net, graph, activity_name):
+        record.total_steps += steps
+        record.wrong_decisions += wrong
+        record.cumulative_reward += reward
+        if stop_on_success and evaluate_greedy(net, graph, activity_name):
             record.success = True
             break
-    if not cfg.stop_on_success and record.episodes_used:
+    if not stop_on_success and record.episodes_used:
         record.success = evaluate_greedy(net, graph, activity_name)
     return net, record
 
@@ -229,7 +227,7 @@ def test_training_matches_per_parameter_reference_bytes(graphs, name, cap):
     net, record = train_dqn(graphs[name], name, cfg)
     want_net, want_record = _reference_train_dqn(graphs[name], name, cfg)
     assert record == want_record
-    assert record.total_steps >= cfg.replay_batch  # some TD updates ran
+    assert record.total_steps >= REPLAY_BATCH  # some TD updates ran
     for key in ("w1", "b1", "w2", "b2"):
         assert getattr(net, key).tobytes() == getattr(want_net, key).tobytes(), key
 
@@ -255,8 +253,9 @@ def _value_iteration_oracle(gamma=0.9):
 def test_q_values_converge_to_value_iteration():
     g = _chain_graph(TWO_STEP)
     oracle = _value_iteration_oracle()
-    cfg = DqnConfig(episode_cap=500, learning_rate=0.05, rng_seed=1, stop_on_success=False)
-    net, _record = train_dqn(g, "Chain", cfg)
+    # all 500 episodes: train_dqn would stop at the first greedy success
+    cfg = DqnConfig(episode_cap=500, rng_seed=1)
+    net, _record = _reference_train_dqn(g, "Chain", cfg, stop_on_success=False)
     for (state, action), expected in oracle.items():
         learned = net.q_values(net.state_index[state])[net.actions.index(action)]
         assert learned == pytest.approx(expected, abs=0.05)
@@ -383,10 +382,12 @@ def test_two_step_activity_usually_learned_within_cap(graphs):
 
 
 def test_metrics_track_wrong_decisions_and_reward():
+    # each step gains or loses 0.25: the reward counts the right steps less
+    # the wrong ones
     g = _chain_graph(TWO_STEP)
-    _, record = train_dqn(g, "Chain", DqnConfig(episode_cap=2, rng_seed=0, stop_on_success=False))
+    _, record = train_dqn(g, "Chain", DqnConfig(episode_cap=2, rng_seed=0))
     assert record.episodes_used == 2
     assert record.total_steps >= 2
-    assert record.wrong_decisions >= 0
-    total = sum(e.reward for e in record.per_episode)
-    assert record.cumulative_reward == pytest.approx(total)
+    assert 0 <= record.wrong_decisions < record.total_steps
+    right = record.total_steps - record.wrong_decisions
+    assert record.cumulative_reward == 0.25 * (right - record.wrong_decisions)

@@ -42,3 +42,16 @@ def test_run_benchmark_writes_its_files_and_summary(tmp_path):
         "wrong_decisions.csv",
     ]
     assert "ensemble: 12/12 composed, all in 1 episode(s)" in stdout.splitlines()
+
+
+def test_benchmark_self_test_passes():
+    # the benchmark imports the program by name (compose, DqnConfig, the
+    # traced functions), and no other test runs its self-test
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -12,7 +12,7 @@ from http.server import ThreadingHTTPServer
 
 import pytest
 
-from mdpcompose.composer import ComposerConfig, compose, policy_table_json
+from mdpcompose.composer import compose, policy_table_json
 from mdpcompose.service import (
     MAX_BODY_BYTES,
     BadRequest,
@@ -62,7 +62,6 @@ def test_policies_byte_identical_to_direct_compose(server, graphs, desk_space):
         g,
         desk_space,
         SimState(feature_values=features, state_label="InitialState_Watch_TV_49"),
-        ComposerConfig(),
     )
     assert body == policy_table_json(table).encode("utf-8")
 
@@ -339,6 +338,8 @@ def _closing_request(method: bytes, path: bytes, body: bytes = b"", extra: bytes
 
 
 HEAD_FIELDS = [b"server", b"date", b"content-type", b"content-length"]
+# the fields of a reply from BaseHTTPRequestHandler.send_error
+ERROR_FIELDS = [b"server", b"date", b"connection", b"content-type", b"content-length"]
 _FEED_CAT = b'{"stateName":"InitialState_Feed_cat"}'
 _HEALTH = b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n"
 
@@ -353,8 +354,17 @@ _HEALTH = b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n
         (_post_head(MAX_BODY_BYTES + 1), b"413", HEAD_FIELDS + [b"connection"]),
         (_closing_request(b"POST", b"/policies", _UNKNOWN_17), b"422", HEAD_FIELDS),
         (_HEALTH, b"200", HEAD_FIELDS),
+        (b"GET /a b HTTP/1.1\r\n\r\n", b"400", ERROR_FIELDS),
+        (b"GET /health HTTP/1.x\r\n\r\n", b"400", ERROR_FIELDS),
+        (b"GET /health HTTP/1.1\r\nno-colon\r\n\r\n", b"400", ERROR_FIELDS),
+        (b"GET /health HTTP/1.1\r\n" + b"X-Note: a\r\n" * 100 + b"\r\n", b"431", ERROR_FIELDS),
+        (b"BREW /policies HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n", b"501", ERROR_FIELDS),
+        (b"GET /health HTTP/2.0\r\n\r\n", b"505", ERROR_FIELDS),
     ],
-    ids=["200", "400", "400-malformed", "404", "413", "422", "health"],
+    ids=[
+        "200", "400", "400-malformed", "404", "413", "422", "health",
+        "400-request-line", "400-version", "400-header-line", "431", "501", "505",
+    ],
 )
 def test_each_response_goes_out_in_one_write(counting_server, request_bytes, status, fields):
     counting_server.writes.clear()
