@@ -8,7 +8,6 @@ train (store -> embedding TSVs), compose (one policy request), bench
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -98,18 +97,14 @@ def _cmd_derive(args) -> int:
 def _cmd_train(args) -> int:
     graphs = load_store(args.store).graphs
     vocab = build_vocabulary(graphs)
-    if args.config:
-        cfg = TrainConfig.from_file(args.config)
-    else:
-        scale = {} if args.full_scale else DESK_SCALE
-        cfg = TrainConfig(dimension=args.dim, rng_seed=args.seed, **scale)
+    budget = {} if args.full_scale else dict(DESK_SCALE)
     overrides = {
         "iterations": args.iterations,
         "epochs_per_iteration": args.epochs,
         "batch_size": args.batch,
     }
-    # replace() builds a new config, so the overrides are validated too.
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    budget.update((k, v) for k, v in overrides.items() if v is not None)
+    cfg = TrainConfig(dimension=args.dim, rng_seed=args.seed, **budget)
     table = train(graphs, vocab, cfg)
     vectors, metadata = _embedding_paths(args.out)
     export_tsv(table, vocab, vectors, metadata)
@@ -187,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--dim", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument(
         "--full-scale",
         action="store_true",

@@ -20,6 +20,7 @@ restores the generator state, redraws exactly up to that pair and goes on
 from there. A pair rejected ``NEGATIVE_RETRY_CAP`` times, or a relation
 without candidates, hands the rest of the batch to the scalar loop
 (``_scalar_negatives``), the one definition of when a relation is dropped.
+A batch whose relations are all dropped ends at the negatives drawn so far.
 
 A batch's index arrays stay fixed over its epochs, so ``train`` lays each
 batch out once (``BatchLayout``): the rows to gather, right rows then left
@@ -28,10 +29,11 @@ then gathers its 2n rows once, scales them by the coefficient column, and
 sums them into the gradient with one ``np.bincount`` in the order two
 sequential ``np.add.at`` calls would use.
 
-Adam updates the moment tables and the embedding table in place, with the
-operations of the textbook expressions in their order, so every element
-rounds as it would in the allocating form. One scratch table and the
-epoch's gradient hold the intermediate terms.
+Adam (``LEARNING_RATE``, ``BETA1``, ``BETA2``, ``ADAM_EPSILON``) updates the
+moment tables and the embedding table in place, with the operations of the
+textbook expressions in their order, so every element rounds as it would in
+the allocating form. One scratch table and the epoch's gradient hold the
+intermediate terms.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +52,11 @@ from .kg import Concept, KnowledgeGraph
 log = logging.getLogger(__name__)
 
 NEGATIVE_RETRY_CAP = 100
+
+LEARNING_RATE = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class PairType(str, Enum):
@@ -187,10 +193,6 @@ class TrainConfig:
     iterations: int = 1000
     epochs_per_iteration: int = 15
     batch_size: int = 1024
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -203,30 +205,10 @@ class TrainConfig:
         if self.batch_size % 2:
             raise ValueError("batch_size must be even (balanced 1:1)")
 
-    @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        """Read a flat key=value file; unknown keys are rejected."""
-        values: dict = {}
-        fields = {f: t for f, t in cls.__annotations__.items()}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in fields:
-                raise ValueError(f"line {lineno}: unknown key {key!r}")
-            caster = int if fields[key] == "int" else float
-            values[key] = caster(raw.strip())
-        return cls(**values)
-
 
 @dataclass
 class EmbeddingTable:
     matrix: np.ndarray
-    dimension: int
     loss_history: list[float] = field(default_factory=list)
 
 
@@ -284,7 +266,8 @@ def pair_pools(graphs, vocab: Vocabulary) -> PairPools:
 
 def generate_batch(pools: PairPools, cfg: TrainConfig, rng) -> Batch:
     """Assemble one balanced batch: cfg.batch_size samples, the first half
-    positive (label 1) and the second half negative (label 0)."""
+    positive (label 1) and the second half negative (label 0). The batch is
+    cut short when no relation has negative pairs left to draw."""
     half = cfg.batch_size // 2
     left = np.empty(2 * half, dtype=np.int64)
     right = np.empty(2 * half, dtype=np.int64)
@@ -296,20 +279,20 @@ def generate_batch(pools: PairPools, cfg: TrainConfig, rng) -> Batch:
         chosen = pools.positives[pt][picks[r::n]]
         left[r:half:n] = chosen[:, 0]
         right[r:half:n] = chosen[:, 1]
-    _draw_negatives(pools, rng, left, right, half)
-    labels = np.zeros(2 * half)
+    filled = _draw_negatives(pools, rng, left, right, half)
+    labels = np.zeros(filled)
     labels[:half] = 1.0
-    return Batch(left, right, labels)
+    return Batch(left[:filled], right[:filled], labels)
 
 
-def _draw_negatives(pools: PairPools, rng, left, right, half: int) -> None:
+def _draw_negatives(pools: PairPools, rng, left, right, half: int) -> int:
     """Fill left[half:] and right[half:] with negative pairs, relations
-    round-robin, consuming rng as _scalar_negatives would."""
+    round-robin, consuming rng as _scalar_negatives would; return the
+    length filled."""
     usable = list(pools.active)
     sizes = np.array([[len(c) for c in pools.candidates[pt]] for pt in usable], dtype=np.int64)
     if not sizes.all():
-        _scalar_negatives(pools, rng, left, right, half, usable, half)
-        return
+        return _scalar_negatives(pools, rng, left, right, half, usable, half)
     positive_sets = [pools.positive_sets[pt] for pt in usable]
     filled, tries, head = half, 0, None
     while filled < len(left):
@@ -337,7 +320,7 @@ def _draw_negatives(pools: PairPools, rng, left, right, half: int) -> None:
         right[filled : filled + rejected] = rights[:rejected]
         filled += rejected
         if rejected == rest:
-            return
+            return filled
         # Leave the generator where the scalar loop would be after drawing
         # the rejected pair, in one call; remember how to get back to where
         # that pair's first draw began.
@@ -351,20 +334,19 @@ def _draw_negatives(pools: PairPools, rng, left, right, half: int) -> None:
         if tries == NEGATIVE_RETRY_CAP:
             rng.bit_generator.state = head[0]
             rng.integers(0, head[1])
-            _scalar_negatives(pools, rng, left, right, filled, usable, half)
-            return
+            return _scalar_negatives(pools, rng, left, right, filled, usable, half)
+    return filled
 
 
 def _scalar_negatives(
     pools: PairPools, rng, left, right, filled: int, usable: list, half: int
-) -> None:
+) -> int:
     """Fill left[filled:] and right[filled:] with negative pairs, one scalar
     draw at a time; a relation whose pair stays positive for
     NEGATIVE_RETRY_CAP draws, or that has no candidates, is dropped from
-    usable with a warning."""
-    while filled < len(left):
-        if not usable:
-            raise ValueError("cannot draw negative pairs for any relation")
+    usable with a warning. Return the length filled, short of len(left)
+    once usable is empty."""
+    while usable and filled < len(left):
         pt = usable[(filled - half) % len(usable)]
         lefts, rights = pools.candidates[pt]
         positives = pools.positive_sets[pt]
@@ -388,6 +370,7 @@ def _scalar_negatives(
             continue
         left[filled], right[filled] = found
         filled += 1
+    return filled
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -446,7 +429,7 @@ def batch_loss_and_grad(matrix: np.ndarray, batch, layout: BatchLayout | None = 
 
 def initialize_table(vocab: Vocabulary, cfg: TrainConfig, rng) -> EmbeddingTable:
     matrix = rng.uniform(-0.05, 0.05, size=(len(vocab), cfg.dimension))
-    return EmbeddingTable(matrix=matrix, dimension=cfg.dimension)
+    return EmbeddingTable(matrix)
 
 
 def train(graphs, vocab: Vocabulary, cfg: TrainConfig | None = None) -> EmbeddingTable:
@@ -480,21 +463,21 @@ def train(graphs, vocab: Vocabulary, cfg: TrainConfig | None = None) -> Embeddin
             # The textbook Adam expressions, each evaluated in place in its
             # own operation order, so every element rounds as before. grad
             # is this epoch's own array and serves as scratch once read.
-            # v = beta2 * v + (1 - beta2) * grad * grad, left to right
-            np.multiply(grad, 1.0 - cfg.beta2, out=step)
+            # v = BETA2 * v + (1 - BETA2) * grad * grad, left to right
+            np.multiply(grad, 1.0 - BETA2, out=step)
             np.multiply(step, grad, out=step)
-            np.multiply(v, cfg.beta2, out=v)
+            np.multiply(v, BETA2, out=v)
             np.add(v, step, out=v)
-            # m = beta1 * m + (1 - beta1) * grad
-            np.multiply(grad, 1.0 - cfg.beta1, out=grad)
-            np.multiply(m, cfg.beta1, out=m)
+            # m = BETA1 * m + (1 - BETA1) * grad
+            np.multiply(grad, 1.0 - BETA1, out=grad)
+            np.multiply(m, BETA1, out=m)
             np.add(m, grad, out=m)
-            # matrix -= lr * m_hat / (sqrt(v_hat) + epsilon)
-            np.divide(m, 1.0 - cfg.beta1**t, out=step)
-            np.multiply(step, cfg.learning_rate, out=step)
-            np.divide(v, 1.0 - cfg.beta2**t, out=grad)
+            # matrix -= LEARNING_RATE * m_hat / (sqrt(v_hat) + ADAM_EPSILON)
+            np.divide(m, 1.0 - BETA1**t, out=step)
+            np.multiply(step, LEARNING_RATE, out=step)
+            np.divide(v, 1.0 - BETA2**t, out=grad)
             np.sqrt(grad, out=grad)
-            np.add(grad, cfg.epsilon, out=grad)
+            np.add(grad, ADAM_EPSILON, out=grad)
             np.divide(step, grad, out=step)
             np.subtract(matrix, step, out=matrix)
             epoch_losses.append(loss)

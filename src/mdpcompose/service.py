@@ -322,12 +322,14 @@ class _Handler(BaseHTTPRequestHandler):
 def build_server(store: Store, space, bind: str = "127.0.0.1:0") -> ThreadingHTTPServer:
     host, _, port_text = bind.partition(":")
     port = int(port_text) if port_text else 0
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must be in 0-65535, got {port}")
     server = ThreadingHTTPServer((host or "127.0.0.1", port), _Handler)
     server.policy_service = PolicyService(store, space)
     return server
 
 
-def serve(store_path, vectors_path, metadata_path, bind: str = "127.0.0.1:8080"):
+def serve(store_path, vectors_path, metadata_path, bind: str):
     """Load the store and embeddings, then serve until interrupted.
 
     Raises StartupError when a file is missing, unreadable or malformed.

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -6,13 +7,15 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NAME_ALPHABETS, make_random_graph
 from mdpcompose import cli
 from mdpcompose.cli import main
+from mdpcompose.embedding import DESK_SCALE, EmbeddingTable
 from mdpcompose.errors import (
     ActivityTerminatedError,
     StepLimitExceededError,
@@ -20,6 +23,7 @@ from mdpcompose.errors import (
 )
 from mdpcompose.sample_corpus import script_texts
 from mdpcompose.store import load_store
+from mdpcompose.turtle_io import parse_turtle
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +203,60 @@ def test_a_store_that_ingest_accepts_trains_and_composes(alphabet, data):
             assert _run(compose)[0] == 0
 
 
+def _log_text(features, rows) -> str:
+    lines = [",".join(["state,action,reward,next_state", *features])]
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _log_names(alphabet):
+    # read_log_csv strips each cell, so draw names that strip to themselves
+    return st.text(alphabet=alphabet, min_size=1, max_size=6).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def _logs(draw):
+    name = _log_names(draw(st.sampled_from(NAME_ALPHABETS)))
+    states = draw(st.lists(name, min_size=1, max_size=3, unique=True))
+    actions = draw(st.lists(name, min_size=1, max_size=2, unique=True))
+    features = draw(st.lists(name, max_size=2, unique=True))
+    row = st.tuples(
+        st.sampled_from(states),
+        st.sampled_from(actions),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        st.sampled_from(states),
+        *[st.integers(0, 3)] * len(features),
+    )
+    return draw(st.lists(row, min_size=1, max_size=5)), features, states + actions + features
+
+
+@settings(max_examples=25, deadline=None)
+@given(_logs())
+@example(([("S", "go", 1.0, "S")], [], ["S", "go"]))
+@example(([("S", "go", 1, "T"), ("T", "go", 1, "S")], [], ["S", "T", "go"]))
+def test_a_store_that_derive_accepts_trains_and_composes(log):
+    rows, features, words = log
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        csv_path, store, emb = root / "log.csv", root / "store" / "Derived.ttl", root / "emb"
+        csv_path.write_text(_log_text(features, rows), encoding="utf-8")
+        code, err = _run(["derive", str(csv_path), "--out", str(store), "--name", "Derived"])
+        if code == 1:
+            assert any(f"{name!r}" in err for name in words), err
+            return
+        assert code == 0
+        train = ["train", "--store", str(store), "--out", str(emb), "--dim", "4"]
+        assert _run(train + ["--iterations", "2", "--epochs", "1", "--batch", "8"])[0] == 0
+        graph = parse_turtle(store.read_text(encoding="utf-8"))
+        (activity,) = graph.activities
+        initial = next(s for s in activity.states if graph.get(s).is_initial_state)
+        state = json.dumps({"stateName": initial})
+        compose = ["compose", "--store", str(store), "--embeddings", str(emb), "--state", state]
+        code, err = _run(compose)
+        # a derived walk can loop, e.g. A -go-> A or B ties at 0.5 and takes A
+        assert code == 0 or "step budget" in err or "no reward-improving action" in err, err
+
+
 def test_derive_refuses_a_name_it_cannot_write(tmp_path, capsys):
     csv_path = tmp_path / "log.csv"
     csv_path.write_text("state,action,reward,next_state,temp\nS a,go,0.5,S b,1.0\n")
@@ -278,6 +336,30 @@ def test_train_zero_iterations(pipeline):
 
 
 @pytest.mark.parametrize(
+    "flags, budget",
+    [
+        ([], DESK_SCALE),
+        (["--full-scale"], dict(iterations=1000, epochs_per_iteration=15, batch_size=1024)),
+        (["--full-scale", "--epochs", "1"], dict(iterations=1000, epochs_per_iteration=1, batch_size=1024)),
+        (["--iterations", "3", "--batch", "8"], dict(iterations=3, epochs_per_iteration=5, batch_size=8)),
+        (["--dim", "8", "--seed", "3"], dict(DESK_SCALE, dimension=8, rng_seed=3)),
+    ],
+)
+def test_train_budget_flags_reach_the_config(pipeline, tmp_path, monkeypatch, flags, budget):
+    _root, store, _emb = pipeline
+    seen = []
+
+    def record(_graphs, vocab, cfg):
+        seen.append(cfg)
+        return EmbeddingTable(np.zeros((len(vocab), cfg.dimension)))
+
+    monkeypatch.setattr(cli, "train", record)
+    assert main(["train", "--store", str(store), "--out", str(tmp_path / "emb"), *flags]) == 0
+    (cfg,) = seen
+    assert dataclasses.asdict(cfg) == dict(dimension=50, rng_seed=0) | budget
+
+
+@pytest.mark.parametrize(
     "flags, message",
     [
         (["--batch", "7"], "batch_size must be even"),
@@ -346,6 +428,19 @@ def test_bench_subcommand(pipeline, capsys):
     assert code == 0
     assert (out / "steps.csv").exists()
     assert "mean commit radius" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bind, env", [("127.0.0.1:70000", None), (None, "127.0.0.1:-1")])
+def test_serve_port_outside_the_tcp_range_reports_error(pipeline, capsys, monkeypatch, bind, env):
+    _root, store, emb = pipeline
+    if env is None:
+        monkeypatch.delenv("MDPCOMPOSE_BIND", raising=False)
+    else:
+        monkeypatch.setenv("MDPCOMPOSE_BIND", env)
+    flags = ["--bind", bind] if bind else []
+    assert main(["serve", "--store", str(store), "--embeddings", str(emb), *flags]) == 1
+    port = (bind or env).rpartition(":")[2]
+    assert f"error: port must be in 0-65535, got {port}" in capsys.readouterr().err
 
 
 def test_serve_startup_failure_reports_error(tmp_path, capsys):

@@ -24,6 +24,7 @@ from mdpcompose.embedding import (
     positive_pairs,
     train,
 )
+from mdpcompose.hmm import LogRow, fit_hmm, hmm_to_kg
 from mdpcompose.kg import Concept
 from mdpcompose.sample_corpus import synthetic_script_text
 from mdpcompose.space import load_tsv
@@ -113,6 +114,24 @@ def test_saturated_relation_is_skipped_with_warning(caplog):
     assert batch.labels.tolist() == [1.0] * 4 + [0.0] * 4
 
 
+def test_batch_without_negative_pairs_is_all_positive(caplog):
+    # One state that its one action leads back to: every pair of every
+    # relation co-occurs, so the batch ends after its positive half.
+    rows = [LogRow(state="S", action="go", observations={}, reward=1.0, next_state="S")]
+    graph = hmm_to_kg(fit_hmm(rows), activity_name="Loop")
+    vocab = build_vocabulary([graph])
+    cfg = TrainConfig(dimension=4, iterations=3, epochs_per_iteration=2, batch_size=8)
+    with caplog.at_level(logging.WARNING):
+        batch = generate_batch(pair_pools([graph], vocab), cfg, np.random.default_rng(0))
+    dropped = [r.getMessage() for r in caplog.records if "no negative pair" in r.getMessage()]
+    assert len(dropped) == 3
+    assert batch.labels.tolist() == [1.0] * 4
+    assert len(batch.left) == len(batch.right) == 4
+    table = train([graph], vocab, cfg)
+    assert len(table.loss_history) == 3
+    assert np.isfinite(table.matrix).all()
+
+
 def _reference_batch(graphs, vocab, cfg, rng) -> list[TrainSample]:
     """The per-iteration batch generator that rebuilt its pools on every
     call and drew one scalar at a time; generate_batch must draw the same
@@ -133,7 +152,7 @@ def _reference_batch(graphs, vocab, cfg, rng) -> list[TrainSample]:
     }
     usable = list(active)
     k = 0
-    while len(samples) < 2 * half:
+    while usable and len(samples) < 2 * half:
         pt = usable[k % len(usable)]
         lefts, rights = concept_indices[pt]
         found = None
@@ -498,11 +517,11 @@ def _reference_train(graphs, vocab, cfg):
         for _epoch in range(cfg.epochs_per_iteration):
             loss, grad = batch_loss_and_grad(matrix, batch)
             t += 1
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-            m_hat = m / (1.0 - cfg.beta1**t)
-            v_hat = v / (1.0 - cfg.beta2**t)
-            matrix -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad * grad
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            matrix -= 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
             losses.append(loss)
         history.append(sum(losses) / len(losses) if losses else 0.0)
     return matrix, history
@@ -606,23 +625,6 @@ def test_export_shapes(tmp_path, watch_tv):
     meta_lines = metadata.read_text().splitlines()
     assert meta_lines[0] == "name\tindex\tconcept"
     assert len(meta_lines) == 18
-
-
-def test_config_from_file(tmp_path):
-    path = tmp_path / "train.cfg"
-    path.write_text("# comment\ndimension = 10\niterations=7\nlearning_rate = 0.01\nrng_seed=3\n")
-    cfg = TrainConfig.from_file(path)
-    assert cfg.dimension == 10
-    assert cfg.iterations == 7
-    assert cfg.learning_rate == pytest.approx(0.01)
-    assert cfg.batch_size == 1024  # untouched default
-
-
-def test_config_file_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("velocity=9\n")
-    with pytest.raises(ValueError):
-        TrainConfig.from_file(path)
 
 
 def test_odd_batch_size_rejected():

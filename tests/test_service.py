@@ -541,6 +541,12 @@ def test_unknown_path_404(server):
         assert err.value.code == 404
 
 
+@pytest.mark.parametrize("port", [70000, 65536, -1])
+def test_port_outside_the_tcp_range_rejected_before_binding(desk_store, desk_space, port):
+    with pytest.raises(ValueError, match=f"port must be in 0-65535, got {port}"):
+        build_server(desk_store, desk_space, f"127.0.0.1:{port}")
+
+
 def test_concurrent_requests_do_not_interleave(server, graphs):
     features_tv = initial_features(graphs["Watch_TV_49"], "Watch_TV_49")
     features_coffee = initial_features(graphs["Make_coffee"], "Make_coffee")
