@@ -139,7 +139,11 @@ def run_benchmark(
     out_dir,
 ) -> list[RunMetrics]:
     """One ENSEMBLE row per activity plus one DQN row per (activity, cap),
-    at default settings; writes the CSVs and ``timings.json``, returns all rows."""
+    at default settings; writes the CSVs and ``timings.json``, returns all rows.
+    A cap below 1 raises ``ValueError`` before any cell runs."""
+    bad = [cap for cap in caps if cap < 1]
+    if bad:
+        raise ValueError(f"episode caps must be at least 1, got {bad}")
     started = perf_counter()
 
     # longest first, by sequence length times cap; ties in cell order, so

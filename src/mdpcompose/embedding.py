@@ -14,13 +14,13 @@ A batch is drawn with array calls that consume the generator exactly as one
 scalar ``rng.integers`` call per draw would: ``rng.integers(0, bounds)``
 returns the same values, and leaves the same bit-generator state, as one
 call per bound (``tests/test_embedding.py`` pins this). The positive half is
-one such call. The negative half draws the (left, right) pairs of all
-remaining samples in one call; at the first pair that turns out positive it
-restores the generator state, redraws exactly up to that pair and goes on
-from there. A pair rejected ``NEGATIVE_RETRY_CAP`` times, or a relation
-without candidates, hands the rest of the batch to the scalar loop
-(``_scalar_negatives``), the one definition of when a relation is dropped.
-A batch whose relations are all dropped ends at the negatives drawn so far.
+one such call. The negative half rotates over the relations that
+``pair_pools`` found, once per run, to have a pair that is not positive. It
+draws the (left, right) pairs of all remaining samples in one call; at the
+first pair that turns out positive it restores the generator state, redraws
+exactly up to that pair and goes on from there. A slot rejected
+``NEGATIVE_RETRY_CAP`` times in a row drops its relation from the batch; a
+batch whose relations are all dropped ends at the negatives drawn so far.
 
 A batch's index arrays stay fixed over its epochs, so ``train`` lays each
 batch out once (``BatchLayout``): the rows to gather, right rows then left
@@ -173,13 +173,15 @@ class Batch(NamedTuple):
 class PairPools:
     """What batches are drawn from: the sorted positive pairs of each
     relation as an (n, 2) index array and as a set, its left and right
-    candidate index arrays, and the relations that have positive pairs, in
-    rotation order."""
+    candidate index arrays, the relations that have positive pairs
+    (``active``), and those of them that also have a negative pair
+    (``negative``), both in rotation order."""
 
     positives: dict[PairType, np.ndarray]
     positive_sets: dict[PairType, set[tuple[int, int]]]
     candidates: dict[PairType, tuple[np.ndarray, np.ndarray]]
     active: tuple[PairType, ...]
+    negative: tuple[PairType, ...]
 
 
 # The training budget that finishes in seconds on a desk machine; the
@@ -239,8 +241,9 @@ def positive_pairs(graphs: list[KnowledgeGraph], vocab: Vocabulary) -> dict:
 
 
 def pair_pools(graphs, vocab: Vocabulary) -> PairPools:
-    """The loop-invariant inputs of generate_batch; relations without
-    positive pairs are skipped with a warning."""
+    """The loop-invariant inputs of generate_batch. Relations without
+    positive pairs are skipped with a warning, and so are, in the negative
+    half, relations whose every candidate pair is positive."""
     positives = positive_pairs(graphs, vocab)
     for pt in _PAIR_ROTATION:
         if not positives[pt]:
@@ -248,26 +251,36 @@ def pair_pools(graphs, vocab: Vocabulary) -> PairPools:
     active = tuple(pt for pt in _PAIR_ROTATION if positives[pt])
     if not active:
         raise ValueError("no relation has positive pairs")
+    candidates = {
+        pt: (
+            np.array(vocab.indices_of(ca), dtype=np.int64),
+            np.array(vocab.indices_of(cb), dtype=np.int64),
+        )
+        for pt, (ca, cb) in _PAIR_CONCEPTS.items()
+    }
+    negative = []
+    for pt in active:
+        (ca, cb), (lefts, rights) = _PAIR_CONCEPTS[pt], candidates[pt]
+        inside = sum(vocab.concept(a) is ca and vocab.concept(b) is cb for a, b in positives[pt])
+        if len(lefts) * len(rights) > inside:
+            negative.append(pt)
+        else:
+            log.warning("relation %s has no negative pair; skipped in negative draws", pt.value)
     return PairPools(
         positives={
             pt: np.array(pool, dtype=np.int64).reshape(-1, 2) for pt, pool in positives.items()
         },
         positive_sets={pt: set(pool) for pt, pool in positives.items()},
-        candidates={
-            pt: (
-                np.array(vocab.indices_of(ca), dtype=np.int64),
-                np.array(vocab.indices_of(cb), dtype=np.int64),
-            )
-            for pt, (ca, cb) in _PAIR_CONCEPTS.items()
-        },
+        candidates=candidates,
         active=active,
+        negative=tuple(negative),
     )
 
 
 def generate_batch(pools: PairPools, cfg: TrainConfig, rng) -> Batch:
-    """Assemble one balanced batch: cfg.batch_size samples, the first half
-    positive (label 1) and the second half negative (label 0). The batch is
-    cut short when no relation has negative pairs left to draw."""
+    """Assemble one balanced batch of cfg.batch_size samples: the first half
+    positive (label 1) from pools.active, the second half negative (label 0)
+    from pools.negative, cut short once no relation of it is left."""
     half = cfg.batch_size // 2
     left = np.empty(2 * half, dtype=np.int64)
     right = np.empty(2 * half, dtype=np.int64)
@@ -286,16 +299,18 @@ def generate_batch(pools: PairPools, cfg: TrainConfig, rng) -> Batch:
 
 
 def _draw_negatives(pools: PairPools, rng, left, right, half: int) -> int:
-    """Fill left[half:] and right[half:] with negative pairs, relations
-    round-robin, consuming rng as _scalar_negatives would; return the
-    length filled."""
-    usable = list(pools.active)
-    sizes = np.array([[len(c) for c in pools.candidates[pt]] for pt in usable], dtype=np.int64)
-    if not sizes.all():
-        return _scalar_negatives(pools, rng, left, right, half, usable, half)
-    positive_sets = [pools.positive_sets[pt] for pt in usable]
-    filled, tries, head = half, 0, None
-    while filled < len(left):
+    """Fill left[half:] and right[half:] with negative pairs of pools.negative,
+    round-robin, consuming rng as one scalar draw per candidate position
+    would; return the length filled. NEGATIVE_RETRY_CAP rejections in a row
+    drop the slot's relation with a warning."""
+    usable = list(pools.negative)
+    filled, tries, sizes = half, 0, None
+    while usable and filled < len(left):
+        if sizes is None:
+            sizes = np.array(
+                [[len(c) for c in pools.candidates[pt]] for pt in usable], dtype=np.int64
+            )
+            positive_sets = [pools.positive_sets[pt] for pt in usable]
         # Sample j of the rest belongs to relation usable[(k + j) % u], and
         # draws[j] holds its (left, right) candidate positions.
         k, u, rest = filled - half, len(usable), len(left) - filled
@@ -320,56 +335,20 @@ def _draw_negatives(pools: PairPools, rng, left, right, half: int) -> int:
         right[filled : filled + rejected] = rights[:rejected]
         filled += rejected
         if rejected == rest:
-            return filled
+            break
         # Leave the generator where the scalar loop would be after drawing
-        # the rejected pair, in one call; remember how to get back to where
-        # that pair's first draw began.
+        # the rejected pair, in one call.
         rng.bit_generator.state = state
-        if rejected:
-            tries = 0
-        if not tries:
-            head = state, bounds[: 2 * rejected]
         rng.integers(0, bounds[: 2 * rejected + 2])
-        tries += 1
+        tries = 1 if rejected else tries + 1
         if tries == NEGATIVE_RETRY_CAP:
-            rng.bit_generator.state = head[0]
-            rng.integers(0, head[1])
-            return _scalar_negatives(pools, rng, left, right, filled, usable, half)
-    return filled
-
-
-def _scalar_negatives(
-    pools: PairPools, rng, left, right, filled: int, usable: list, half: int
-) -> int:
-    """Fill left[filled:] and right[filled:] with negative pairs, one scalar
-    draw at a time; a relation whose pair stays positive for
-    NEGATIVE_RETRY_CAP draws, or that has no candidates, is dropped from
-    usable with a warning. Return the length filled, short of len(left)
-    once usable is empty."""
-    while usable and filled < len(left):
-        pt = usable[(filled - half) % len(usable)]
-        lefts, rights = pools.candidates[pt]
-        positives = pools.positive_sets[pt]
-        found = None
-        if len(lefts) and len(rights):
-            for _attempt in range(NEGATIVE_RETRY_CAP):
-                pair = (
-                    int(lefts[rng.integers(len(lefts))]),
-                    int(rights[rng.integers(len(rights))]),
-                )
-                if pair not in positives:
-                    found = pair
-                    break
-        if found is None:
+            pt = usable.pop((filled - half) % u)
             log.warning(
                 "relation %s: no negative pair found after %d draws; skipped",
                 pt.value,
                 NEGATIVE_RETRY_CAP,
             )
-            usable.remove(pt)
-            continue
-        left[filled], right[filled] = found
-        filled += 1
+            tries, sizes = 0, None
     return filled
 
 

@@ -99,6 +99,18 @@ def test_determinism_across_activity_order(graphs, desk_space, tmp_path, monkeyp
         assert all((out / filename).read_bytes() == expected for out in outs[1:])
 
 
+@pytest.mark.parametrize("caps", [[-1, 0], [1, 0]])
+def test_caps_below_one_are_refused_before_any_cell(graphs, desk_space, tmp_path, monkeypatch, caps):
+    def never(*_args, **_kwargs):
+        raise AssertionError("started work for a cap below 1")
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(bench, "_run_ensemble_cell", never)
+    with pytest.raises(ValueError, match="episode caps must be at least 1"):
+        run_benchmark(graphs, desk_space, ["Make_coffee"], caps=caps, seed=7, out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failing_cell_raises_its_error_in_the_caller(graphs, desk_space, tmp_path, monkeypatch):
     caller = os.getpid()
 

@@ -8,21 +8,35 @@ from pathlib import Path
 
 import pytest
 
-from mdpcompose import composer, dqn, embedding, service
+from mdpcompose import composer, dqn, embedding, service, vhome
 from mdpcompose.simulation import initial_features, initial_state
 from mdpcompose.store import load_store, save_store
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture
-def tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(monkeypatch, name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while they are defined
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    return _load(monkeypatch, "tracing")
+
+
+def test_benchmark_corpora_draw_negatives_from_every_relation(monkeypatch):
+    # The benchmark's pinned and timed training streams assume that no
+    # relation is left out of the negative draws.
+    inputs = _load(monkeypatch, "inputs")
+    for texts in (inputs.desk_texts(), inputs.scaled_texts(101), inputs.scaled_texts(7919)):
+        graphs = [vhome.script_to_kg(s) for s in inputs.parse_corpus(texts)]
+        pools = embedding.pair_pools(graphs, embedding.build_vocabulary(graphs))
+        assert pools.negative == pools.active
 
 
 def test_every_traced_target_exists(tracing):

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import logging
 import random
 import re
 import tempfile
@@ -257,6 +258,19 @@ def test_a_store_that_derive_accepts_trains_and_composes(log):
         assert code == 0 or "step budget" in err or "no reward-improving action" in err, err
 
 
+def test_train_warns_once_per_relation_without_negative_pairs(tmp_path, caplog):
+    # In the store derived from A -go-> A and A -go-> B every pair of each
+    # relation co-occurs: one warning per relation for the whole run, not
+    # one per relation and batch.
+    csv_path, store, emb = tmp_path / "log.csv", tmp_path / "Loop.ttl", tmp_path / "emb"
+    csv_path.write_text(_log_text([], [("A", "go", 1, "A"), ("A", "go", 2, "B")]), encoding="utf-8")
+    assert _run(["derive", str(csv_path), "--out", str(store), "--name", "Loop"])[0] == 0
+    with caplog.at_level(logging.WARNING):
+        assert _run(["train", "--store", str(store), "--out", str(emb)])[0] == 0
+    dropped = [r.getMessage() for r in caplog.records if "no negative pair" in r.getMessage()]
+    assert len(dropped) == 3
+
+
 def test_derive_refuses_a_name_it_cannot_write(tmp_path, capsys):
     csv_path = tmp_path / "log.csv"
     csv_path.write_text("state,action,reward,next_state,temp\nS a,go,0.5,S b,1.0\n")
@@ -428,6 +442,20 @@ def test_bench_subcommand(pipeline, capsys):
     assert code == 0
     assert (out / "steps.csv").exists()
     assert "mean commit radius" in capsys.readouterr().out
+
+
+def test_bench_refuses_caps_below_one(pipeline, capsys):
+    root, store, emb = pipeline
+    out = root / "bench-caps"
+    code = main(
+        [
+            "bench", "--store", str(store / "Make_coffee.ttl"),
+            "--embeddings", str(emb), "--caps=-1,0", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert "error: episode caps must be at least 1, got [-1, 0]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bind, env", [("127.0.0.1:70000", None), (None, "127.0.0.1:-1")])

@@ -150,21 +150,27 @@ def _reference_batch(graphs, vocab, cfg, rng) -> list[TrainSample]:
         pt: (vocab.indices_of(ca), vocab.indices_of(cb))
         for pt, (ca, cb) in embedding._PAIR_CONCEPTS.items()
     }
-    usable = list(active)
+    # The negative half rotates over the relations whose candidate grid is
+    # larger than the number of positive pairs inside it.
+    usable = []
+    for pt in active:
+        lefts, rights = (set(c) for c in concept_indices[pt])
+        inside = sum(1 for left, right in pools[pt] if left in lefts and right in rights)
+        if len(lefts) * len(rights) > inside:
+            usable.append(pt)
     k = 0
     while usable and len(samples) < 2 * half:
         pt = usable[k % len(usable)]
         lefts, rights = concept_indices[pt]
         found = None
-        if lefts and rights:
-            for _attempt in range(NEGATIVE_RETRY_CAP):
-                pair = (
-                    lefts[int(rng.integers(len(lefts)))],
-                    rights[int(rng.integers(len(rights)))],
-                )
-                if pair not in positive_sets[pt]:
-                    found = pair
-                    break
+        for _attempt in range(NEGATIVE_RETRY_CAP):
+            pair = (
+                lefts[int(rng.integers(len(lefts)))],
+                rights[int(rng.integers(len(rights)))],
+            )
+            if pair not in positive_sets[pt]:
+                found = pair
+                break
         if found is None:
             usable.remove(pt)
             continue
@@ -176,11 +182,11 @@ def _reference_batch(graphs, vocab, cfg, rng) -> list[TrainSample]:
 def _draw_corpora(graph_list):
     """(name, graphs, vocab) whose batches take every drawing path."""
     tiny = script_to_kg(VhScript("Tiny", "x", [VhStep("Walk", "door", 1)]))
-    # One activity: its action and state relations are saturated, so the
-    # first negative pair already falls back to the scalar loop.
+    # One activity: its activity/action and activity/state relations are
+    # saturated, so only the action/state relation draws negatives.
     saturated = build_vocabulary([tiny])
-    # A spare action gives the activity/action relation negatives, so the
-    # array draws run until the saturated activity/state relation comes up.
+    # A spare action gives the activity/action relation negatives, so two
+    # relations rotate in the negative half.
     spare = build_vocabulary([tiny])
     spare.add("Spare_action_1", Concept.ACTION)
     # The action is indexed as a state: its relations keep positive pairs
@@ -192,7 +198,7 @@ def _draw_corpora(graph_list):
     return [
         ("desk", graph_list, build_vocabulary(graph_list)),
         ("saturated", [tiny], saturated),
-        ("saturates-mid-batch", [tiny], spare),
+        ("spare-action", [tiny], spare),
         ("no-candidates", [tiny], no_candidates),
     ]
 
@@ -212,34 +218,45 @@ def test_batches_match_reference_draws(graph_list, seed):
             assert fast.bit_generator.state == slow.bit_generator.state, name
 
 
-def test_desk_batches_need_no_scalar_fallback(graph_list, monkeypatch):
-    # Rejections are frequent on the desk corpus, but no relation saturates,
-    # so every rejected pair is redrawn by the array path.
-    def fail(*_args):
-        raise AssertionError("fell back to scalar draws")
-
-    monkeypatch.setattr(embedding, "_scalar_negatives", fail)
+def test_desk_pools_drop_no_relation(graph_list, caplog):
+    # Rejections are frequent on the desk corpus, but every relation has
+    # negative pairs and none reaches the retry cap.
     vocab = build_vocabulary(graph_list)
-    pools = pair_pools(graph_list, vocab)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        generate_batch(pools, TrainConfig(dimension=4, batch_size=256), rng)
-
-
-def test_fallback_drops_the_saturated_relation_mid_batch(graph_list, caplog):
-    graphs, vocab = next(
-        (g, v) for name, g, v in _draw_corpora(graph_list) if name == "saturates-mid-batch"
-    )
-    cfg = TrainConfig(dimension=4, batch_size=64)
     with caplog.at_level(logging.WARNING):
-        batch = generate_batch(pair_pools(graphs, vocab), cfg, np.random.default_rng(7))
-    dropped = [r.getMessage() for r in caplog.records if "no negative pair" in r.getMessage()]
-    assert dropped == [
-        f"relation ACTIVITY_STATE: no negative pair found after {NEGATIVE_RETRY_CAP} draws; skipped"
-    ]
-    # The first negative comes from the activity/action relation.
-    assert vocab.concept(int(batch.left[32])) is Concept.ACTIVITY
-    assert vocab.concept(int(batch.right[32])) is Concept.ACTION
+        pools = pair_pools(graph_list, vocab)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            generate_batch(pools, TrainConfig(dimension=4, batch_size=256), rng)
+    assert pools.negative == pools.active
+    assert caplog.records == []
+
+
+def test_retry_cap_drops_the_relation_like_the_reference(caplog):
+    # 999 of the 1,000 activity/state pairs co-occur, so a slot of that
+    # relation is rejected NEGATIVE_RETRY_CAP times in a row in most batches.
+    # Spare actions give the activity/action relation negatives, so the
+    # dropped relation is not the first of the rotation.
+    script = VhScript("Long", "x", [VhStep("Walk", "door", k) for k in range(1, 998)])
+    graphs = [script_to_kg(script)]
+    vocab = build_vocabulary(graphs)
+    vocab.add("Stray_state", Concept.STATE)
+    for k in range(1000):
+        vocab.add(f"Spare_action_{k}", Concept.ACTION)
+    pools = pair_pools(graphs, vocab)
+    assert pools.negative == pools.active == embedding._PAIR_ROTATION
+    cfg = TrainConfig(dimension=4, batch_size=256)
+    cap = f"relation ACTIVITY_STATE: no negative pair found after {NEGATIVE_RETRY_CAP} draws; skipped"
+    for seed in range(5):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                batch = generate_batch(pools, cfg, fast)
+            assert [r.getMessage() for r in caplog.records] == [cap]
+            reference = Batch.of(_reference_batch(graphs, vocab, cfg, slow))
+            for got, want in zip(batch, reference):
+                assert np.array_equal(got, want)
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_array_integer_draws_consume_the_generator_like_scalar_draws():
