@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .bench import mean_commit_radius, radius_rows, run_benchmark
-from .composer import MAX_DISTANCE, RADIUS_CAP, compose, policy_table_json
 from .embedding import DESK_SCALE, TrainConfig, Vocabulary, build_vocabulary, export_tsv, train
 from .errors import (
     ActivityTerminatedError,
@@ -31,7 +30,7 @@ from .errors import (
     UnknownSituationError,
 )
 from .hmm import fit_hmm, hmm_to_kg, read_log_csv
-from .service import BadRequest, resolve_policy_request, serve
+from .service import BadRequest, PolicyService, serve
 from .space import load_tsv
 from .store import load_store, save_store
 from .turtle_io import parse_turtle, write_turtle
@@ -130,9 +129,7 @@ def _cmd_compose(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"bad --state JSON: {exc}", file=sys.stderr)
         return 1
-    graph, state = resolve_policy_request(store, body)
-    table, _trace = compose(graph, space, state, args.max_distance)
-    print(policy_table_json(table))
+    print(PolicyService(store, space).policies_for(body).decode("utf-8"))
     return 0
 
 
@@ -151,8 +148,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    bind = args.bind or os.environ.get("MDPCOMPOSE_BIND") or "127.0.0.1:8080"
-    serve(args.store, *_embedding_paths(args.embeddings), bind=bind)
+    serve(args.store, *_embedding_paths(args.embeddings), bind=args.bind)
     return 0
 
 
@@ -193,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--embeddings", required=True, help="TSV path prefix")
     p.add_argument("--state", required=True, help='request JSON (or @file)')
-    p.add_argument("--max-distance", type=float, default=MAX_DISTANCE, help=f"start radius, in (0, {RADIUS_CAP}]")
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("bench", help="run the composer vs DQN benchmark")
@@ -207,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="serve the policy composition endpoint")
     p.add_argument("--store", required=True)
     p.add_argument("--embeddings", required=True, help="TSV path prefix")
-    p.add_argument("--bind", default=None, help="host:port (default 127.0.0.1:8080)")
+    p.add_argument("--bind", default="127.0.0.1:8080", help="host:port (default 127.0.0.1:8080)")
     p.set_defaults(func=_cmd_serve)
     return parser
 

@@ -3,10 +3,10 @@
 Starting from a recognized state, each round finds the actions whose
 embeddings lie within the current search radius, gives each candidate one
 agent step, and keeps the reward-maximising outcome. When none improves the
-reward the radius grows by RADIUS_STEP up to RADIUS_CAP, which is tried
-itself even when the steps skip it; a commit resets it to the start
-radius. The loop ends at a goal state and returns the ranked policy table
-and a trace of every round.
+reward the radius grows by RADIUS_STEP from MAX_DISTANCE to RADIUS_CAP
+(0.25, 0.5, ..., 2.0, all exact in binary), the last round; a commit resets
+it. The loop ends at a goal state and returns the ranked policy table and
+a trace of every round.
 
 The work is done once per commit. The radius only grows and hits come in
 (distance, name) order, so a round's candidates extend the last round's
@@ -43,7 +43,7 @@ from .simulation import (
 from .space import EmbeddingSpace
 
 
-MAX_DISTANCE = 0.25  # the default start radius
+MAX_DISTANCE = 0.25  # the start radius
 RADIUS_STEP = 0.25
 RADIUS_CAP = 2.0  # the maximum cosine distance
 
@@ -124,18 +124,13 @@ def compose(
     graph: KnowledgeGraph,
     space: EmbeddingSpace,
     initial_state: SimState,
-    max_distance: float = MAX_DISTANCE,
 ) -> tuple[PolicyTable, CompositionTrace]:
     """Compose a ranked action sequence for the given starting state.
 
-    Raises ValueError unless 0 < max_distance <= RADIUS_CAP, the start
-    radius; UnknownSituationError when the state is not recognized and
-    CompositionFailureError when the radius cap or the step budget,
-    ``default_step_limit`` rounds, is exhausted without reaching a goal.
+    Raises UnknownSituationError when the state is not recognized and
+    CompositionFailureError when the round at RADIUS_CAP or the step
+    budget, ``default_step_limit`` rounds, ends short of a goal.
     """
-    if not 0 < max_distance <= RADIUS_CAP:  # a NaN fails too
-        raise ValueError(f"max_distance must be in (0, {RADIUS_CAP}], got {max_distance}")
-
     # after a commit, None until the first candidate found in the graph
     start = start_state(graph, initial_state)
     current = start.state
@@ -144,7 +139,7 @@ def compose(
     committed_actions: list[str] = []
     committed_rewards: list[float] = []
     alternatives: dict[tuple[str, ...], tuple[tuple[float, ...], float]] = {}
-    radius = max_distance
+    radius = MAX_DISTANCE
     penalty = wrong_step_reward(current.reward)  # of every charged candidate
     seen = 0  # the commit's candidates classified so far
     movers: set[str] | None = None  # actions with a scoped transition from `start`
@@ -189,15 +184,12 @@ def compose(
         trace.rounds.append(round_record)
 
         if best is None or best[1].reward <= current.reward:
-            grown = radius + RADIUS_STEP
-            if grown > RADIUS_CAP + 1e-12:
-                if radius >= RADIUS_CAP - 1e-12:
-                    raise CompositionFailureError(
-                        f"no reward-improving action within radius cap "
-                        f"{RADIUS_CAP} from state {current.state_label!r}"
-                    )
-                grown = RADIUS_CAP  # the steps skip the cap: try it once
-            radius = grown
+            if radius == RADIUS_CAP:
+                raise CompositionFailureError(
+                    f"no reward-improving action within radius cap "
+                    f"{RADIUS_CAP} from state {current.state_label!r}"
+                )
+            radius += RADIUS_STEP
             continue
 
         chosen, current = best
@@ -216,7 +208,7 @@ def compose(
         penalty = wrong_step_reward(current.reward)
         moved.clear()
         goals.clear()
-        radius = max_distance
+        radius = MAX_DISTANCE
 
     trace.cumulative_reward = sum(committed_rewards)
 

@@ -88,8 +88,14 @@ def resolve_policy_request(store: Store, body) -> tuple[KnowledgeGraph, SimState
     features = body["featureValues"]
     if not isinstance(features, dict):
         raise BadRequest("featureValues must be an object")
-    if any(value is None or isinstance(value, (list, dict)) for value in features.values()):
-        raise BadRequest("featureValues values must be numbers")
+    for value in features.values():
+        if value is None or isinstance(value, (list, dict)):
+            raise BadRequest("featureValues values must be numbers")
+        if isinstance(value, int):
+            try:
+                float(value)  # rules compare numbers as floats
+            except OverflowError:
+                raise BadRequest("featureValues integers must fit a float") from None
     return recognize_across(store, features)
 
 

@@ -23,6 +23,9 @@ from mdpcompose.errors import (
     TrainingDivergenceError,
 )
 from mdpcompose.sample_corpus import script_texts
+from mdpcompose.service import PolicyService
+from mdpcompose.simulation import state_features
+from mdpcompose.space import load_tsv
 from mdpcompose.store import load_store
 from mdpcompose.turtle_io import parse_turtle
 
@@ -311,6 +314,25 @@ def test_compose_prints_policy_json(pipeline, capsys):
     assert len(document["policies"][0]["actions"]) == 7
 
 
+def test_compose_prints_the_service_bytes_for_every_desk_body(pipeline, capsys):
+    # the initial and a mid state of every activity, by name and by features
+    _root, store, emb = pipeline
+    service = PolicyService(
+        load_store(store), load_tsv(Path(f"{emb}.vectors.tsv"), Path(f"{emb}.metadata.tsv"))
+    )
+    bodies = []
+    for graph in service.store.graphs:
+        for activity in graph.activities:
+            for state in (activity.states[0], activity.states[len(activity.states) // 2]):
+                bodies += [{"stateName": state}, {"featureValues": state_features(graph, state)}]
+    assert len(bodies) == 48
+    for body in bodies:
+        code = main(
+            ["compose", "--store", str(store), "--embeddings", str(emb), "--state", json.dumps(body)]
+        )
+        assert (code, capsys.readouterr().out) == (0, service.policies_for(body).decode() + "\n")
+
+
 def test_compose_single_file_store(pipeline, capsys):
     _root, store, emb = pipeline
     code = main(
@@ -335,6 +357,28 @@ def test_compose_unknown_state_exits_nonzero(pipeline, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_compose_refuses_an_integer_too_large_for_a_float(pipeline, capsys):
+    _root, store, emb = pipeline
+    state = '{"featureValues": {"IsWalk_living_room_1": 1%s}}' % ("0" * 400)
+    code = main(["compose", "--store", str(store), "--embeddings", str(emb), "--state", state])
+    assert code == 1
+    assert "error: featureValues integers must fit a float" in capsys.readouterr().err
+
+
+def test_compose_has_no_start_radius_option(pipeline, capsys):
+    _root, store, emb = pipeline
+    state = json.dumps({"stateName": "InitialState_Make_coffee"})
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            [
+                "compose", "--store", str(store), "--embeddings", str(emb),
+                "--state", state, "--max-distance", "0.3",
+            ]
+        )
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --max-distance 0.3" in capsys.readouterr().err
 
 
 def test_train_zero_iterations(pipeline):
@@ -458,16 +502,11 @@ def test_bench_refuses_caps_below_one(pipeline, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bind, env", [("127.0.0.1:70000", None), (None, "127.0.0.1:-1")])
-def test_serve_port_outside_the_tcp_range_reports_error(pipeline, capsys, monkeypatch, bind, env):
+@pytest.mark.parametrize("bind", ["127.0.0.1:70000", "127.0.0.1:-1"])
+def test_serve_port_outside_the_tcp_range_reports_error(pipeline, capsys, bind):
     _root, store, emb = pipeline
-    if env is None:
-        monkeypatch.delenv("MDPCOMPOSE_BIND", raising=False)
-    else:
-        monkeypatch.setenv("MDPCOMPOSE_BIND", env)
-    flags = ["--bind", bind] if bind else []
-    assert main(["serve", "--store", str(store), "--embeddings", str(emb), *flags]) == 1
-    port = (bind or env).rpartition(":")[2]
+    assert main(["serve", "--store", str(store), "--embeddings", str(emb), "--bind", bind]) == 1
+    port = bind.rpartition(":")[2]
     assert f"error: port must be in 0-65535, got {port}" in capsys.readouterr().err
 
 

@@ -138,7 +138,7 @@ def test_committed_rewards_strictly_increase(graphs, desk_space):
 
 def test_radius_resets_after_commit(graphs, desk_space):
     g = graphs["Clean_kitchen"]
-    _, trace = compose(g, desk_space, _start(g, "Clean_kitchen"), max_distance=0.25)
+    _, trace = compose(g, desk_space, _start(g, "Clean_kitchen"))
     committed_rounds = [r for r in trace.rounds if r.committed]
     for i, r in enumerate(trace.rounds):
         if i == 0 or trace.rounds[i - 1].committed:
@@ -294,7 +294,7 @@ def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeyp
 # --- the reference composition: a fresh closure per agent ----------------
 
 
-def _reference_compose(graph, space, initial_state, max_distance=0.25):
+def _reference_compose(graph, space, initial_state):
     """``compose`` with every agent run by ``_run_agent``: a candidate's
     start state is validated by its own ``make_simulation`` call. The radius
     grows by 0.25 up to 2.0, and the budget is 50 rounds per state."""
@@ -304,7 +304,7 @@ def _reference_compose(graph, space, initial_state, max_distance=0.25):
     committed_actions, committed_rewards = [], []
     alternatives = {}
     simulated = {}
-    radius = max_distance
+    radius = 0.25
     while not current.is_goal:
         if len(trace.rounds) >= budget:
             raise CompositionFailureError(f"step budget {budget} exhausted before reaching a goal")
@@ -319,15 +319,12 @@ def _reference_compose(graph, space, initial_state, max_distance=0.25):
         record.results = [(r.action, r.state.reward) for r in results]
         best = select_best(results) if results else None
         if best is None or best.state.reward <= current.reward:
-            grown = radius + 0.25
-            if grown > 2.0 + 1e-12:
-                if radius >= 2.0 - 1e-12:
-                    raise CompositionFailureError(
-                        f"no reward-improving action within radius cap "
-                        f"2.0 from state {current.state_label!r}"
-                    )
-                grown = 2.0
-            radius = grown
+            if radius >= 2.0:
+                raise CompositionFailureError(
+                    f"no reward-improving action within radius cap "
+                    f"2.0 from state {current.state_label!r}"
+                )
+            radius += 0.25
             continue
         for result in results:
             if result is not best and result.state.is_goal:
@@ -339,7 +336,7 @@ def _reference_compose(graph, space, initial_state, max_distance=0.25):
         committed_rewards.append(best.state.reward)
         current = best.state
         simulated.clear()
-        radius = max_distance
+        radius = 0.25
     trace.cumulative_reward = sum(committed_rewards)
     rows = [(tuple(committed_actions), tuple(committed_rewards), trace.cumulative_reward)]
     rows += [(a, r, c) for a, (r, c) in alternatives.items() if a != rows[0][0]]
@@ -378,16 +375,14 @@ def test_desk_compositions_match_the_reference(graphs, desk_space):
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**6),
-    # 0.3 steps past the cap, which is then tried itself
-    st.sampled_from([0.125, 0.25, 0.3, 0.5]),
     st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
 )
-def test_fuzzed_compositions_match_the_reference(seed, radius, steps_left):
+def test_fuzzed_compositions_match_the_reference(seed, steps_left):
     graph = make_random_graph(random.Random(seed))
     vocab = build_vocabulary([graph])
     space = EmbeddingSpace(vocab, np.random.default_rng(seed).normal(size=(len(vocab), 8)))
     start = _with_steps_left(graph, _start(graph, graph.activities[0].name), steps_left)
-    _assert_matches_reference(graph, space, start, max_distance=radius)
+    _assert_matches_reference(graph, space, start)
 
 
 # --- the desk policy bytes and traces ------------------------------------
@@ -682,16 +677,6 @@ def test_policy_json_shape():
     }
 
 
-def test_invalid_config_rejected():
-    # a start radius outside (0, 2.0] is checked before any work: the state
-    # would raise UnknownSituationError
-    g = _single_action_graph()
-    space = _space_with([("Ready", Concept.STATE, [1.0, 0.0])])
-    for max_distance in (0.0, 3.0, float("nan")):
-        with pytest.raises(ValueError, match="max_distance"):
-            compose(g, space, SimState(feature_values={"Nothing": 1.0}), max_distance=max_distance)
-
-
 # --- error paths against the reference -----------------------------------
 
 
@@ -827,7 +812,7 @@ def test_rounds_mixing_every_kind_of_candidate_fail_like_the_reference():
         "Step_1", "Step_2", "Foreign", "Pos", "Advance",
     ]
     start = SimState(feature_values={"Pos": 0.0}, state_label="A")
-    outcome = _assert_matches_reference(g, space, start, max_distance=0.5)
+    outcome = _assert_matches_reference(g, space, start)
     assert outcome == (UnknownEntityError, "unknown action 'Pos'")
 
 
@@ -843,7 +828,7 @@ def test_mixed_rounds_from_a_stuck_start_fail_like_the_reference(label, step_ind
     start = _with_steps_left(
         g, SimState(feature_values=features, state_label=label, step_index=step_index), 3
     )
-    outcome = _assert_matches_reference(g, space, start, max_distance=0.5)
+    outcome = _assert_matches_reference(g, space, start)
     assert _error_of(outcome) is error
 
 
@@ -1017,32 +1002,7 @@ def test_a_penalty_lost_beside_a_huge_reward_is_no_wrong_decision():
     assert trace.wrong_decisions == 1
 
 
-# --- properties over fuzzed graphs ---------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=10**6),
-    st.one_of(
-        # start radii whose steps land on the cap
-        st.sampled_from([0.25, 0.5, 1.0, 2.0]),
-        # start radii whose steps skip the cap, so only the cap itself
-        # reaches every action
-        st.floats(min_value=0.01, max_value=2.0),
-    ),
-)
-def test_composition_invariants_on_fuzzed_graphs(seed, max_distance):
-    _check_composition_invariants(seed, max_distance)
-
-
-def test_composition_reaches_a_radius_cap_off_the_step_grid():
-    # radii 0.05, 0.30, ..., 1.80 never reach the cap of 2.0; A5608_5 lies
-    # at 1.842 from S5608_4_Done, so only the cap itself finds it
-    trace = _check_composition_invariants(186, 0.05)
-    assert 2.0 in trace.commit_radii
-
-
-def test_radius_cap_off_the_step_grid_is_tried_once_before_failing(monkeypatch):
+def test_radius_grows_from_0_25_to_the_cap_before_failing(monkeypatch):
     radii = []
     find = EmbeddingSpace.find_closest_actions
 
@@ -1059,18 +1019,23 @@ def test_radius_cap_off_the_step_grid_is_tried_once_before_failing(monkeypatch):
         ]
     )
     start = SimState(feature_values={"IsPressed": 0.0}, state_label="Ready")
-    with pytest.raises(CompositionFailureError):
-        compose(_single_action_graph(goal_action="Unreachable_1"), space, start, max_distance=0.2)
-    # 0.2, 0.45, ..., 1.95, then the cap
-    assert radii == pytest.approx([0.2 + 0.25 * k for k in range(8)] + [2.0])
+    with pytest.raises(CompositionFailureError, match="within radius cap 2.0 from state 'Ready'"):
+        compose(_single_action_graph(goal_action="Unreachable_1"), space, start)
+    # 0.25, 0.5, ..., 2.0, each exact in binary; the round at the cap is the last
+    assert radii == [0.25 * k for k in range(1, 9)]
 
 
-def _check_composition_invariants(seed, max_distance):
+# --- properties over fuzzed graphs ---------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_composition_invariants_on_fuzzed_graphs(seed):
     g = make_random_graph(random.Random(seed))
     vocab = build_vocabulary([g])
     matrix = np.random.default_rng(seed).normal(size=(len(vocab), 8))
     name = g.activities[0].name
-    table, trace = compose(g, EmbeddingSpace(vocab, matrix), _start(g, name), max_distance)
+    table, trace = compose(g, EmbeddingSpace(vocab, matrix), _start(g, name))
 
     committed = [r for r in trace.rounds if r.committed]
     # committed rewards strictly increase
@@ -1081,13 +1046,13 @@ def _check_composition_invariants(seed, max_distance):
     assert table.rows[0].rank == 1
     assert table.rows[0].actions == tuple(r.chosen for r in committed)
     assert [row.rank for row in table.rows] == list(range(1, len(table.rows) + 1))
-    # radii grow by 0.25, up to the cap of 2.0, between commits and reset
-    # after each commit
+    # radii start at 0.25, grow by exactly 0.25 between commits, never past
+    # the cap of 2.0, and reset after each commit
     for previous, current in zip([None] + trace.rounds, trace.rounds):
         if previous is None or previous.committed:
-            assert current.radius == max_distance
+            assert current.radius == 0.25
         else:
-            assert current.radius == pytest.approx(min(previous.radius + 0.25, 2.0))
+            assert current.radius == previous.radius + 0.25 <= 2.0
     assert trace.commit_radii == [r.radius for r in committed]
     assert trace.rounds[-1].committed
     # each round starts from the start's reward or from the reward its last
@@ -1097,4 +1062,3 @@ def _check_composition_invariants(seed, max_distance):
         assert rnd.reward == expected
         if rnd.committed:
             expected = dict(rnd.results)[rnd.chosen]
-    return trace

@@ -484,6 +484,18 @@ def test_non_scalar_feature_value_rejected_400(server, graphs, value):
         assert json.loads(err.value.read()) == {"reason": "featureValues values must be numbers"}
 
 
+def test_integer_too_large_for_a_float_rejected_400(server):
+    # a float literal too large parses as inf: a number that matches no state
+    for literal, status, reason in [
+        (b"1e400", 422, "unknown state"),
+        (b"1" + b"0" * 400, 400, "featureValues integers must fit a float"),
+    ]:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post_raw(server, "/policies", b'{"featureValues": {"IsWalk_living_room_1": %s}}' % literal)
+        with err.value:
+            assert (err.value.code, json.loads(err.value.read())) == (status, {"reason": reason})
+
+
 def test_string_and_boolean_feature_values_keep_responses(server, graphs):
     features = initial_features(graphs["Watch_TV_49"], "Watch_TV_49")
     first = next(iter(features))
