@@ -1,18 +1,22 @@
 """Markov model estimation from recorded agent logs.
 
 Each log row is one step: state, performed action, observed feature values,
-received reward and the next state. Fitting counts empirical conditional
-frequencies P(next|state, action) and P(action|state), fits numeric feature
-observations per state as Gaussians (sample moments) and tallies PMFs for
-categorical ones. A fitted model can be lowered into an activity knowledge
-graph whose transitions carry the empirical probabilities.
+received reward and the next state. Fitting counts the rows once and turns
+every count into a frequency by one rule (count over total, keys sorted):
+P(next|state, action), P(action|state), the state marginal and, per state,
+the PMF of each categorical feature. Numeric feature observations are fitted
+per state as Gaussians (sample moments) and summarised over all rows; a
+categorical feature has no pooled summary. A fitted model can be lowered
+into an activity knowledge graph whose transitions carry the empirical
+probabilities.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import UnknownSituationError
@@ -62,15 +66,13 @@ class Gaussian:
 
 @dataclass
 class FeatureSummary:
-    numeric: bool
-    mean: float | None = None
-    stdev: float | None = None
-    variance: float | None = None
-    median: float | None = None
-    low: float | None = None
-    high: float | None = None
-    pmf: dict = field(default_factory=dict)
-    mode: object = None
+    """Moments and range of a numeric feature, pooled over all rows."""
+
+    mean: float
+    stdev: float
+    median: float
+    low: float
+    high: float
 
 
 @dataclass
@@ -81,7 +83,7 @@ class HmmModel:
     observation_prob: dict  # (state, feature) -> Gaussian | PMF dict
     state_reward: dict  # state -> {"mean": float, "median": float}
     state_prob: dict  # empirical marginal of the state column
-    feature_summary: dict  # feature -> FeatureSummary (pooled over states)
+    feature_summary: dict  # feature -> FeatureSummary, None if categorical
 
 
 def _mean(values):
@@ -106,105 +108,64 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _frequencies(counts: Counter) -> dict:
+    """Each key's share of the total count, keys sorted."""
+    total = sum(counts.values())
+    return {key: c / total for key, c in sorted(counts.items())}
+
+
 def fit_hmm(rows: list[LogRow]) -> HmmModel:
     """Estimate all conditional distributions by empirical frequency."""
     if not rows:
         raise ValueError("cannot fit a model from zero rows")
 
-    transition_counts: dict = {}
-    action_counts: dict = {}
-    state_counts: dict = {}
-    rewards: dict = {}
-    samples: dict = {}  # (state, feature) -> [values]
-    pooled: dict = {}  # feature -> [values]
-
+    transition_counts: dict = defaultdict(Counter)  # (state, action) -> next states
+    action_counts: dict = defaultdict(Counter)  # state -> actions
+    state_counts: Counter = Counter()
+    rewards: dict = defaultdict(list)  # state -> [rewards]
+    samples: dict = defaultdict(list)  # (state, feature) -> [values]
+    pooled: dict = defaultdict(list)  # feature -> [values]
     for row in rows:
-        key = (row.state, row.action)
-        transition_counts.setdefault(key, {})
-        transition_counts[key][row.next_state] = (
-            transition_counts[key].get(row.next_state, 0) + 1
-        )
-        action_counts.setdefault(row.state, {})
-        action_counts[row.state][row.action] = (
-            action_counts[row.state].get(row.action, 0) + 1
-        )
-        state_counts[row.state] = state_counts.get(row.state, 0) + 1
-        rewards.setdefault(row.state, []).append(row.reward)
+        transition_counts[row.state, row.action][row.next_state] += 1
+        action_counts[row.state][row.action] += 1
+        state_counts[row.state] += 1
+        rewards[row.state].append(row.reward)
         for feature, value in row.observations.items():
-            samples.setdefault((row.state, feature), []).append(value)
-            pooled.setdefault(feature, []).append(value)
+            samples[row.state, feature].append(value)
+            pooled[feature].append(value)
 
     for feature, values in sorted(pooled.items()):
-        numeric = [_is_number(v) for v in values]
-        if any(numeric) and not all(numeric):
-            raise ValueError(
-                f"feature {feature!r} mixes numeric and categorical values"
-            )
+        if len({_is_number(v) for v in values}) > 1:
+            raise ValueError(f"feature {feature!r} mixes numeric and categorical values")
 
-    state_names = sorted(
-        set(state_counts)
-        | {row.next_state for row in rows}
-    )
-
-    transition_prob = {}
-    for key, counts in transition_counts.items():
-        total = sum(counts.values())
-        transition_prob[key] = {nxt: c / total for nxt, c in sorted(counts.items())}
-
-    action_prob = {}
-    for state, counts in action_counts.items():
-        total = sum(counts.values())
-        action_prob[state] = {a: c / total for a, c in sorted(counts.items())}
-
-    observation_prob = {}
-    for (state, feature), values in samples.items():
-        if _is_number(values[0]):
-            observation_prob[(state, feature)] = Gaussian(_mean(values), _stdev(values))
-        else:
-            total = len(values)
-            pmf: dict = {}
-            for v in values:
-                pmf[v] = pmf.get(v, 0) + 1
-            observation_prob[(state, feature)] = {
-                v: c / total for v, c in sorted(pmf.items())
-            }
-
-    state_reward = {
-        state: {"mean": _mean(vals), "median": _median(vals)}
-        for state, vals in rewards.items()
-    }
-
-    total_rows = len(rows)
-    state_prob = {s: c / total_rows for s, c in sorted(state_counts.items())}
-
-    feature_summary = {}
-    for feature, values in sorted(pooled.items()):
-        if _is_number(values[0]):
-            feature_summary[feature] = FeatureSummary(
-                numeric=True,
+    return HmmModel(
+        states=sorted(set(state_counts) | {row.next_state for row in rows}),
+        # outer keys in first-seen order, the order _marginal_transitions sums in
+        transition_prob={k: _frequencies(c) for k, c in transition_counts.items()},
+        action_prob={k: _frequencies(c) for k, c in action_counts.items()},
+        observation_prob={
+            key: Gaussian(_mean(values), _stdev(values))
+            if _is_number(values[0])
+            else _frequencies(Counter(values))
+            for key, values in samples.items()
+        },
+        state_reward={
+            state: {"mean": _mean(values), "median": _median(values)}
+            for state, values in rewards.items()
+        },
+        state_prob=_frequencies(state_counts),
+        feature_summary={
+            feature: FeatureSummary(
                 mean=_mean(values),
                 stdev=_stdev(values),
-                variance=_stdev(values) ** 2,
                 median=_median(values),
                 low=float(min(values)),
                 high=float(max(values)),
             )
-        else:
-            counts: dict = {}
-            for v in values:
-                counts[v] = counts.get(v, 0) + 1
-            pmf = {v: c / len(values) for v, c in sorted(counts.items())}
-            mode = max(sorted(counts), key=lambda v: counts[v])
-            feature_summary[feature] = FeatureSummary(numeric=False, pmf=pmf, mode=mode)
-
-    return HmmModel(
-        states=state_names,
-        transition_prob=transition_prob,
-        action_prob=action_prob,
-        observation_prob=observation_prob,
-        state_reward=state_reward,
-        state_prob=state_prob,
-        feature_summary=feature_summary,
+            if _is_number(values[0])
+            else None
+            for feature, values in sorted(pooled.items())
+        },
     )
 
 
@@ -230,8 +191,9 @@ def _marginal_transitions(model: HmmModel) -> dict:
     return marginal
 
 
-def _emission_log_prob(model: HmmModel, state: str, observations: dict) -> float:
-    known_features = {f for (_s, f) in model.observation_prob}
+def _emission_log_prob(
+    model: HmmModel, known_features: set, state: str, observations: dict
+) -> float:
     total = 0.0
     for feature, value in sorted(observations.items()):
         if feature not in known_features:
@@ -264,9 +226,10 @@ def viterbi_path(model: HmmModel, observation_seq: list[dict]) -> list[str]:
     marginal = _marginal_transitions(model)
     states = model.states
     steps = len(observation_seq)
+    known_features = {f for (_s, f) in model.observation_prob}
 
     emit = [
-        [_emission_log_prob(model, s, observation_seq[t]) for s in states]
+        [_emission_log_prob(model, known_features, s, observation_seq[t]) for s in states]
         for t in range(steps)
     ]
     log_trans = [
@@ -371,42 +334,26 @@ def hmm_to_kg(model: HmmModel, activity_name: str = "DerivedActivity") -> Knowle
             )
         )
 
-    graph.add(
-        ObservationFeature(
-            name=LABEL_FEATURE,
-            range_start=0.0,
-            range_end=float(len(model.states) - 1),
-            feature_type=FeatureType.NOMINAL,
-            distribution=Distribution.NONE,
+    nominal = dict(range_start=0.0, feature_type=FeatureType.NOMINAL, distribution=Distribution.NONE)
+    label_end = float(len(model.states) - 1)
+    graph.add(ObservationFeature(name=LABEL_FEATURE, range_end=label_end, **nominal))
+    for feature, summary in sorted(model.feature_summary.items()):
+        if summary is None:  # categorical: range 0-0, no moments and no mode
+            graph.add(ObservationFeature(name=feature, range_end=0.0, **nominal))
+            continue
+        graph.add(
+            ObservationFeature(
+                name=feature,
+                range_start=summary.low,
+                range_end=summary.high,
+                feature_type=FeatureType.NUMERICAL,
+                distribution=Distribution.GAUSSIAN,
+                mean=summary.mean,
+                standard_deviation=summary.stdev,
+                variance=summary.stdev ** 2,
+                median=summary.median,
+            )
         )
-    )
-    for feature in sorted(model.feature_summary):
-        summary = model.feature_summary[feature]
-        if summary.numeric:
-            graph.add(
-                ObservationFeature(
-                    name=feature,
-                    range_start=summary.low,
-                    range_end=summary.high,
-                    feature_type=FeatureType.NUMERICAL,
-                    distribution=Distribution.GAUSSIAN,
-                    mean=summary.mean,
-                    standard_deviation=summary.stdev,
-                    variance=summary.variance,
-                    median=summary.median,
-                )
-            )
-        else:
-            graph.add(
-                ObservationFeature(
-                    name=feature,
-                    range_start=0.0,
-                    range_end=0.0,
-                    feature_type=FeatureType.NOMINAL,
-                    distribution=Distribution.NONE,
-                    mode=summary.mode if _is_number(summary.mode) else None,
-                )
-            )
 
     action_transitions: dict = {a: [] for a in action_names}
     for (state, action), dist in sorted(model.transition_prob.items()):
@@ -456,6 +403,9 @@ def read_log_csv(path) -> list[LogRow]:
         if [h.strip() for h in header[:4]] != expected:
             raise ValueError(f"CSV header must start with {','.join(expected)}")
         feature_names = [h.strip() for h in header[4:]]
+        for k, name in enumerate(feature_names):
+            if name in feature_names[:k]:
+                raise ValueError(f"CSV header repeats the feature {name!r}")
         for lineno, record in enumerate(reader, start=2):
             if not record or all(not cell.strip() for cell in record):
                 continue
@@ -472,13 +422,16 @@ def read_log_csv(path) -> list[LogRow]:
                 reward = float(record[2])
             except ValueError:
                 raise ValueError(f"line {lineno}: reward is not numeric") from None
-            rows.append(
-                LogRow(
-                    state=record[0].strip(),
-                    action=record[1].strip(),
-                    observations=observations,
-                    reward=reward,
-                    next_state=record[3].strip(),
+            try:
+                rows.append(
+                    LogRow(
+                        state=record[0].strip(),
+                        action=record[1].strip(),
+                        observations=observations,
+                        reward=reward,
+                        next_state=record[3].strip(),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
     return rows

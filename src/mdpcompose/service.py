@@ -2,8 +2,9 @@
 policy table composed for it.
 
 POST /policies with either {"featureValues": {...}} or {"stateName": "..."}
-(exactly one of the two). Unrecognized states and compositions that exhaust
-the radius cap are rejected with 422; malformed bodies get 400, bodies over
+(exactly one of the two). Unrecognized states, compositions that exhaust
+the radius cap and compositions that start in or commit to a final state
+that is not a goal are rejected with 422; malformed bodies get 400, bodies over
 MAX_BODY_BYTES get 413, and any other failure gets 500. A body that stalls
 for _Handler.timeout seconds counts as malformed. GET /health
 reports readiness. The store (see ``store``) is built once at start-up and
@@ -45,6 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .composer import compose, policy_table_json
 from .errors import (
+    ActivityTerminatedError,
     CompositionFailureError,
     GraphValidationError,
     StartupError,
@@ -122,6 +124,7 @@ _MALFORMED = _reason("malformed request body")
 _TOO_LARGE = _reason("request body too large")
 _UNKNOWN_STATE = _reason("unknown state")
 _NO_ACTION = _reason("no action within radius")
+_TERMINATED = _reason("activity terminated")
 _INTERNAL = _reason("internal error")
 
 # the limits of http.client on one header line and on the lines of a header block
@@ -314,6 +317,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except CompositionFailureError:
             self._send(422, _NO_ACTION)
+            return
+        except ActivityTerminatedError:
+            self._send(422, _TERMINATED)
             return
         except Exception:
             log.exception("POST /policies failed")

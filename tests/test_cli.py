@@ -292,6 +292,26 @@ def test_derive_refuses_a_log_whose_action_is_named_like_a_state(tmp_path, capsy
     assert not out.exists()
 
 
+def test_derive_refuses_a_header_that_repeats_a_feature(tmp_path, capsys):
+    # the last "x" column used to win silently and lose the first one's values
+    csv_path = tmp_path / "log.csv"
+    csv_path.write_text("state,action,reward,next_state,x, x\nA,go,1.0,B,1,2\nB,go,1.0,A,3,4\n")
+    out = tmp_path / "derived.ttl"
+    assert main(["derive", str(csv_path), "--out", str(out)]) == 1
+    assert "error: CSV header repeats the feature 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_derive_names_the_line_of_an_empty_state_cell(tmp_path, capsys):
+    csv_path = tmp_path / "log.csv"
+    csv_path.write_text("state,action,reward,next_state,x\nA,go,1.0,B,1\nB, ,1.0,A,3\n")
+    out = tmp_path / "derived.ttl"
+    assert main(["derive", str(csv_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: line 3: state, action and next_state must be non-empty" in err
+    assert not out.exists()
+
+
 def test_train_writes_tsv_pair(pipeline):
     _root, _store, emb = pipeline
     vectors = emb.parent / (emb.name + ".vectors.tsv")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -366,3 +367,58 @@ def test_read_log_csv_bad_reward(tmp_path):
     with pytest.raises(ValueError) as err:
         read_log_csv(path)
     assert "line 2" in str(err.value)
+
+
+# --- derive's output, pinned --------------------------------------------
+
+# A log with a repeated transition (shares of 1/3 and 2/3), a numeric and
+# a categorical feature, a state (Hot) with no outgoing row, and rows whose
+# first-seen order differs from the sorted one.
+PINNED_LOG = (
+    "state,action,reward,next_state,temp,room\n"
+    "Warm,heat,1.0,Hot,22.0,kitchen\n"
+    "Cold,wait,0.0,Cold,12.0,hall\n"
+    "Cold,heat,0.5,Warm,15.0,hall\n"
+    "Warm,cool,-0.5,Cold,21.0,hall\n"
+    "Cold,heat,0.5,Warm,14.0,kitchen\n"
+    "Cold,heat,0.25,Cold,13.5,hall\n"
+    "Warm,heat,1.0,Hot,23.5,kitchen\n"
+)
+PINNED_TURTLE_SHA256 = "55ea32c22525437abd6904f7e136d1fdf7a8d4b9ab4a040fdd68f4db5d749d44"
+PINNED_REPRS = {
+    "transition_prob": (
+        "{('Warm', 'heat'): {'Hot': 1.0}, ('Cold', 'wait'): {'Cold': 1.0}, "
+        "('Cold', 'heat'): {'Cold': 0.3333333333333333, 'Warm': 0.6666666666666666}, "
+        "('Warm', 'cool'): {'Cold': 1.0}}"
+    ),
+    "action_prob": (
+        "{'Warm': {'cool': 0.3333333333333333, 'heat': 0.6666666666666666}, "
+        "'Cold': {'heat': 0.75, 'wait': 0.25}}"
+    ),
+    "state_prob": "{'Cold': 0.5714285714285714, 'Warm': 0.42857142857142855}",
+    "observation_prob": (
+        "{('Warm', 'temp'): Gaussian(mean=22.166666666666668, stdev=1.0274023338281628), "
+        "('Warm', 'room'): {'hall': 0.3333333333333333, 'kitchen': 0.6666666666666666}, "
+        "('Cold', 'temp'): Gaussian(mean=13.625, stdev=1.0825317547305484), "
+        "('Cold', 'room'): {'hall': 0.75, 'kitchen': 0.25}}"
+    ),
+}
+
+
+def test_derive_output_is_pinned(tmp_path):
+    from mdpcompose.turtle_io import write_turtle
+
+    path = tmp_path / "log.csv"
+    path.write_text(PINNED_LOG)
+    model = fit_hmm(read_log_csv(path))
+    turtle = write_turtle(hmm_to_kg(model, "Derived"))
+    assert hashlib.sha256(turtle.encode("utf-8")).hexdigest() == PINNED_TURTLE_SHA256
+    for name, expected in PINNED_REPRS.items():
+        assert repr(getattr(model, name)) == expected, name
+    assert viterbi_path(model, [{"temp": 14.5, "room": "hall"}]) == ["Cold"]
+    assert viterbi_path(
+        model, [{"temp": 14.0, "room": "kitchen"}, {"temp": 22.5, "room": "kitchen"}]
+    ) == ["Cold", "Warm"]
+    assert viterbi_path(
+        model, [{"room": "hall"}, {"temp": 21.0}, {"temp": 13.0, "room": "hall"}]
+    ) == ["Cold", "Warm", "Cold"]

@@ -12,6 +12,7 @@ from http.server import ThreadingHTTPServer
 
 import pytest
 
+from conftest import WATCH_TV_49_TTL
 from mdpcompose.composer import compose, policy_table_json
 from mdpcompose.service import (
     MAX_BODY_BYTES,
@@ -22,6 +23,8 @@ from mdpcompose.service import (
     resolve_policy_request,
 )
 from mdpcompose.simulation import SimState, initial_features
+from mdpcompose.store import Store
+from mdpcompose.turtle_io import parse_turtle
 
 
 @pytest.fixture(scope="module")
@@ -506,6 +509,28 @@ def test_string_and_boolean_feature_values_keep_responses(server, graphs):
     for flag in (True, False):
         with _post(server, "/policies", {"featureValues": {**features, first: flag}}) as response:
             assert response.status == 200
+
+
+def test_final_state_that_is_not_a_goal_rejected_422(desk_space):
+    text = WATCH_TV_49_TTL.replace(
+        'entity:TurnTo_television_1_Done a concept:State;\n'
+        'property:isGoal "true"^^xsd:boolean;',
+        'entity:TurnTo_television_1_Done a concept:State;\n'
+        'property:isGoal "false"^^xsd:boolean;',
+    )
+    assert text != WATCH_TV_49_TTL
+    srv = build_server(Store([parse_turtle(text)]), desk_space, "127.0.0.1:0")
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(srv, "/policies", {"stateName": "TurnTo_television_1_Done"})
+        with err.value:
+            assert err.value.code == 422
+            assert json.loads(err.value.read()) == {"reason": "activity terminated"}
+    finally:
+        srv.shutdown()
+        srv.server_close()
 
 
 def test_unexpected_error_answered_500(server, monkeypatch, caplog):
