@@ -8,24 +8,27 @@ reward the radius grows by RADIUS_STEP from MAX_DISTANCE to RADIUS_CAP
 it. The loop ends at a goal state and returns the ranked policy table and
 a trace of every round.
 
-The work is done once per commit. The radius only grows and hits come in
-(distance, name) order, so a round's candidates extend the last round's
-and only the new ones are classified, in order. At the commit's first
-candidate in the graph, ``start_state`` validates the agents' start and
-``check_state`` checks it; the movers are the actions of its transition
-index entry that ``scoped_transitions`` keeps in scope. A candidate absent
-from the graph is charged the wrong-step penalty, one that ``as_action``
-rejects fails, a mover runs a ``make_simulation`` agent over the validated
-``Start``, and any other is charged. So an error comes from the candidate
-where a per-agent check fails. A charged candidate counts as an agent step
-but never wins, its reward being below the current one, so the first mover
-with the highest reward is the (reward, distance, name) argmax. Agents run
-one after another: under the GIL, threads would add no parallelism.
+A commit's work grows with its movers, the actions with an in-scope
+transition from its start (``KnowledgeGraph.movers``), not with its
+candidates. A round's candidates are a growing prefix of the state's row,
+and ``EmbeddingSpace.graph_hits`` says where the graph's actions sit in it.
+Once the prefix reaches the first, ``start_state`` validates the agents'
+start and ``check_state`` checks it; then, in row order, a candidate the
+graph holds as a non-action fails ``as_action`` and a mover runs a
+``make_simulation`` agent over that ``Start``. Every other candidate is
+charged the wrong-step penalty unexamined, so an error comes from the
+candidate where a per-agent check fails. From a goal start each in-graph
+candidate is examined, being a goal alternative. A charged candidate never
+wins, its reward being below the current one, so the first mover with the
+highest reward is the (reward, distance, name) argmax. The trace holds lazy
+views, built when read. Agents run one after another: under the GIL,
+threads would add no parallelism.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import CompositionFailureError
@@ -36,11 +39,10 @@ from .simulation import (
     check_state,
     default_step_limit,
     make_simulation,
-    scoped_transitions,
     start_state,
     wrong_step_reward,
 )
-from .space import EmbeddingSpace
+from .space import EmbeddingSpace, LazySequence
 
 
 MAX_DISTANCE = 0.25  # the start radius
@@ -86,8 +88,8 @@ class TraceRound:
 
     radius: float
     reward: float  # the running reward the round starts from
-    candidates: list[tuple[str, float]]
-    results: list[tuple[str, float]]  # (action, reward): a mover's agent, else the penalty
+    candidates: Sequence[tuple[str, float]]
+    results: Sequence[tuple[str, float]]  # (action, reward): a mover's agent, else the penalty
     chosen: str | None = None
     committed: bool = False
 
@@ -120,6 +122,14 @@ class CompositionTrace:
         return [rnd.radius for rnd in self.rounds if rnd.committed]
 
 
+def _results(candidates: Sequence, moved: dict[str, float], penalty: float) -> LazySequence:
+    """Each candidate's (action, reward) when read: its agent's for a mover,
+    else the penalty."""
+    return LazySequence(
+        len(candidates), lambda i: ((a := candidates[i][0]), moved.get(a, penalty))
+    )
+
+
 def compose(
     graph: KnowledgeGraph,
     space: EmbeddingSpace,
@@ -141,8 +151,7 @@ def compose(
     alternatives: dict[tuple[str, ...], tuple[tuple[float, ...], float]] = {}
     radius = MAX_DISTANCE
     penalty = wrong_step_reward(current.reward)  # of every charged candidate
-    seen = 0  # the commit's candidates classified so far
-    movers: set[str] | None = None  # actions with a scoped transition from `start`
+    walk: list[tuple[int, str]] | None = None  # (position, action) left to examine, last first
     moved: dict[str, float] = {}  # mover -> reward its agent reached
     goals: list[tuple[str, float]] = []  # in-graph candidates reaching a goal
     best: tuple[str, SimState] | None = None  # first mover with the highest reward
@@ -153,21 +162,21 @@ def compose(
                 f"step budget {budget} exhausted before reaching a goal"
             )
         candidates = space.find_closest_actions(current.state_label, radius)
-        for action, _distance in candidates[seen:]:
-            entity = graph.find(action)
-            if entity is None:
-                # known to the embedding space but absent from this
-                # activity graph: penalized like a transition-less action
-                continue
-            if movers is None:
-                if start is None:
-                    start = start_state(graph, current)
-                check_state(start, start.state)
-                movers = {
-                    a for a in graph.actions_from(start.state.state_label)
-                    if scoped_transitions(graph, start, start.state, a)
-                }
-            as_action(entity, action)
+        end = len(candidates)
+        hits = space.graph_hits(current.state_label, graph) if walk is None else None
+        if hits is not None and next(iter(hits.positions.values()), end) < end:
+            if start is None:
+                start = start_state(graph, current)
+            check_state(start, start.state)
+            movers, positions = graph.movers(start.state.state_label), hits.positions
+            if start.state.is_goal:
+                walk = [(p, a) for a, p in reversed(positions.items())]
+            else:  # movers are actions, so none is also a non-action
+                walk = [(positions[a], a) for a in movers if a in positions]
+                walk = sorted([*walk, *hits.non_actions], reverse=True)
+        while walk and walk[-1][0] < end:
+            action = walk.pop()[1]
+            as_action(graph.find(action), action)
             if action in movers:
                 state = make_simulation(graph, start)(action)
                 moved[action] = state.reward
@@ -178,8 +187,7 @@ def compose(
             elif start.state.is_goal:
                 # a start re-recognised from an UNKNOWN label can be a goal
                 goals.append((action, penalty))
-        seen = len(candidates)
-        results = [(action, moved.get(action, penalty)) for action, _d in candidates]
+        results = _results(candidates, moved, penalty)
         round_record = TraceRound(radius, current.reward, candidates, results)
         trace.rounds.append(round_record)
 
@@ -203,26 +211,18 @@ def compose(
         round_record.committed = True
         committed_actions.append(chosen)
         committed_rewards.append(current.reward)
-        start = movers = best = None
-        seen = 0
+        start = walk = best = None
         penalty = wrong_step_reward(current.reward)
-        moved.clear()
+        moved = {}  # the last commit's rounds read theirs
         goals.clear()
         radius = MAX_DISTANCE
 
     trace.cumulative_reward = sum(committed_rewards)
 
-    rows = [
-        (tuple(committed_actions), tuple(committed_rewards), trace.cumulative_reward)
-    ]
+    rows = [(tuple(committed_actions), tuple(committed_rewards), trace.cumulative_reward)]
     for actions, (rewards, cumulative) in alternatives.items():
         if actions != rows[0][0]:
             rows.append((actions, rewards, cumulative))
     rows.sort(key=lambda row: (-row[2], row[0]))
-    table = PolicyTable(
-        rows=[
-            PolicyRow(rank=i + 1, actions=actions, rewards=rewards, cumulative=cumulative)
-            for i, (actions, rewards, cumulative) in enumerate(rows)
-        ]
-    )
+    table = PolicyTable([PolicyRow(i + 1, *row) for i, row in enumerate(rows)])
     return table, trace

@@ -13,10 +13,12 @@ A graph is built, validated once, then read. ``validate()`` is the one
 place that derives data from the entities: when the graph is valid it
 freezes it and stores one ``_Index`` holding the parsed rules and
 equations, the states in name order with their lead features, the owning
-activities of each state, the transitions by state, then action, and each
-activity's state and action names. Every derived lookup only reads that
-record, so any number of readers can share a frozen graph; on a graph that
-``validate()`` has not frozen they raise ``RuntimeError``.
+activities of each state, the transitions by state, then action, each
+activity's state and action names, and the movers of each state: the
+actions with a transition from it that stays in its owning activity.
+Every derived lookup only reads that record, so any number of readers can
+share a frozen graph; on a graph that ``validate()`` has not frozen they
+raise ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -348,6 +350,7 @@ class _Index:
     owners: dict[str, tuple[Activity, ...]]  # state name -> owning activities
     transitions: dict[str, dict[str, list[Transition]]]  # state -> action -> list
     scope_names: dict[str, tuple[frozenset[str], frozenset[str]]]  # states, actions
+    movers: dict[str, frozenset[str]]  # state name -> actions with an in-scope transition
 
 
 class KnowledgeGraph:
@@ -429,10 +432,11 @@ class KnowledgeGraph:
     def transitions_from(self, state_name: str, action_name: str) -> list[Transition]:
         return self._indexes().transitions.get(state_name, {}).get(action_name, [])
 
-    def actions_from(self, state_name: str) -> tuple[str, ...]:
-        """The names of the actions with any transition from a state, in
-        the order of their first transition."""
-        return tuple(self._indexes().transitions.get(state_name, ()))
+    def movers(self, state_name: str) -> frozenset[str]:
+        """The names of the actions with a transition from a state that
+        ``in_scope`` keeps for the state's owning activity: any transition
+        when not exactly one activity owns the state."""
+        return self._indexes().movers.get(state_name, frozenset())
 
     def activities_of_state(self, state_name: str) -> list[Activity]:
         return list(self._indexes().owners.get(state_name, ()))
@@ -653,6 +657,11 @@ class KnowledgeGraph:
             for name in states:
                 owners.setdefault(name, []).append(activity)
             scope_names[activity.name] = (states, frozenset(activity.actions))
+        movers = {}
+        for name, by_action in transitions.items():
+            acts = owners.get(name, ())
+            names = scope_names[acts[0].name] if len(acts) == 1 else None
+            movers[name] = frozenset(a for a, ts in by_action.items() if in_scope(ts, names))
         self._index = _Index(
             rules=rules,
             equations=equations,
@@ -663,11 +672,23 @@ class KnowledgeGraph:
             owners={name: tuple(acts) for name, acts in owners.items()},
             transitions=transitions,
             scope_names=scope_names,
+            movers=movers,
         )
 
     @property
     def effects(self) -> list[Effect]:
         return self.by_concept(Concept.EFFECT)
+
+
+def in_scope(
+    transitions: list[Transition], names: tuple[frozenset[str], frozenset[str]] | None
+) -> list[Transition]:
+    """The transitions that stay in an activity with these (state names,
+    action names); all of them when ``names`` is None."""
+    if names is None:
+        return transitions
+    states, actions = names
+    return [t for t in transitions if t.next_state in states and t.action in actions]
 
 
 def isomorphic(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:

@@ -52,6 +52,7 @@ from .kg import (
     RecognitionEntry,
     State,
     Transition,
+    in_scope,
 )
 
 UNKNOWN_STATE = "UNKNOWN"
@@ -292,13 +293,7 @@ def scoped_transitions(
     """The transitions of ``action_name`` from ``state``, kept to the
     activity that scopes ``start``. An empty list means that performing the
     action makes no transition, which ``wrong_step`` charges."""
-    matching = graph.transitions_from(state.state_label, action_name)
-    if start.names is not None:
-        scope_states, scope_actions = start.names
-        matching = [
-            t for t in matching if t.next_state in scope_states and t.action in scope_actions
-        ]
-    return matching
+    return in_scope(graph.transitions_from(state.state_label, action_name), start.names)
 
 
 def wrong_step_reward(reward: float) -> float:

@@ -233,20 +233,26 @@ def _commit_runs(trace):
     return runs[:-1]  # a composition ends with a commit
 
 
-def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeypatch):
-    """An agent runs once per commit for every candidate with a scoped
-    transition from that commit's start, and for no other candidate. The
-    scoped transition check runs at most once per commit and action, and
-    only for an action with a transition from that commit's start."""
-    starts = []  # one entry per start_state call: a commit's start
-    steps = Counter()  # (start_state calls so far, action) -> agent steps
-    checks = Counter()  # (start_state calls so far, action) -> scoped checks
-    validate, make = composer.start_state, composer.make_simulation
-    scoped = composer.scoped_transitions
+def _counting_starts(monkeypatch):
+    """Record every ``start_state`` call that ``compose`` makes: one per
+    commit, the initial state's first."""
+    starts = []
+    validate = composer.start_state
 
     def counting_start(graph, initial):
         starts.append(validate(graph, initial))
         return starts[-1]
+
+    monkeypatch.setattr(composer, "start_state", counting_start)
+    return starts
+
+
+def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeypatch):
+    """An agent runs once per commit for every candidate with a scoped
+    transition from that commit's start, and for no other candidate."""
+    starts = _counting_starts(monkeypatch)
+    steps = Counter()  # (start_state calls so far, action) -> agent steps
+    make = composer.make_simulation
 
     def counting_make(graph, initial):
         assert isinstance(initial, Start)  # validated by start_state above
@@ -258,21 +264,13 @@ def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeyp
 
         return counted
 
-    def counting_scoped(graph, start, state, action):
-        checks[len(starts), action] += 1
-        return scoped(graph, start, state, action)
-
-    monkeypatch.setattr(composer, "start_state", counting_start)
     monkeypatch.setattr(composer, "make_simulation", counting_make)
-    monkeypatch.setattr(composer, "scoped_transitions", counting_scoped)
     reused = charged = 0
     for graph, space, start in _fuzzed_cases(graphs, desk_space):
         starts.clear()
         steps.clear()
-        checks.clear()
         _table, trace = compose(graph, space, start)
         assert steps and set(steps.values()) == {1}
-        assert set(checks.values()) == {1}
         # the initial state, then the state of every commit but the last
         assert len(starts) == max(1, len(trace.commit_radii))
         runs = _commit_runs(trace)
@@ -281,14 +279,48 @@ def test_each_candidate_is_simulated_once_per_commit(graphs, desk_space, monkeyp
             candidates = {action for rnd in run for action, _distance in rnd.candidates}
             moving = {action for action in candidates if _moves(graph, run_start, action)}
             assert {action for n, action in steps if n == index} == moving
-            label = run_start.state.state_label
-            with_transition = {t.action for t in graph.transitions if t.previous_state == label}
-            assert {action for n, action in checks if n == index} <= with_transition
+            assert moving <= graph.movers(run_start.state.state_label)
             charged += len(candidates - moving)
         reused += _repeated_candidates(trace)
         _check_against_fresh_agents(graph, start, trace)
     assert reused > 0  # some candidates did come back after the radius grew
     assert charged > 0  # and some were charged without a simulation
+
+
+def test_a_commit_classifies_only_its_movers_and_non_actions(graphs, desk_space, monkeypatch):
+    """Per commit, ``as_action`` runs at most once for each mover and each
+    candidate that the graph holds as something other than an action,
+    within the commit's final radius. Other candidates in the graph are
+    charged unexamined, except from a goal start, where each one is a goal
+    alternative."""
+    starts = _counting_starts(monkeypatch)
+    calls = Counter()  # start_state calls so far -> as_action calls
+    check = composer.as_action
+
+    def counting_as_action(entity, action_name):
+        calls[len(starts)] += 1
+        return check(entity, action_name)
+
+    monkeypatch.setattr(composer, "as_action", counting_as_action)
+    classified = skipped = 0
+    for graph, space, start in _fuzzed_cases(graphs, desk_space):
+        starts.clear()
+        calls.clear()
+        _table, trace = compose(graph, space, start)
+        for index, (run, run_start) in enumerate(zip(_commit_runs(trace), starts), start=1):
+            in_graph = [a for a, _d in run[-1].candidates if graph.find(a) is not None]
+            if run_start.state.is_goal:
+                assert calls[index] <= len(in_graph)
+                continue
+            bound = sum(
+                _moves(graph, run_start, a) or not isinstance(graph.find(a), Action)
+                for a in in_graph
+            )
+            assert calls[index] <= bound
+            classified += calls[index]
+            skipped += len(in_graph) - calls[index]
+    assert classified > 0
+    assert skipped > 0  # in-graph candidates that the per-candidate loop classified
 
 
 # --- the reference composition: a fresh closure per agent ----------------
@@ -417,14 +449,15 @@ def _desk_digest(graphs, space, render):
 
 
 def _trace_json(trace: CompositionTrace) -> str:
-    """The canonical JSON of a trace: every round, and the totals."""
+    """The canonical JSON of a trace: every round, and the totals. A
+    round's candidates and results are lazy sequences, read into lists."""
     return json.dumps(
         {
             "rounds": [
                 {
                     "radius": rnd.radius,
-                    "candidates": rnd.candidates,
-                    "results": rnd.results,
+                    "candidates": list(rnd.candidates),
+                    "results": list(rnd.results),
                     "chosen": rnd.chosen,
                     "committed": rnd.committed,
                 }

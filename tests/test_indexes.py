@@ -228,7 +228,13 @@ def test_transitions_by_state_equal_the_transition_scan(seed):
     graph = make_random_graph(random.Random(seed))
     for state in [s.name for s in graph.states] + ["NotAState"]:
         scan = [t for t in graph.transitions if t.previous_state == state]
-        assert graph.actions_from(state) == tuple(dict.fromkeys(t.action for t in scan))
+        owners = [a for a in graph.activities if state in a.states]
+        scope = owners[0] if len(owners) == 1 else None
+        assert graph.movers(state) == {
+            t.action
+            for t in scan
+            if scope is None or (t.next_state in scope.states and t.action in scope.actions)
+        }
         for action in [a.name for a in graph.actions] + ["NotAnAction"]:
             assert _identical(
                 graph.transitions_from(state, action), [t for t in scan if t.action == action]
@@ -242,7 +248,7 @@ def _lookup_calls(graph):
     equations = graph.by_concept(Concept.EQUATION)
     return [
         ("transitions_from", (state, action)),
-        ("actions_from", (state,)),
+        ("movers", (state,)),
         ("activities_of_state", (state,)),
         ("recognition_order", ()),
         ("scope_names", (graph.activities[0].name,)),
@@ -274,7 +280,8 @@ def test_lookups_read_only_what_validate_stored(seed):
             assert graph.rule(state.name) is index.rules[state.name]
             assert _identical(graph.activities_of_state(state.name), index.owners.get(state.name, ()))
             by_action = index.transitions.get(state.name, {})
-            assert graph.actions_from(state.name) == tuple(by_action)
+            assert graph.movers(state.name) == index.movers.get(state.name, frozenset())
+            assert graph.movers(state.name) <= set(by_action)
             for action, transitions in by_action.items():
                 assert graph.transitions_from(state.name, action) is transitions
         for activity in graph.activities:

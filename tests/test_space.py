@@ -349,9 +349,14 @@ def test_mutating_a_result_leaves_the_next_search_unchanged():
     space = _basic_space()
     first = space.find_closest_actions("S", 2.0)
     expected = list(first)
-    first.clear()
-    space.find_closest_actions("S", 0.5).append(("X", -1.0))
-    assert space.find_closest_actions("S", 2.0) == expected
+    assert len(first) == 3 and first[-1] == expected[-1] and first[1:] == expected[1:]
+    assert not any(hasattr(first, name) for name in ("clear", "append", "extend", "pop"))
+    with pytest.raises(TypeError):
+        first[0] = ("X", -1.0)
+    with pytest.raises(IndexError):
+        first[3]
+    expected.clear()  # a list read from the view is the caller's own
+    assert space.find_closest_actions("S", 2.0) == first == list(first)
     assert space.find_closest_actions("S", 2.0) is not space.find_closest_actions("S", 2.0)
 
 
