@@ -99,9 +99,18 @@ def _median(values):
     return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def _stdev(values):
+def _moments(feature: str, values) -> tuple[float, float]:
+    """The mean and the standard deviation of one numeric feature's values.
+    Raises ValueError naming the feature when the mean or the variance is
+    not finite."""
     m = _mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
+    try:
+        variance = sum((v - m) ** 2 for v in values) / len(values)
+    except OverflowError:  # float ** raises where * gives inf
+        variance = math.inf
+    if not (math.isfinite(m) and math.isfinite(variance)):
+        raise ValueError(f"feature {feature!r}: mean or variance is not finite")
+    return m, math.sqrt(variance)
 
 
 def _is_number(value):
@@ -144,7 +153,7 @@ def fit_hmm(rows: list[LogRow]) -> HmmModel:
         transition_prob={k: _frequencies(c) for k, c in transition_counts.items()},
         action_prob={k: _frequencies(c) for k, c in action_counts.items()},
         observation_prob={
-            key: Gaussian(_mean(values), _stdev(values))
+            key: Gaussian(*_moments(key[1], values))
             if _is_number(values[0])
             else _frequencies(Counter(values))
             for key, values in samples.items()
@@ -156,8 +165,7 @@ def fit_hmm(rows: list[LogRow]) -> HmmModel:
         state_prob=_frequencies(state_counts),
         feature_summary={
             feature: FeatureSummary(
-                mean=_mean(values),
-                stdev=_stdev(values),
+                *_moments(feature, values),
                 median=_median(values),
                 low=float(min(values)),
                 high=float(max(values)),
@@ -191,13 +199,9 @@ def _marginal_transitions(model: HmmModel) -> dict:
     return marginal
 
 
-def _emission_log_prob(
-    model: HmmModel, known_features: set, state: str, observations: dict
-) -> float:
+def _emission_log_prob(model: HmmModel, state: str, observations: dict) -> float:
     total = 0.0
     for feature, value in sorted(observations.items()):
-        if feature not in known_features:
-            raise ValueError(f"unknown feature {feature!r}")
         dist = model.observation_prob.get((state, feature))
         if dist is None:
             return -math.inf
@@ -227,9 +231,13 @@ def viterbi_path(model: HmmModel, observation_seq: list[dict]) -> list[str]:
     states = model.states
     steps = len(observation_seq)
     known_features = {f for (_s, f) in model.observation_prob}
+    for observations in observation_seq:  # before any emission can read zero
+        for feature in sorted(observations):
+            if feature not in known_features:
+                raise ValueError(f"unknown feature {feature!r}")
 
     emit = [
-        [_emission_log_prob(model, known_features, s, observation_seq[t]) for s in states]
+        [_emission_log_prob(model, s, observation_seq[t]) for s in states]
         for t in range(steps)
     ]
     log_trans = [

@@ -65,8 +65,6 @@ class LazySequence(Sequence):
             return list(self) == list(other)
         return NotImplemented
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         return repr(list(self))
 

@@ -302,6 +302,17 @@ def test_derive_refuses_a_header_that_repeats_a_feature(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", [("1e200", "1"), ("1e308", "1e308"), ("nan", "1")])
+def test_derive_refuses_a_feature_whose_mean_or_variance_is_not_finite(tmp_path, capsys, values):
+    # (1e200 - m) ** 2 raised OverflowError, which ended derive in a traceback
+    csv_path = tmp_path / "log.csv"
+    csv_path.write_text("state,action,reward,next_state,x\nA,go,1,B,%s\nB,go,1,A,%s\n" % values)
+    out = tmp_path / "derived.ttl"
+    assert main(["derive", str(csv_path), "--out", str(out)]) == 1
+    assert "error: feature 'x': mean or variance is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_derive_names_the_line_of_an_empty_state_cell(tmp_path, capsys):
     csv_path = tmp_path / "log.csv"
     csv_path.write_text("state,action,reward,next_state,x\nA,go,1.0,B,1\nB, ,1.0,A,3\n")

@@ -215,6 +215,18 @@ def test_viterbi_unknown_feature_names_it():
     assert "wind" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "sequence",
+    [[{"humidity": "medium", "wind": "x"}], [{"humidity": "high"}, {"humidity": "medium", "wind": "x"}]],
+)
+def test_viterbi_reports_an_unknown_feature_before_a_zero_likelihood(sequence):
+    # no state emits "medium", so an emission read before the feature check
+    # made the whole sequence read as zero likelihood
+    model = fit_hmm(TOY_ROWS)
+    with pytest.raises(ValueError, match="unknown feature 'wind'"):
+        viterbi_path(model, sequence)
+
+
 def test_viterbi_zero_likelihood_is_error_not_nan():
     model = fit_hmm(TOY_ROWS)
     with pytest.raises(ValueError) as err:
