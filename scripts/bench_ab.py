@@ -10,8 +10,10 @@ sides are measured by the same benchmark. Pairs alternate which side runs
 first. ``BENCH_<label>.json`` in ``--out`` (the repository root by default)
 holds both SHAs, the two output lines of every run, and per workload and
 end-to-end metric each side's median and quartiles, the wins per pair and
-a verdict. It is rewritten after every run, so a stopped comparison keeps
-the runs it made.
+a verdict. Each side's spread is recorded twice over its median: as
+``spread_share`` (max - min) and as ``iqr_share`` (q3 - q1), which no
+single outlier run decides. The file is rewritten after every run, so a
+stopped comparison keeps the runs it made.
 
 The verdict follows the rule the benchmark's README and BENCHMARK.json set:
 - ``better``: the head wins at least 9 of 10 pairs (ties count for
@@ -84,14 +86,18 @@ def _stats(values: list[float]) -> dict:
     median = statistics.median(values)
     quartiles = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     q1, _, q3 = quartiles
-    spread = max(values) - min(values)
+
+    def share(spread: float) -> float:
+        return spread / abs(median) if median else (0.0 if spread == 0 else float("inf"))
+
     return {
         "median": median,
         "q1": q1,
         "q3": q3,
         "min": min(values),
         "max": max(values),
-        "spread_share": spread / abs(median) if median else (0.0 if spread == 0 else float("inf")),
+        "spread_share": share(max(values) - min(values)),
+        "iqr_share": share(q3 - q1),
         "values": values,
     }
 
@@ -201,7 +207,8 @@ def main(argv=None) -> int:
         for name, m in entry["metrics"].items():
             gap = "n/a" if m["relative_gap"] is None else f"{m['relative_gap']:+.1%}"
             print(f"  {name}: {m['base']['median']:.4g} -> {m['head']['median']:.4g} ({gap}), "
-                  f"wins {m['wins']}/{m['pairs']}: {m['verdict']}")
+                  f"wins {m['wins']}/{m['pairs']}, IQR/median {m['base']['iqr_share']:.1%} "
+                  f"and {m['head']['iqr_share']:.1%}: {m['verdict']}")
     return 0
 
 

@@ -11,20 +11,26 @@ serialization round trips.
 
 A graph is built, validated once, then read. ``validate()`` is the one
 place that derives data from the entities: when the graph is valid it
-freezes it and stores one ``_Index`` holding the parsed rules and
-equations, the states in name order with their lead features, the owning
-activities of each state, the transitions by state, then action, each
-activity's state and action names, and the movers of each state: the
-actions with a transition from it that stays in its owning activity.
-Every derived lookup only reads that record, so any number of readers can
-share a frozen graph; on a graph that ``validate()`` has not frozen they
-raise ``RuntimeError``.
+freezes it and stores one ``_Index`` holding the parsed rules (each with
+its equality pairs, see ``rules``) and equations, the states in name order
+with their lead features, the owning activities of each state, each
+activity's state and action names, and the transition that a step takes.
+That last one is keyed by scope, then state, then action. A scope is an
+activity, for the states it owns, or None for every state; the stored
+transition is the most probable of the action's transitions from the state
+that ``in_scope`` keeps for the scope, the smaller next state on a tie. The
+movers of a state, the actions with a transition from it that stays in its
+owning activity, are the actions of the state's own scope entry. Every
+derived lookup only reads that record, so any number of readers can share
+a frozen graph; on a graph that ``validate()`` has not frozen they raise
+``RuntimeError``.
 """
 
 from __future__ import annotations
 
 import math
 import uuid
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, get_args
@@ -344,13 +350,16 @@ class RecognitionEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class _Index:
+    """What ``validate()`` derives from a graph; see the module docstring."""
+
     rules: dict[str, RuleExpr]  # state name -> parsed rule
     equations: dict[str, EquationExpr]  # equation name -> parsed expression
     recognition: tuple[RecognitionEntry, ...]  # every state, in name order
     owners: dict[str, tuple[Activity, ...]]  # state name -> owning activities
-    transitions: dict[str, dict[str, list[Transition]]]  # state -> action -> list
     scope_names: dict[str, tuple[frozenset[str], frozenset[str]]]  # states, actions
-    movers: dict[str, frozenset[str]]  # state name -> actions with an in-scope transition
+    # scope (activity name, or None for every transition) -> state name ->
+    # action name -> the transition a step takes
+    steps: dict[str | None, dict[str, dict[str, Transition]]]
 
 
 class KnowledgeGraph:
@@ -429,14 +438,21 @@ class KnowledgeGraph:
     def transitions(self) -> list[Transition]:
         return self.by_concept(Concept.TRANSITION)
 
-    def transitions_from(self, state_name: str, action_name: str) -> list[Transition]:
-        return self._indexes().transitions.get(state_name, {}).get(action_name, [])
+    def scope_steps(self, scope_name: str | None) -> dict[str, dict[str, Transition]]:
+        """State name -> action name -> the transition a step takes within
+        one scope: the activity named ``scope_name``, for the states it
+        owns, or every transition when ``scope_name`` is None. A state and
+        action pair that is absent makes no transition."""
+        return self._indexes().steps[scope_name]
 
-    def movers(self, state_name: str) -> frozenset[str]:
+    def movers(self, state_name: str) -> KeysView[str]:
         """The names of the actions with a transition from a state that
         ``in_scope`` keeps for the state's owning activity: any transition
         when not exactly one activity owns the state."""
-        return self._indexes().movers.get(state_name, frozenset())
+        index = self._indexes()
+        owners = index.owners.get(state_name, ())
+        scope = owners[0].name if len(owners) == 1 else None
+        return index.steps[scope].get(state_name, {}).keys()
 
     def activities_of_state(self, state_name: str) -> list[Activity]:
         return list(self._indexes().owners.get(state_name, ()))
@@ -657,11 +673,11 @@ class KnowledgeGraph:
             for name in states:
                 owners.setdefault(name, []).append(activity)
             scope_names[activity.name] = (states, frozenset(activity.actions))
-        movers = {}
-        for name, by_action in transitions.items():
-            acts = owners.get(name, ())
-            names = scope_names[acts[0].name] if len(acts) == 1 else None
-            movers[name] = frozenset(a for a, ts in by_action.items() if in_scope(ts, names))
+        steps = {None: _chosen_steps(transitions, transitions, None)}
+        for activity in self.activities:
+            steps[activity.name] = _chosen_steps(
+                transitions, activity.states, scope_names[activity.name]
+            )
         self._index = _Index(
             rules=rules,
             equations=equations,
@@ -670,9 +686,8 @@ class KnowledgeGraph:
                 for name, state in sorted(self._by_concept[Concept.STATE].items())
             ),
             owners={name: tuple(acts) for name, acts in owners.items()},
-            transitions=transitions,
             scope_names=scope_names,
-            movers=movers,
+            steps=steps,
         )
 
     @property
@@ -694,6 +709,31 @@ def in_scope(
 def isomorphic(a: KnowledgeGraph, b: KnowledgeGraph) -> bool:
     """Graphs are considered equal when their triple sets coincide."""
     return a.triples() == b.triples()
+
+
+def _step_order(transition: Transition) -> tuple[float, str]:
+    """The most probable transition first, the smaller next state on a tie."""
+    return -transition.probability, transition.next_state
+
+
+def _chosen_steps(
+    transitions: dict[str, dict[str, list[Transition]]],
+    state_names,
+    names: tuple[frozenset[str], frozenset[str]] | None,
+) -> dict[str, dict[str, Transition]]:
+    """State -> action -> the first in ``_step_order`` of the action's
+    transitions from the state that ``in_scope`` keeps for ``names``; a
+    state or action with none kept is left out."""
+    out = {}
+    for name in state_names:
+        chosen = {
+            action: min(kept, key=_step_order)
+            for action, found in transitions.get(name, {}).items()
+            if (kept := in_scope(found, names))
+        }
+        if chosen:
+            out[name] = chosen
+    return out
 
 
 def sorted_entities(graph: KnowledgeGraph) -> list[Entity]:

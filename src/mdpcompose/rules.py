@@ -13,6 +13,14 @@ Equation grammar (ordinary arithmetic):
     expr   := term ((+|-) term)*
     term   := factor ((*|/) factor)*
     factor := - factor | ( expr ) | number | IDENT
+
+A rule that is one conjunction of ``==`` comparisons against numbers, as
+every state rule of the generated corpora is, keeps its (feature, value)
+pairs from parsing on, and evaluation walks them in order: an absent
+feature raises MissingFeatureError, a string value fails its pair, and any
+other value is compared as ``float(value)``, so a bool reads as 1.0 or 0.0.
+The first failing pair ends the walk, as the comparisons would. Every
+other rule evaluates its comparisons one by one.
 """
 
 from __future__ import annotations
@@ -78,30 +86,51 @@ class Comparison:
 
 @dataclass(frozen=True)
 class RuleExpr:
-    """Parsed rule: disjunction of conjunctions of comparisons."""
+    """Parsed rule: disjunction of conjunctions of comparisons.
+
+    Both derived fields are set once, at construction. ``equalities`` holds
+    the (feature, value) pairs, in clause order, of a rule whose one clause
+    compares only with ``==`` against numbers, and None for any other rule;
+    ``evaluate`` reads those pairs instead of the comparisons. ``_pinned``
+    is what ``pinned_values`` returns."""
 
     clauses: tuple[tuple[Comparison, ...], ...]
     source: str = ""
+    equalities: tuple[tuple[str, float], ...] | None = field(init=False, repr=False, compare=False)
+    _pinned: dict[str, float | str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        clause = self.clauses[0] if len(self.clauses) == 1 else ()
+        pinned = {cmp.feature: cmp.value for cmp in clause if cmp.op == "=="}
+        if len(pinned) != len(clause):  # another operator, or a repeated feature
+            pinned = {}
+        numeric = all(cmp.op == "==" and not isinstance(cmp.value, str) for cmp in clause)
+        equalities = tuple((cmp.feature, cmp.value) for cmp in clause) if clause and numeric else None
+        object.__setattr__(self, "equalities", equalities)
+        object.__setattr__(self, "_pinned", pinned)
 
     def evaluate(self, features) -> bool:
-        return any(
-            all(cmp.evaluate(features) for cmp in clause) for clause in self.clauses
-        )
+        if self.equalities is None:
+            return any(
+                all(cmp.evaluate(features) for cmp in clause) for clause in self.clauses
+            )
+        # Comparison.evaluate of an ``==`` against a number, pair by pair
+        for feature, value in self.equalities:
+            if feature not in features:
+                raise MissingFeatureError(feature)
+            actual = features[feature]
+            if isinstance(actual, str) or float(actual) != value:
+                return False
+        return True
 
     def feature_names(self) -> set[str]:
         return {cmp.feature for clause in self.clauses for cmp in clause}
 
     def pinned_values(self) -> dict[str, float | str]:
         """Feature assignments forced by the rule, when it is a pure
-        conjunction of equality comparisons; empty dict otherwise."""
-        if len(self.clauses) != 1:
-            return {}
-        pinned: dict[str, float | str] = {}
-        for cmp in self.clauses[0]:
-            if cmp.op != "==" or cmp.feature in pinned:
-                return {}
-            pinned[cmp.feature] = cmp.value
-        return pinned
+        conjunction of equality comparisons on distinct features; empty
+        dict otherwise. Shared by every caller: read it, do not change it."""
+        return self._pinned
 
 
 def _tokenize_rule(text):

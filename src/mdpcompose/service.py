@@ -6,7 +6,8 @@ POST /policies with either {"featureValues": {...}} or {"stateName": "..."}
 the radius cap and compositions that start in or commit to a final state
 that is not a goal are rejected with 422; malformed bodies get 400, bodies over
 MAX_BODY_BYTES get 413, and any other failure gets 500. A body that stalls
-for _Handler.timeout seconds counts as malformed. GET /health
+for _Handler.timeout seconds counts as malformed. A connection beyond the
+MAX_CONNECTIONS being served gets 503 and is closed. GET /health
 reports readiness. The store (see ``store``) is built once at start-up and
 only read: a request finds its graph and starting state in the store's
 indexes and composes on its own copies of the state, so requests never
@@ -41,6 +42,8 @@ import io
 import json
 import logging
 import re
+import threading
+from email.utils import formatdate
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -60,6 +63,9 @@ from .store import Store, graph_of_state, load_store, recognize_across
 log = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 1 << 20
+# connections served at once, one handler thread each; compositions hold
+# the GIL, so more threads would buy no throughput, only memory
+MAX_CONNECTIONS = 32
 
 
 class BadRequest(ValueError):
@@ -126,6 +132,7 @@ _UNKNOWN_STATE = _reason("unknown state")
 _NO_ACTION = _reason("no action within radius")
 _TERMINATED = _reason("activity terminated")
 _INTERNAL = _reason("internal error")
+_BUSY = _reason("server busy")
 
 # the limits of http.client on one header line and on the lines of a header block
 _MAX_LINE = 65536
@@ -331,12 +338,56 @@ class _Handler(BaseHTTPRequestHandler):
         log.debug("%s " + fmt, self.address_string(), *args)
 
 
+class _Server(ThreadingHTTPServer):
+    """Serves at most MAX_CONNECTIONS connections at once. One more gets a
+    503 and is closed before a handler thread is started for it."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._lock = threading.Lock()
+        self._serving = 0
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            busy = self._serving >= MAX_CONNECTIONS
+            if not busy:
+                self._serving += 1
+        if not busy:
+            try:
+                super().process_request(request, client_address)  # starts the thread
+            except BaseException:
+                self._release()
+                raise
+            return
+        head = (
+            f"HTTP/1.1 503 Service Unavailable\r\n"
+            f"Server: {_Handler.server_version} {_Handler.sys_version}\r\n"
+            f"Date: {formatdate(usegmt=True)}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(_BUSY)}\r\nConnection: close\r\n\r\n"
+        )
+        try:
+            request.sendall(head.encode("latin-1") + _BUSY)
+        except OSError:
+            pass  # the client left first
+        self.shutdown_request(request)
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._release()
+
+    def _release(self):
+        with self._lock:
+            self._serving -= 1
+
+
 def build_server(store: Store, space, bind: str = "127.0.0.1:0") -> ThreadingHTTPServer:
     host, _, port_text = bind.partition(":")
     port = int(port_text) if port_text else 0
     if not 0 <= port <= 65535:
         raise ValueError(f"port must be in 0-65535, got {port}")
-    server = ThreadingHTTPServer((host or "127.0.0.1", port), _Handler)
+    server = _Server((host or "127.0.0.1", port), _Handler)
     server.policy_service = PolicyService(store, space)
     return server
 

@@ -1,15 +1,15 @@
 """Activity simulation: a validated start and a plain step function.
 
 ``start_state`` validates a starting state once and returns a ``Start``:
-the state, the activity that scopes its steps and the step limit.
-``check_state`` makes the checks on a state before a step, in a fixed
-order, ``as_action`` the check on the action, and ``scoped_transitions``
-returns the action's transitions from the state within that scope.
-``step_state`` makes all three and performs one action on a copy of that
-state in place: it takes the most probable matching transition, applies
-the action's effects, re-derives the state label and updates the running
-reward (+``REWARD_INCREMENT`` for a matched transition, -``REWARD_INCREMENT``
-otherwise); ``wrong_step`` charges that penalty for a step without one.
+the state, the activity that scopes its steps, that scope's stored steps
+and the step limit. ``check_state`` makes the checks on a state before a
+step, in a fixed order, and ``as_action`` the check on the action.
+``step_state`` makes both and performs one action on a copy of that state
+in place: it reads the transition that ``validate()`` chose for the
+(scope, state, action), the most probable one that stays in the scope,
+applies the action's effects, re-derives the state label and updates the
+running reward (+``REWARD_INCREMENT`` for a transition, -``REWARD_INCREMENT``
+when the scope stores none); ``wrong_step`` charges that penalty.
 ``make_simulation`` wraps the pair in a closure that owns its state across
 steps. It validates a given state itself, or steps a copy of a ``Start``
 without validating again, which is how the composer runs an agent from a
@@ -19,10 +19,13 @@ transition. Any number of callers can read the same frozen graph.
 
 Every graph lookup reads the record that ``validate()`` stored when it
 froze the graph (see ``kg``), so a simulation needs a validated graph: the
-parsed rules and equations, the owning activity of a state, the
-transitions by state, then action, each activity's state and action names,
-and the states in name order with their rules. Recognition scans that
-name order and skips, without evaluating it, every state whose lead
+parsed rules and equations, the owning activity of a state, the chosen
+transitions by scope, state and action, each activity's state names, and
+the states in name order with their rules. A rule that is a conjunction
+of numeric equalities is evaluated from its (feature, value) pairs, and
+its pinned values are read, not rebuilt (see ``rules``).
+
+Recognition scans that name order and skips, without evaluating it, every state whose lead
 feature (the feature of its rule's first comparison) is absent from the
 feature map. The skip is exact: ``RuleExpr.evaluate`` always evaluates
 that comparison first, it raises ``MissingFeatureError`` for an absent
@@ -52,7 +55,6 @@ from .kg import (
     RecognitionEntry,
     State,
     Transition,
-    in_scope,
 )
 
 UNKNOWN_STATE = "UNKNOWN"
@@ -215,12 +217,13 @@ def _relabel(graph, target: State, features, scope: Activity | None) -> str:
 class Start:
     """A validated starting state and what every step from it needs: the
     activity that scopes the steps (None when no single activity owns the
-    state), that activity's (state names, action names), and the step
-    limit, ``default_step_limit`` of the graph."""
+    state), that scope's entry of the stored steps (state name -> action
+    name -> the transition taken, ``KnowledgeGraph.scope_steps``), and the
+    step limit, ``default_step_limit`` of the graph."""
 
     state: SimState
     scope: Activity | None
-    names: tuple[frozenset[str], frozenset[str]] | None
+    steps: dict[str, dict[str, Transition]]
     max_steps: int
 
 
@@ -258,8 +261,8 @@ def start_state(graph: KnowledgeGraph, initial: SimState) -> Start:
                 f"initial features do not cover activity {scope.name!r}: "
                 f"missing {missing}"
             )
-    names = graph.scope_names(scope.name) if scope is not None else None
-    return Start(state, scope, names, default_step_limit(graph))
+    steps = graph.scope_steps(scope.name if scope is not None else None)
+    return Start(state, scope, steps, default_step_limit(graph))
 
 
 def default_step_limit(graph: KnowledgeGraph) -> int:
@@ -287,15 +290,6 @@ def as_action(entity: Entity | None, action_name: str) -> Action:
     return entity
 
 
-def scoped_transitions(
-    graph: KnowledgeGraph, start: Start, state: SimState, action_name: str
-) -> list[Transition]:
-    """The transitions of ``action_name`` from ``state``, kept to the
-    activity that scopes ``start``. An empty list means that performing the
-    action makes no transition, which ``wrong_step`` charges."""
-    return in_scope(graph.transitions_from(state.state_label, action_name), start.names)
-
-
 def wrong_step_reward(reward: float) -> float:
     """The running reward after a step from ``reward`` that makes no transition."""
     return reward - REWARD_INCREMENT
@@ -319,16 +313,18 @@ def step_state(
     state that earlier steps from it returned. Mutates and returns
     ``state``.
 
-    The most probable transition is taken, the smaller next-state name on
-    a tie. Raises what ``check_state`` and ``as_action`` raise, in that
-    order, before any change to ``state``.
+    The transition taken is the one ``start.steps`` stores for the state
+    and the action: the most probable in the scope, the smaller next-state
+    name on a tie. None stored means a wrong step. Raises what
+    ``check_state`` and ``as_action`` raise, in that order, before any
+    change to ``state``.
     """
     check_state(start, state)
     entity = as_action(graph.find(performed_action), performed_action)
-    matching = scoped_transitions(graph, start, state, performed_action)
-    if not matching:
+    moves = start.steps.get(state.state_label)
+    chosen = moves.get(performed_action) if moves else None
+    if chosen is None:
         return wrong_step(state)
-    chosen = min(matching, key=lambda t: (-t.probability, t.next_state))
     target = graph.get(chosen.next_state)
     for effect_name in entity.effects:
         _apply_effect(graph, graph.get(effect_name), state.feature_values)

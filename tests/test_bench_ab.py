@@ -78,6 +78,17 @@ def test_a_spread_beyond_the_bound_is_unresolved_unless_the_head_wins_every_run(
     assert (m["base"]["spread_share"], m["verdict"]) == (0.0, "worse")
 
 
+def test_each_side_records_its_interquartile_spread_beside_the_max_min_spread():
+    # nine runs near 20 ms and one outlier at 30 ms, as a head side once read
+    head = [19.0, 18.9, 19.0, 19.3, 22.6, 30.1, 20.1, 19.8, 17.5, 17.5]
+    m = bench_ab.verdict([21.5] * 10, head, "lower", 0.25)
+    stats = m["head"]
+    assert stats["spread_share"] == pytest.approx((30.1 - 17.5) / 19.15)
+    assert stats["iqr_share"] == pytest.approx((stats["q3"] - stats["q1"]) / 19.15)
+    assert stats["iqr_share"] < 0.25 < stats["spread_share"]  # the outlier decides only max - min
+    assert m["base"]["iqr_share"] == 0.0 and m["base"]["spread_share"] == 0.0
+
+
 def test_summary_pairs_the_runs_of_each_workload_and_skips_a_half_pair():
     runs = []
     for pair in range(3):

@@ -222,32 +222,44 @@ def test_recognize_state_equals_the_sorted_scan(seed, data):
         assert got == want, features
 
 
+def _reference_step(graph, scope, state, action):
+    """The transition a step from ``state`` takes: the most probable of the
+    action's transitions that stay in ``scope`` (any when it is None), the
+    smaller next state on a tie; None when there is none."""
+    found = [
+        t
+        for t in graph.transitions
+        if t.previous_state == state
+        and t.action == action
+        and (scope is None or (t.next_state in scope.states and t.action in scope.actions))
+    ]
+    return min(found, key=lambda t: (-t.probability, t.next_state), default=None)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_transitions_by_state_equal_the_transition_scan(seed):
-    graph = make_random_graph(random.Random(seed))
+    graph = fuzzed_graph(seed)
+    actions = [a.name for a in graph.actions] + ["NotAnAction"]
     for state in [s.name for s in graph.states] + ["NotAState"]:
-        scan = [t for t in graph.transitions if t.previous_state == state]
         owners = [a for a in graph.activities if state in a.states]
-        scope = owners[0] if len(owners) == 1 else None
+        own = owners[0] if len(owners) == 1 else None
         assert graph.movers(state) == {
-            t.action
-            for t in scan
-            if scope is None or (t.next_state in scope.states and t.action in scope.actions)
+            a for a in actions if _reference_step(graph, own, state, a) is not None
         }
-        for action in [a.name for a in graph.actions] + ["NotAnAction"]:
-            assert _identical(
-                graph.transitions_from(state, action), [t for t in scan if t.action == action]
-            )
+        for scope in [None, *owners]:
+            steps = graph.scope_steps(scope.name if scope is not None else None)
+            for action in actions:
+                want = _reference_step(graph, scope, state, action)
+                assert steps.get(state, {}).get(action) is want
 
 
 def _lookup_calls(graph):
     """One call of every derived lookup, on names the graph holds."""
-    transition = graph.transitions[0]
-    state, action = transition.previous_state, transition.action
+    state = graph.transitions[0].previous_state
     equations = graph.by_concept(Concept.EQUATION)
     return [
-        ("transitions_from", (state, action)),
+        ("scope_steps", (None,)),
         ("movers", (state,)),
         ("activities_of_state", (state,)),
         ("recognition_order", ()),
@@ -279,13 +291,13 @@ def test_lookups_read_only_what_validate_stored(seed):
         for state in graph.states:
             assert graph.rule(state.name) is index.rules[state.name]
             assert _identical(graph.activities_of_state(state.name), index.owners.get(state.name, ()))
-            by_action = index.transitions.get(state.name, {})
-            assert graph.movers(state.name) == index.movers.get(state.name, frozenset())
-            assert graph.movers(state.name) <= set(by_action)
-            for action, transitions in by_action.items():
-                assert graph.transitions_from(state.name, action) is transitions
+            owners = index.owners.get(state.name, ())
+            own = index.steps[owners[0].name if len(owners) == 1 else None]
+            assert graph.movers(state.name) == own.get(state.name, {}).keys()
+        assert graph.scope_steps(None) is index.steps[None]
         for activity in graph.activities:
             assert graph.scope_names(activity.name) is index.scope_names[activity.name]
+            assert graph.scope_steps(activity.name) is index.steps[activity.name]
         equations = graph.by_concept(Concept.EQUATION)
         assert sorted(index.equations) == sorted(e.name for e in equations)
         for equation in equations:

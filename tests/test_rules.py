@@ -195,3 +195,79 @@ def test_disjunction_matches_naive_any(comparisons, env):
     text = " OR ".join(f"{f} {op} {v}" for f, op, v in comparisons)
     expected = any(_PY_OPS[op](env[f], v) for f, op, v in comparisons)
     assert parse_rule(text).evaluate(env) is expected
+
+
+# --- the equality pairs against the comparisons they stand for ---------
+
+_FEATURES = ["A", "B", "C"]
+_CONSTANTS = ["0", "1", "2", "0.5", "-1", "1e3", '"on"', '"1"']
+_any_clause = st.lists(
+    st.tuples(
+        st.sampled_from(_FEATURES),
+        st.sampled_from(["==", "==", "!=", "<", ">="]),
+        st.sampled_from(_CONSTANTS),
+    ),
+    min_size=1,
+    max_size=3,
+)
+# one clause of numeric equalities, with repeated features now and then
+_equality_clause = st.lists(
+    st.tuples(st.sampled_from(_FEATURES), st.just("=="), st.sampled_from(_CONSTANTS[:6])),
+    min_size=1,
+    max_size=4,
+)
+_rule_shapes = st.one_of(
+    st.lists(_any_clause, min_size=1, max_size=3), _equality_clause.map(lambda c: [c])
+)
+_feature_maps = st.dictionaries(
+    st.sampled_from(_FEATURES),
+    st.sampled_from([0, 1, 2, -1, 1000, 0.5, 1.0, True, False, "on", "1", float("nan"), None]),
+)
+
+
+def _general_evaluate(rule, features):
+    """``RuleExpr.evaluate`` without the equality pairs."""
+    return any(all(cmp.evaluate(features) for cmp in clause) for clause in rule.clauses)
+
+
+def _reference_pinned(rule):
+    """The pinned values as each call once rebuilt them."""
+    if len(rule.clauses) != 1:
+        return {}
+    pinned = {}
+    for cmp in rule.clauses[0]:
+        if cmp.op != "==" or cmp.feature in pinned:
+            return {}
+        pinned[cmp.feature] = cmp.value
+    return pinned
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the exception type is part of the answer
+        return "raised", type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rule_shapes, _feature_maps)
+def test_equality_pairs_answer_as_the_comparisons_do(clauses, features):
+    text = " OR ".join(" AND ".join(f"{f} {op} {v}" for f, op, v in clause) for clause in clauses)
+    rule = parse_rule(text)
+    numeric_equalities = len(clauses) == 1 and all(
+        op == "==" and not v.startswith('"') for _f, op, v in clauses[0]
+    )
+    assert (rule.equalities is not None) is numeric_equalities
+    assert _outcome(rule.evaluate, features) == _outcome(_general_evaluate, rule, features)
+    assert rule.pinned_values() == _reference_pinned(rule)
+    assert rule.pinned_values() is rule.pinned_values()  # built once, at parse time
+
+
+def test_equality_pairs_stop_at_the_first_failing_pair():
+    rule = parse_rule("a == 1 AND b == 2")
+    assert rule.equalities == (("a", 1.0), ("b", 2.0))
+    assert rule.evaluate({"a": 0}) is False  # b is never read
+    with pytest.raises(MissingFeatureError):
+        rule.evaluate({"a": True})
+    assert rule.evaluate({"a": True, "b": 2}) is True
+    assert rule.evaluate({"a": "1", "b": 2}) is False

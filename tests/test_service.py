@@ -2,6 +2,7 @@ import http.client
 import json
 import logging
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -14,6 +15,7 @@ import pytest
 
 from conftest import WATCH_TV_49_TTL
 from mdpcompose.composer import compose, policy_table_json
+from mdpcompose import service
 from mdpcompose.service import (
     MAX_BODY_BYTES,
     BadRequest,
@@ -601,6 +603,84 @@ def test_concurrent_requests_do_not_interleave(server, graphs):
     for k, document in enumerate(documents):
         expected_length = 7 if k % 2 == 0 else 2
         assert len(document["policies"][0]["actions"]) == expected_length
+
+
+def _health_over_a_new_connection(server) -> bytes:
+    port = server.server_address[1]
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=5)
+    try:
+        conn.request("GET", "/health")
+        return conn.getresponse().read()
+    finally:
+        conn.close()
+
+
+def test_a_connection_beyond_the_cap_gets_503_before_a_thread_starts(desk_store, desk_space, monkeypatch):
+    monkeypatch.setattr(service, "MAX_CONNECTIONS", 2)
+    server = build_server(desk_store, desk_space, "127.0.0.1:0")  # no connections of other tests
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    port = server.server_address[1]
+    try:
+        threads = threading.active_count()
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as first, \
+                socket.create_connection(("127.0.0.1", port), timeout=5) as second:
+            for held in (first, second):  # each is served: its thread answers
+                held.sendall(b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
+                assert held.recv(4096).endswith(b'{"status":"ok"}')
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as third:
+                response = b""
+                while chunk := third.recv(4096):  # until the server closes it
+                    response += chunk
+            assert threading.active_count() <= threads + 2
+        head, _, body = response.partition(b"\r\n\r\n")
+        status_line, *fields = head.lower().split(b"\r\n")
+        assert status_line == b"http/1.1 503 service unavailable"
+        assert json.loads(body) == {"reason": "server busy"}
+        assert {b"connection: close", b"content-length: %d" % len(body)} <= set(fields)
+        # a slot is free again once a held connection's thread has ended
+        deadline = time.monotonic() + 5
+        while (answer := _health_over_a_new_connection(server)) != b'{"status":"ok"}':
+            assert time.monotonic() < deadline, answer
+            time.sleep(0.05)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_connections_racing_for_the_cap_release_every_slot(desk_store, desk_space, monkeypatch):
+    monkeypatch.setattr(service, "MAX_CONNECTIONS", 2)
+    server = build_server(desk_store, desk_space, "127.0.0.1:0")
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    answers = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the counter's updates as often as possible
+    try:
+        def client():
+            for _ in range(10):
+                try:
+                    answers.append(_health_over_a_new_connection(server))
+                except ConnectionError:  # a request sent before the 503 can reset it
+                    answers.append(b"reset")
+
+        clients = [threading.Thread(target=client) for _ in range(6)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in clients)
+    finally:
+        sys.setswitchinterval(switch)
+    try:
+        assert len(answers) == 60
+        assert set(answers) <= {b'{"status":"ok"}', b'{"reason":"server busy"}', b"reset"}
+        assert b'{"status":"ok"}' in answers
+        deadline = time.monotonic() + 5
+        while server._serving:  # every handler thread gives its slot back
+            assert time.monotonic() < deadline, server._serving
+            time.sleep(0.01)
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_resolve_policy_request_validation(desk_store):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import watch_tv_49_graph, watch_tv_49_script
 from mdpcompose.composer import compose, policy_table_json
@@ -22,8 +24,10 @@ from mdpcompose.kg import (
     Parameter,
     State,
     Transition,
+    in_scope,
 )
 from mdpcompose.simulation import (
+    REWARD_INCREMENT,
     SimState,
     default_step_limit,
     initial_features,
@@ -31,6 +35,7 @@ from mdpcompose.simulation import (
     recognize_state,
     start_state,
     state_features,
+    step_state,
 )
 from mdpcompose.vhome import action_sequence
 
@@ -431,3 +436,103 @@ def test_only_an_unbound_lead_feature_skips_a_state(features, label):
             recognize_state(g, features)
     else:
         assert recognize_state(g, features).state_label == label
+
+
+# --- the stored transition against the transition scan ------------------
+
+_WALK_STATES = [f"S{k}" for k in range(7)]
+_WALK_ACTIONS = ["Go", "Flip", "Stay"]
+_WALK_RULES = ["F0 == 1", "F0 == 0 AND F1 == 1", "F1 == 0", "F0 == 1 OR F1 == 1", "F0 != 1"]
+_SPLITS = [(), (1.0,), (0.5, 0.5), (0.25, 0.25, 0.5), (0.4, 0.6)]
+
+
+def _walk_graph(data) -> KnowledgeGraph:
+    """Two activities over seven states. S0 is the initial state of both,
+    so a start there has no single owner, and so has S6, which neither
+    owns; S2 and S3 are shared. Each state and action draws up to three
+    transitions to any state, often with tied probabilities, so that some
+    leave the activity they start in."""
+    g = KnowledgeGraph()
+    features = ["F0", "F1"]
+    for f in features:
+        g.add(ObservationFeature(name=f, range_start=0.0, range_end=1.0,
+                                 feature_type=FeatureType.NOMINAL, unit=""))
+    impacts = st.sampled_from([ImpactType.ON, ImpactType.OFF, ImpactType.CONVERT])
+    for action in _WALK_ACTIONS:
+        g.add(Effect(name=f"Set_{action}", target_features=[data.draw(st.sampled_from(features))],
+                     impact_type=data.draw(impacts)))
+    for k, name in enumerate(_WALK_STATES):
+        g.add(State(
+            name=name, is_initial_state=k == 0, is_final_state=k in (3, 5),
+            is_goal=data.draw(st.booleans()), reward=data.draw(st.sampled_from([0.0, 0.5, -1.0])),
+            expression=data.draw(st.sampled_from(_WALK_RULES)), observation_features=features,
+        ))
+    by_action = {action: [] for action in _WALK_ACTIONS}
+    for state in _WALK_STATES:
+        for action in _WALK_ACTIONS:
+            split = data.draw(st.sampled_from(_SPLITS))
+            targets = data.draw(st.lists(st.sampled_from(_WALK_STATES), min_size=len(split),
+                                         max_size=len(split), unique=True))
+            for probability, target in zip(split, targets):
+                name = f"T_{state}_{action}_{target}"
+                g.add(Transition(name=name, previous_state=state, next_state=target,
+                                 action=action, probability=probability))
+                by_action[action].append(name)
+    for action, names in by_action.items():
+        g.add(Action(name=action, effects=[f"Set_{action}"], transitions=names))
+    for name, states, actions in (
+        ("First", _WALK_STATES[:4], ["Go", "Flip"]),
+        ("Second", [_WALK_STATES[0], *_WALK_STATES[2:6]], ["Go", "Stay"]),
+    ):
+        g.add(Activity(
+            name=name, is_sequential=data.draw(st.booleans()), number_of_actors=1,
+            communication_type=CommunicationType.SYNCHRONOUS, states=states, actions=actions,
+            observation_features=features,
+        ))
+    g.validate()
+    return g
+
+
+def _reference_transition(graph, start, state, action):
+    """What a step chose before the choice was stored: the action's
+    transitions from the state, kept to the start's scope, then the most
+    probable, the smaller next state on a tie."""
+    found = [t for t in graph.transitions
+             if t.previous_state == state.state_label and t.action == action]
+    scope = start.scope
+    names = None if scope is None else (frozenset(scope.states), frozenset(scope.actions))
+    matching = in_scope(found, names)
+    if not matching:
+        return None
+    return min(matching, key=lambda t: (-t.probability, t.next_state))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_each_step_of_a_walk_takes_the_transition_the_scan_chooses(data):
+    graph = _walk_graph(data)
+    label = data.draw(st.sampled_from(_WALK_STATES))
+    features = data.draw(st.fixed_dictionaries({"F0": st.sampled_from([0.0, 1.0]),
+                                                "F1": st.sampled_from([0.0, 1.0])}))
+    try:
+        start = start_state(graph, SimState(feature_values=features, state_label=label))
+    except UnknownSituationError:  # the features contradict the label
+        try:
+            start = start_state(graph, SimState(feature_values=features))
+        except UnknownSituationError:
+            return  # and match no state
+    owners = graph.activities_of_state(start.state.state_label)
+    assert start.scope is (owners[0] if len(owners) == 1 else None)
+    state = start.state.clone()
+    for action in data.draw(st.lists(st.sampled_from(_WALK_ACTIONS), max_size=12)):
+        if state.is_final:
+            break
+        want = _reference_transition(graph, start, state, action)
+        moves = start.steps.get(state.state_label, {})
+        assert moves.get(action) is want
+        before = state.clone()
+        step_state(graph, start, state, action)
+        if want is None:  # a wrong step
+            assert (state.state_label, state.reward) == (
+                before.state_label, before.reward - REWARD_INCREMENT
+            )
