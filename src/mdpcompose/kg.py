@@ -726,11 +726,11 @@ def _chosen_steps(
     state or action with none kept is left out."""
     out = {}
     for name in state_names:
-        chosen = {
-            action: min(kept, key=_step_order)
-            for action, found in transitions.get(name, {}).items()
-            if (kept := in_scope(found, names))
-        }
+        chosen = {}
+        for action, found in transitions.get(name, {}).items():
+            kept = in_scope(found, names)
+            if kept:  # most groups hold one transition: skip the min
+                chosen[action] = kept[0] if len(kept) == 1 else min(kept, key=_step_order)
         if chosen:
             out[name] = chosen
     return out
